@@ -45,7 +45,6 @@ from .criteria import (
     planar_subset_sufficient,
     planar_symmetric_nwise,
     triple_coplanar_unbiased,
-    triple_same_purity_bound,
     triple_unbiased,
 )
 from .surgery import (

@@ -29,7 +29,7 @@ from .criteria import (
     pair_same_purity_bound,
     planar_nwise_bound,
 )
-from .povm import JointPovm, povms_from_json_dict
+from .povm import povms_from_json_dict, validate_povm
 from .structures import JmStructure, structure_of
 from .surgery import build_general_binary_joint
 
@@ -78,6 +78,10 @@ def _load_povms(path: str):
         raise CliError(EXIT_PRECONDITION, f"bad POVM-set schema: {exc}") from None
     if not povms:
         raise CliError(EXIT_PRECONDITION, "POVM set is empty")
+    for k, p in enumerate(povms, 1):
+        report = validate_povm(p)
+        if not report:
+            raise CliError(EXIT_PRECONDITION, f"POVM {k} is not a valid POVM: {report.violations}")
     return povms
 
 
@@ -301,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jmqubit",
         description="joint-measurability toolbox for binary qubit POVMs",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="decide compatibility of every subset")

@@ -9,6 +9,7 @@ resolve toward Compatible, matching the half-open purity intervals
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -111,89 +112,120 @@ class FtConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _anchor_gradient(pts: np.ndarray, j: int) -> tuple:
-    """Sum of unit vectors toward the other points, skipping coincident ones."""
-    total = np.zeros(3)
-    dup = 0
-    for i in range(len(pts)):
-        if i == j:
-            continue
-        d = pts[i] - pts[j]
-        nd = np.linalg.norm(d)
-        if nd < 1e-14:
-            dup += 1
-            continue
-        total += d / nd
-    return total, dup
+def _unit_sums(pts: np.ndarray) -> tuple:
+    """(R, |R|, dup) for every point at once: R[j] sums the unit vectors from
+    p_j toward the other points, skipping the dup[j] points within 1e-14 of p_j."""
+    diff = pts[None, :, :] - pts[:, None, :]  # diff[j, i] = p_i - p_j
+    dist = np.linalg.norm(diff, axis=2)
+    coincident = dist < 1e-14
+    # dividing by inf zeroes the coincident pairs, the diagonal included
+    R = (diff / np.where(coincident, np.inf, dist)[:, :, None]).sum(axis=1)
+    return R, np.linalg.norm(R, axis=1), coincident.sum(axis=1) - 1
 
 
-def _diagonal_intersection(pts: np.ndarray):
-    """Intersection of the diagonals if the 4 points are in convex position."""
-    for (a, b), (c, d) in ((( 0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        u = pts[b] - pts[a]
-        v = pts[d] - pts[c]
-        M = np.stack([u, -v], axis=1)
-        rhs = pts[c] - pts[a]
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        t, s = sol
-        if np.linalg.norm(M @ sol - rhs) > 1e-9:
-            continue
-        if 1e-9 < t < 1 - 1e-9 and 1e-9 < s < 1 - 1e-9:
-            return pts[a] + t * u
-    return None
+def _hessian(u: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """sum_i (I - u_i u_i^T) inv_i: the Hessian of sum_i |y - p_i| for unit
+    vectors u_i along y - p_i and inv_i = 1/|y - p_i|."""
+    return inv.sum() * np.eye(3) - (u * inv[:, None]).T @ u
+
+
+def _anchor_model_minimizer(pts: np.ndarray, j: int, R: np.ndarray, w: float) -> np.ndarray:
+    """Minimizer p_j + h of the local model w|h| - R.h + h.H h/2 at a
+    non-optimal anchor (|R| > w), H the Hessian of the other points' distances.
+
+    Stationarity gives h = (H + mu I)^-1 R with |h| = w/mu. In the eigenbasis
+    of H, F(mu) = w/|h(mu)| - mu is concave and decreasing at its root, so
+    Newton from mu0 = w lam_max/(|R| - w), where F <= 0, descends onto it.
+    """
+    diff = pts - pts[j]
+    dist = np.linalg.norm(diff, axis=1)
+    inv = 1.0 / np.where(dist < 1e-14, np.inf, dist)
+    lam, V = np.linalg.eigh(_hessian(diff * inv[:, None], inv))
+    c = V.T @ R
+    lam_l, c2 = lam.tolist(), (c * c).tolist()
+    mu = w * lam_l[-1] / (math.sqrt(sum(c2)) - w)
+    for _ in range(100):
+        s2 = sum(ck / (lk + mu) ** 2 for lk, ck in zip(lam_l, c2))
+        s3 = sum(ck / (lk + mu) ** 3 for lk, ck in zip(lam_l, c2))
+        q = math.sqrt(s2)
+        F = w / q - mu
+        if F >= -1e-14 * mu:
+            break
+        mu -= F / (w * s3 / (q * s2) - 1.0)
+    return pts[j] + V @ (c / (lam + mu))
 
 
 def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
-    """Minimizer of the total Euclidean distance to the given points.
+    """Minimizer of the total Euclidean distance f(y) = sum |y - p_i|.
 
-    Anchor points are checked first via the subgradient condition; coplanar
-    convex quadrilaterals use the diagonal-intersection shortcut (cross-checked
-    against first-order optimality); otherwise Weiszfeld iteration runs from
-    the centroid, perturbing away from non-optimal anchors.
+    A point p_j is returned when it passes the subgradient test
+    |R_j| <= 1 + dup_j + 1e-12, with R_j the sum of unit vectors from p_j
+    toward the other points and dup_j the number of points coinciding with it.
+    Otherwise the minimizer is not a data point, f is smooth there, and a
+    damped Newton iteration runs on the closed-form Hessian
+    sum_i (I - u_i u_i^T)/d_i. Each step is capped at half the distance to the
+    nearest point and halved until f decreases. It starts from the centroid
+    or, if f is lower there, from the minimizer of the local model at the
+    anchor with the smallest |R_j|: when |R_j| is barely above 1 the minimizer
+    sits very close to that anchor, and the local model finds it.
+
+    Returns once |grad f| <= 1e-9, or when no step decreases f any more. After
+    max_iter steps a point with |grad f| <= 1e-6 is still accepted; otherwise
+    FtConvergenceError is raised.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points must be an (m,3) array")
-    m = len(pts)
+    if pts.ndim != 2 or pts.shape[1] != 3 or not len(pts):
+        raise ValueError("points must be a non-empty (m,3) array")
 
-    for j in range(m):
-        grad, dup = _anchor_gradient(pts, j)
-        if np.linalg.norm(grad) <= 1.0 + dup + 1e-12:
-            return pts[j].copy()
+    R, norms, dup = _unit_sums(pts)
+    ok = norms <= 1.0 + dup + 1e-12
+    if ok.any():
+        return pts[int(np.argmax(ok))].copy()
 
     scale = max(1.0, float(np.max(np.abs(pts))))
-    if m == 4:
-        rel = pts - pts.mean(axis=0)
-        if abs(np.linalg.det(np.stack([rel[1] - rel[0], rel[2] - rel[0], rel[3] - rel[0]]))) <= 1e-10 * scale**3:
-            y = _diagonal_intersection(pts)
-            if y is not None:
-                d = np.linalg.norm(pts - y, axis=1)
-                grad = ((y - pts) / d[:, None]).sum(axis=0)
-                if np.linalg.norm(grad) <= 1e-8:
-                    return y
-
     y = pts.mean(axis=0)
-    grad = np.full(3, np.inf)
+    f = total_distance(pts, y)
+    j = int(np.argmin(norms))
+    y_model = _anchor_model_minimizer(pts, j, R[j], 1.0 + float(dup[j]))
+    f_model = total_distance(pts, y_model)
+    if f_model < f:
+        y, f = y_model, f_model
+
     for _ in range(max_iter):
-        d = np.linalg.norm(pts - y, axis=1)
-        j = int(np.argmin(d))
-        if d[j] < 1e-12 * scale:
-            grad, dup = _anchor_gradient(pts, j)
-            g = np.linalg.norm(grad)
-            if g <= 1.0 + dup + 1e-12:
-                return pts[j].copy()
-            # non-optimal anchor: step off along the descent direction
-            y = pts[j] + (1e-9 * scale) * grad / g
-            continue
-        w = 1.0 / d
-        y_new = (w[:, None] * pts).sum(axis=0) / w.sum()
-        step = np.linalg.norm(y_new - y)
-        y = y_new
-        d = np.linalg.norm(pts - y, axis=1)
-        grad = ((y - pts) / d[:, None]).sum(axis=0)
-        if np.linalg.norm(grad) <= 1e-9 or step <= 1e-15 * scale:
+        diff = y - pts
+        d = np.linalg.norm(diff, axis=1)
+        inv = 1.0 / d
+        u = diff * inv[:, None]
+        grad = u.sum(axis=0)
+        if np.linalg.norm(grad) <= 1e-9:
             return y
-    residual = float(np.linalg.norm(grad))
+        step = -np.linalg.solve(_hessian(u, inv), grad)
+        length = float(np.linalg.norm(step))
+        if length <= 1e-15 * scale:
+            return y  # the step is below the resolution of y
+        cap = 0.5 * float(d.min())
+        if length > cap:
+            step *= cap / length
+            length = cap
+        elif -float(grad @ step) <= 2e-15 * f:
+            # the predicted decrease is below the rounding of f, so comparing
+            # values of f cannot judge the step; Newton is in its quadratic
+            # region and takes it whole
+            y = y + step
+            f = total_distance(pts, y)
+            continue
+        while True:
+            y_new = y + step
+            f_new = total_distance(pts, y_new)
+            if f_new < f:
+                break
+            step *= 0.5
+            length *= 0.5
+            if length <= 1e-15 * scale:
+                return y  # f no longer decreases in floating point
+        y, f = y_new, f_new
+    diff = y - pts
+    residual = float(np.linalg.norm((diff / np.linalg.norm(diff, axis=1)[:, None]).sum(axis=0)))
     if residual <= 1e-6:
         return y
     raise FtConvergenceError(residual)
@@ -337,15 +369,18 @@ def pair_same_purity_bound(phi: float) -> float:
     return 1.0 / (abs(math.sin(phi / 2.0)) + abs(math.cos(phi / 2.0)))
 
 
-def triple_same_purity_bound(phi1: float, phi2: float) -> float:
-    """Same-purity coplanar triple with adjacent angular gaps phi1, phi2."""
-    return 1.0 / (
-        math.cos((phi1 + phi2) / 2.0) + math.sin(phi1 / 2.0) + math.sin(phi2 / 2.0)
-    )
-
-
 # ---------------------------------------------------------------------------
 # general biased chain
+
+
+def _chain_arrays(povms) -> tuple:
+    """(biases, Bloch rows, flips, order) of the chain's normal form: every
+    POVM with a negative bias has its outcomes flipped, so all biases are
+    >= 0, and order is the stable sort by bias."""
+    flips = [p.bias < 0 for p in povms]
+    b = np.abs([p.bias for p in povms])
+    a = np.array([-p.bloch if f else p.bloch for p, f in zip(povms, flips)]).reshape(len(b), 3)
+    return b, a, flips, b.argsort(kind="stable")
 
 
 def normalize_for_chain(povms) -> tuple:
@@ -354,31 +389,32 @@ def normalize_for_chain(povms) -> tuple:
     Returns (normalized povms, order, flips) where order[i] is the input index
     placed at position i and flips[i] says whether that input was relabeled.
     """
-    flipped = []
-    flips = []
-    for p in povms:
-        if p.bias < 0:
-            flipped.append(BinaryQubitPovm(-p.bias, -p.bloch))
-            flips.append(True)
-        else:
-            flipped.append(p)
-            flips.append(False)
-    order = sorted(range(len(povms)), key=lambda i: flipped[i].bias)
-    return (
-        [flipped[i] for i in order],
-        tuple(order),
-        tuple(flips[i] for i in order),
-    )
+    _, _, flips, order = _chain_arrays(povms)
+    flipped = [
+        BinaryQubitPovm(-p.bias, -p.bloch) if f else p for p, f in zip(povms, flips)
+    ]
+    order = order.tolist()
+    return [flipped[i] for i in order], tuple(order), tuple(flips[i] for i in order)
+
+
+_SIGNS = np.array([-1.0, 1.0])[:, None, None, None]
+
+
+def _chain_margins(b: np.ndarray, a: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+    """Chain slack 2(1 - max b) - |a_s1 + a_sN| - sum_p |a_sp - a_s(p+1)| for
+    every row s of the (K, N) index array seqs, from normalized b and a."""
+    d = a + _SIGNS * a[:, None, :]  # d[0, i, j] = a_j - a_i, d[1, i, j] = a_j + a_i
+    dist = np.sqrt(np.einsum("...k,...k", d, d))
+    lhs = dist[1, seqs[:, 0], seqs[:, -1]] + dist[0, seqs[:, :-1], seqs[:, 1:]].sum(axis=1)
+    return 2.0 * (1.0 - b.max()) - lhs
 
 
 def chain_margin(povms) -> float:
-    """Slack of |a_1+a_N| + sum |a_p - a_{p+1}| <= 2(1 - max bias), normalized order."""
-    ps, _, _ = normalize_for_chain(povms)
-    a = [p.bloch for p in ps]
-    lhs = float(np.linalg.norm(a[0] + a[-1]))
-    lhs += sum(float(np.linalg.norm(a[p] - a[p + 1])) for p in range(len(a) - 1))
-    rhs = 2.0 * (1.0 - max(p.bias for p in ps))
-    return rhs - lhs
+    """Slack of |a_1+a_N| + sum |a_p - a_{p+1}| <= 2(1 - max bias), taken in
+    the normal form: outcomes flipped so every bias is >= 0, then the POVMs
+    stable-sorted by bias, ties keeping the caller's order."""
+    b, a, _, order = _chain_arrays(povms)
+    return float(_chain_margins(b, a, order[None, :])[0])
 
 
 def general_binary_sufficient(povms) -> Verdict:
@@ -395,22 +431,47 @@ def general_binary_sufficient(povms) -> Verdict:
     return _verdict(chain_margin(povms), strength, "biased-chain")
 
 
-def best_chain_ordering(povms) -> tuple:
-    """Search all orderings (up to path reversal) for the best chain margin.
+@functools.lru_cache(maxsize=None)
+def _permutations(n: int) -> np.ndarray:
+    """Read-only (n!, n) table of the permutations of range(n), built on first use."""
+    table = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    table.flags.writeable = False
+    return table
 
-    Only meaningful when biases tie (the convention otherwise pins the order).
-    N <= 8.
+
+def best_chain_ordering(povms) -> tuple:
+    """Best chain margin over every ordering of the POVMs. N <= 8.
+
+    The normal form sorts by |bias|, so orderings differ only inside groups
+    of exactly tied |bias|: the candidates are the sorted sequence with every
+    group permuted independently (the product of the groups' permutations).
+    A path and its reversal have the same margin, but a reversal is again a
+    candidate only when all |bias| values tie; only then is it dropped. With
+    all |bias| distinct the single sorted sequence is scored. All candidates
+    are scored at once from the matrices |a_i - a_j| and |a_i + a_j|.
+
+    Returns (perm, verdict): chain_margin([povms[i] for i in perm]) is the
+    verdict's margin.
     """
     N = len(povms)
     if N > 8:
         raise ValueError("ordering search capped at N = 8")
-    best = None
-    for perm in itertools.permutations(range(N)):
-        if perm[::-1] < perm:
-            continue  # a path and its reversal have the same margin
-        m = chain_margin([povms[i] for i in perm])
-        if best is None or m > best[1]:
-            best = (perm, m)
-    perm, margin = best
+    if not N:
+        raise ValueError("need at least one POVM")
+    b, a, _, order = _chain_arrays(povms)
+    sizes = [len(list(run)) for _, run in itertools.groupby(b[order].tolist())]
+    seqs = order[None, :]
+    start = 0
+    for size in sizes:
+        if size > 1:
+            block = order[start:start + size][_permutations(size)]
+            count = len(seqs)
+            seqs = np.repeat(seqs, len(block), axis=0)
+            seqs[:, start:start + size] = np.tile(block, (count, 1))
+        start += size
+    if len(sizes) == 1 and N > 1:
+        seqs = seqs[seqs[:, 0] < seqs[:, -1]]  # one of each path and its reversal
+    margins = _chain_margins(b, a, seqs)
+    k = int(np.argmax(margins))
     strength = IFF if N <= 2 and all(p.is_unbiased for p in povms) else SUFFICIENT_ONLY
-    return perm, _verdict(margin, strength, "biased-chain")
+    return tuple(seqs[k].tolist()), _verdict(float(margins[k]), strength, "biased-chain")

@@ -8,6 +8,7 @@ a 2x2 Hermitian reconstruction helper exists only for eigenvalue tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -84,6 +85,8 @@ class BinaryQubitPovm:
     def __post_init__(self):
         object.__setattr__(self, "bias", float(self.bias))
         object.__setattr__(self, "bloch", _as_bloch(self.bloch))
+        if not math.isfinite(self.bias):
+            raise ValueError("bias must be finite")
 
     @property
     def eta(self) -> float:

@@ -98,6 +98,22 @@ def test_malformed_json_exits_64(tmp_path, capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize(
+    "povm",
+    [
+        {"bias": 0.9, "bloch": [0.9, 0, 0]},  # |b| > 1 - |a|: not a POVM
+        {"bias": float("nan"), "bloch": [0.5, 0, 0]},
+        {"bias": 0.0, "bloch": [float("inf"), 0, 0]},
+    ],
+)
+def test_check_rejects_invalid_povm_exits_65(tmp_path, capsys, povm):
+    path = write_povms(tmp_path, [{"bias": 0.0, "bloch": [0, 0.5, 0]}, povm])
+    code, out, err = run(capsys, "check", path)
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_joint_chain_roundtrip(tmp_path, capsys):
     path = write_povms(
         tmp_path,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from jmqubit import (
     IFF,
     BinaryQubitPovm,
     best_chain_ordering,
+    build_general_binary_joint,
+    chain_margin,
     coplanar_chain_bound,
     coplanar_same_purity_sufficient,
     fermat_torricelli,
@@ -29,7 +32,8 @@ from jmqubit import (
     triple_unbiased,
     unbiased_povm,
 )
-from jmqubit.criteria import total_distance
+from jmqubit import criteria
+from jmqubit.criteria import FtConvergenceError, total_distance
 from conftest import random_unit
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -116,6 +120,60 @@ def test_ft_beats_random_candidates(rng):
         for _ in range(30):
             z = y + rng.normal(size=3) * 0.1
             assert base <= total_distance(pts, z) + 1e-7
+
+
+def _optimal_anchor(pts) -> bool:
+    for j in range(len(pts)):
+        d = np.delete(pts, j, axis=0) - pts[j]
+        if np.linalg.norm((d / np.linalg.norm(d, axis=1)[:, None]).sum(axis=0)) <= 1.0 + 1e-12:
+            return True
+    return False
+
+
+def _near_anchor_points(rng) -> np.ndarray:
+    """p0 and three points whose unit directions from p0 sum to length r in
+    (1, 1.02): p0 just fails the anchor test, and the minimizer lies close to it."""
+    r = rng.uniform(1.0, 1.02)
+    u1, u2 = random_unit(rng), random_unit(rng)
+    sigma = np.linalg.norm(u1 + u2)
+    e = (u1 + u2) / sigma
+    w = np.cross(e, random_unit(rng))
+    w /= np.linalg.norm(w)
+    c = (r * r - sigma * sigma - 1.0) / (2.0 * sigma)  # |u1 + u2 + u3| = r
+    u3 = c * e + math.sqrt(1.0 - c * c) * w
+    p0 = rng.normal(size=3)
+    return np.array([p0] + [p0 + rng.uniform(0.2, 3.0) * u for u in (u1, u2, u3)])
+
+
+def test_ft_converges_next_to_barely_suboptimal_anchor(rng):
+    checked = 0
+    while checked < 100:
+        pts = _near_anchor_points(rng)
+        if _optimal_anchor(pts):
+            continue
+        checked += 1
+        y = fermat_torricelli(pts)
+        d = np.linalg.norm(y - pts, axis=1)
+        assert np.linalg.norm(((y - pts) / d[:, None]).sum(axis=0)) <= 1e-9
+        base = total_distance(pts, y)
+        for step in (1e-2, 1e-4, 1e-6):
+            for z in y + step * rng.normal(size=(10, 3)):
+                assert base <= total_distance(pts, z) + 1e-14
+
+
+def test_ft_non_convergence_raises_and_triple_is_unknown(monkeypatch):
+    etas = [0.5, 0.6, 0.7]
+    ns = np.array([EX, (EX + EY) / math.sqrt(2.0), (EY + 2.0 * EZ) / math.sqrt(5.0)])
+    a = np.array(etas)[:, None] * ns
+    v0 = -a.sum(axis=0)
+    pts = np.vstack([v0, -2.0 * a - v0])  # the points triple_unbiased builds
+    assert not _optimal_anchor(pts)
+    with pytest.raises(FtConvergenceError):
+        fermat_torricelli(pts, max_iter=1)
+    full = criteria.fermat_torricelli
+    monkeypatch.setattr(criteria, "fermat_torricelli", lambda p: full(p, max_iter=1))
+    v = triple_unbiased(etas, ns)
+    assert v.decision == UNKNOWN and math.isnan(v.margin)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +310,36 @@ def test_best_chain_ordering_improves(rng):
         ps = [unbiased_povm(0.6, random_unit(rng)) for _ in range(4)]
         _, best = best_chain_ordering(ps)
         assert best.margin >= general_binary_sufficient(ps).margin - 1e-12
+
+
+def _loop_chain_margin(ps) -> float:
+    """Reference chain slack: flip negative biases, stable-sort, plain loop."""
+    chain = sorted(
+        [(-p.bias, -p.bloch) if p.bias < 0 else (p.bias, p.bloch) for p in ps],
+        key=lambda t: t[0],
+    )
+    a = [v for _, v in chain]
+    lhs = np.linalg.norm(a[0] + a[-1])
+    lhs += sum(np.linalg.norm(a[k] - a[k + 1]) for k in range(len(a) - 1))
+    return 2.0 * (1.0 - chain[-1][0]) - lhs
+
+
+def test_best_chain_ordering_scores_every_tie_group_order(rng):
+    # with biases (0.2, 0.1, 0.2) the order (1, 2, 0) must be scored too
+    for biases in ([0.2, 0.1, 0.2], [0.1, -0.1, 0.0, 0.0, 0.2], [0.0, 0.3, 0.0, -0.3, 0.0, 0.3]):
+        for _ in range(20):
+            ps = [BinaryQubitPovm(b, 0.3 * random_unit(rng)) for b in biases]
+            perm, v = best_chain_ordering(ps)
+            brute = max(
+                _loop_chain_margin([ps[i] for i in p])
+                for p in itertools.permutations(range(len(ps)))
+            )
+            assert v.margin == pytest.approx(brute, abs=1e-14)
+            ordered = [ps[i] for i in perm]
+            assert chain_margin(ordered) == v.margin
+            if v.margin >= 0:
+                joint, _ = build_general_binary_joint(ordered)
+                assert joint.validate().ok
 
 
 def test_sufficient_only_failure_is_unknown():
