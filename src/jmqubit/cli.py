@@ -29,7 +29,7 @@ from .criteria import (
     pair_same_purity_bound,
     planar_nwise_bound,
 )
-from .povm import povms_from_json_dict, validate_povm
+from .povm import povms_from_json_dict, require_valid_povms
 from .structures import JmStructure, structure_of
 from .surgery import build_general_binary_joint
 
@@ -78,10 +78,7 @@ def _load_povms(path: str):
         raise CliError(EXIT_PRECONDITION, f"bad POVM-set schema: {exc}") from None
     if not povms:
         raise CliError(EXIT_PRECONDITION, "POVM set is empty")
-    for k, p in enumerate(povms, 1):
-        report = validate_povm(p)
-        if not report:
-            raise CliError(EXIT_PRECONDITION, f"POVM {k} is not a valid POVM: {report.violations}")
+    require_valid_povms(povms)
     return povms
 
 
@@ -102,8 +99,8 @@ def _decider_for_mode(povms, mode: str):
     if mode == "oracle":
         return via_oracle
     def both(combo):
-        d = closed(combo)
-        return d if d != UNKNOWN else via_oracle(combo)
+        v = closed(combo)
+        return v if v.decision != UNKNOWN else via_oracle(combo)
     return both
 
 
@@ -227,29 +224,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_atlas(args) -> int:
-    manifest = realizer.atlas_manifest()
+    certs = realizer.atlas_certificates()
+    manifest = realizer.atlas_manifest(certs)
+    summary = "atlas: 20-entry manifest (use --out DIR for certificates)"
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
-        for i in realizer.ATLAS_IDS:
-            if i == 6:
-                for variant in ("mixed-purity", "non-coplanar"):
-                    cert = realizer.realize_four_vertex(6, variant)
-                    (out_dir / f"four-vertex-6-{variant}.json").write_text(
-                        json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n"
-                    )
-            else:
-                cert = realizer.realize_four_vertex(i)
-                (out_dir / f"four-vertex-{i}.json").write_text(
-                    json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n"
-                )
-        print(json.dumps(manifest, indent=2, sort_keys=True))
-        print(f"atlas: manifest + 21 certificates written to {out_dir}", file=sys.stderr)
-    else:
-        _emit(manifest, None, "atlas: 20-entry manifest (use --out DIR for certificates)")
+        payloads = {"manifest": manifest, **{k: c.to_json_dict() for k, c in certs.items()}}
+        for name, payload in payloads.items():
+            (out_dir / f"{name}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        summary = f"atlas: manifest + {len(certs)} certificates written to {out_dir}"
+    _emit(manifest, None, summary)
     return EXIT_OK
 
 

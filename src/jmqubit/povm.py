@@ -124,22 +124,30 @@ class ValidationReport:
 
 
 def validate_povm(p: BinaryQubitPovm, tol: float = EPS_PSD) -> ValidationReport:
-    """Report-style check of the POVM constraints |b| <= 1 - |a| etc."""
+    """Report-style check of the POVM constraints |b| <= 1 - |a| etc., from
+    the effects' eigenvalues (1 +- b +- |a|)/2."""
     violations = []
-    a = p.eta
-    if abs(p.bias) - (1.0 - a) > tol:
-        violations.append(("bias-bound |b| <= 1-|a|", abs(p.bias) - (1.0 - a)))
+    b, a = p.bias, p.eta
+    if abs(b) - (1.0 - a) > tol:
+        violations.append(("bias-bound |b| <= 1-|a|", abs(b) - (1.0 - a)))
     for out in (1, -1):
-        e = p.effect(out)
-        if e.min_eigenvalue() < -tol:
-            violations.append((f"effect({out:+d}) PSD", -e.min_eigenvalue()))
-        if e.max_eigenvalue() > 1.0 + tol:
-            violations.append((f"effect({out:+d}) <= I", e.max_eigenvalue() - 1.0))
-    s = add_effects(p.effect(1), p.effect(-1))
-    comp = max(abs(s.alpha - 2.0), float(np.max(np.abs(s.bloch))))
+        alpha = 1.0 + out * b
+        if 0.5 * (alpha - a) < -tol:
+            violations.append((f"effect({out:+d}) PSD", -0.5 * (alpha - a)))
+        if 0.5 * (alpha + a) > 1.0 + tol:
+            violations.append((f"effect({out:+d}) <= I", 0.5 * (alpha + a) - 1.0))
+    comp = abs((1.0 + b) + (1.0 - b) - 2.0)  # the Bloch parts a - a cancel exactly
     if comp > tol:
         violations.append(("completeness", comp))
     return ValidationReport(not violations, tuple(violations))
+
+
+def require_valid_povms(povms) -> None:
+    """ValueError naming the first POVM that fails validate_povm."""
+    for k, p in enumerate(povms, 1):
+        report = validate_povm(p)
+        if not report:
+            raise ValueError(f"POVM {k} is not a valid POVM: {report.violations}")
 
 
 class OutcomeString:

@@ -7,8 +7,8 @@ the two special constructions (mixed purity / non-coplanar) for atlas id 6,
 which provably cannot be realized with coplanar same-purity unbiased POVMs.
 
 Each certificate carries a joint-POVM witness for every maximal compatible
-set and a violated-criterion margin (or oracle report) for every minimal
-incompatible set.
+set and, for every minimal incompatible set, the id and margin of the
+criterion that decided it (see REGISTRY).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,9 +24,12 @@ import numpy as np
 from . import oracle as oracle_mod
 from .criteria import (
     COMPATIBLE,
+    IFF,
     INCOMPATIBLE,
+    SUFFICIENT_ONLY,
     UNKNOWN,
     Verdict,
+    _verdict,
     coplanar_chain_bound,
     general_binary_sufficient,
     best_chain_ordering,
@@ -39,7 +42,7 @@ from .criteria import (
     planar_symmetric_nwise,
     triple_unbiased,
 )
-from .povm import BinaryQubitPovm, JointPovm, povms_from_json_dict, povms_to_json_dict, unbiased_povm
+from .povm import JointPovm, povms_from_json_dict, povms_to_json_dict, require_valid_povms, unbiased_povm
 from .structures import JmStructure, n_cycle, n_specker, structure_of
 from .surgery import (
     PlanarSymmetricFamily,
@@ -75,13 +78,6 @@ def _unit_rows(povms) -> np.ndarray:
     return np.array(rows)
 
 
-def _common_purity(povms, tol: float = 1e-9) -> Optional[float]:
-    etas = [p.eta for p in povms]
-    if max(etas) - min(etas) <= tol:
-        return sum(etas) / len(etas)
-    return None
-
-
 def _coplanar_line_angles(povms, tol: float = 1e-9) -> Optional[np.ndarray]:
     """Sorted line angles in [0, pi) if the Bloch vectors are coplanar."""
     A = np.array([p.bloch for p in povms])
@@ -95,72 +91,115 @@ def _coplanar_line_angles(povms, tol: float = 1e-9) -> Optional[np.ndarray]:
     return np.sort(ang)
 
 
-def _cyclic_gaps(line_angles: np.ndarray) -> np.ndarray:
-    gaps = np.diff(line_angles)
-    closing = np.pi - (line_angles[-1] - line_angles[0])
-    return np.append(gaps, closing)
+def _unbiased_purity(povms, tol: float = 1e-9) -> Optional[float]:
+    """Common purity of unbiased same-purity POVMs, else None."""
+    if not all(p.is_unbiased for p in povms):
+        return None
+    etas = [p.eta for p in povms]
+    return sum(etas) / len(etas) if max(etas) - min(etas) <= tol else None
 
 
-def coplanar_cyclic_bound(line_angles: np.ndarray) -> float:
-    """Chain bound in cut-invariant form: 1 / sum of sin(gap/2) over all
-    cyclic line gaps (the M gaps sum to pi)."""
-    return 1.0 / float(np.sum(np.sin(_cyclic_gaps(line_angles) / 2.0)))
+# ---------------------------------------------------------------------------
+# criterion registry: criterion_id -> function of a POVM sub-list returning
+# the Verdict of the computation that evaluates that criterion, or None when
+# it does not apply. Two ids evaluated by one computation share a function,
+# which returns whichever of the two verdicts decides; callers check the
+# verdict's criterion_id. The functions look the criteria up as module
+# globals at call time.
+
+
+def _pair_general(sub) -> Optional[Verdict]:
+    return pair_general(sub[0], sub[1]) if len(sub) == 2 else None
+
+
+def _pair_unbiased(sub) -> Optional[Verdict]:
+    if len(sub) != 2 or not all(p.is_unbiased for p in sub):
+        return None
+    units = _unit_rows(sub)
+    return pair_unbiased(sub[0].eta, units[0], sub[1].eta, units[1])
+
+
+def _triple_ft(sub) -> Optional[Verdict]:
+    if len(sub) != 3 or not all(p.is_unbiased for p in sub):
+        return None
+    return triple_unbiased([p.eta for p in sub], _unit_rows(sub))
+
+
+def _coplanar_same_purity(sub) -> Optional[Verdict]:
+    """Unbiased same-purity POVMs with coplanar Bloch vectors: the iff
+    planar-symmetric criterion when their lines are equally spaced, else the
+    sufficient coplanar chain bound."""
+    eta = _unbiased_purity(sub)
+    angles = None if eta is None else _coplanar_line_angles(sub)
+    if angles is None:
+        return None
+    gaps = np.append(np.diff(angles), np.pi - (angles[-1] - angles[0]))  # cyclic
+    if np.max(np.abs(gaps - np.pi / len(sub))) <= 1e-9:
+        return planar_symmetric_nwise(len(sub), eta)
+    bound = coplanar_chain_bound(angles[1:] - angles[0])
+    return _verdict(bound - eta, SUFFICIENT_ONLY, "coplanar-chain")
+
+
+def _n_wise(sub) -> Optional[Verdict]:
+    """Sign-string bounds for unbiased same-purity POVMs: the necessary one
+    when it proves incompatibility, else the sufficient one."""
+    eta = _unbiased_purity(sub)
+    if eta is None:
+        return None
+    nec, suf = n_necessary_sufficient(eta, _unit_rows(sub))
+    return nec if nec.is_incompatible else suf
+
+
+def _biased_chain(sub) -> Verdict:
+    if len(sub) <= 6:
+        return best_chain_ordering(sub)[1]
+    return general_binary_sufficient(sub)
+
+
+# In the closed-form decider's order. pair-unbiased is never reached there,
+# since pair-general decides every pair; it verifies older certificates.
+REGISTRY = {
+    "pair-general": _pair_general,
+    "pair-unbiased": _pair_unbiased,
+    "triple-ft": _triple_ft,
+    "planar-symmetric-nwise": _coplanar_same_purity,
+    "coplanar-chain": _coplanar_same_purity,
+    "n-wise-necessary": _n_wise,
+    "n-wise-sufficient": _n_wise,
+    "biased-chain": _biased_chain,
+}
+_DECISION_ORDER = tuple(dict.fromkeys(REGISTRY.values()))  # each function once
 
 
 def closed_form_decider(povms):
     """Composite decision procedure over the closed-form criteria.
 
-    Returns a callable mapping a 1-based index tuple to a decision string.
-    Iff criteria decide pairs, unbiased triples, and full equiangular
-    families; sufficient chain bounds and the necessary sign-string bound
-    cover the rest; anything left is Unknown.
+    Returns a callable mapping a 1-based index tuple to the deciding Verdict:
+    that of the first applicable REGISTRY function that decides the subset or
+    is an iff criterion, else the chain's Unknown verdict.
     """
 
-    def decide(combo) -> str:
+    def decide(combo) -> Verdict:
         sub = [povms[i - 1] for i in combo]
-        m = len(sub)
-        if m == 1:
-            return COMPATIBLE
-        if m == 2:
-            return pair_general(sub[0], sub[1]).decision
-        unbiased = all(p.is_unbiased for p in sub)
-        if m == 3 and unbiased:
-            return triple_unbiased([p.eta for p in sub], _unit_rows(sub)).decision
-        eta = _common_purity(sub) if unbiased else None
-        if eta is not None:
-            angles = _coplanar_line_angles(sub)
-            if angles is not None:
-                gaps = _cyclic_gaps(angles)
-                if np.max(np.abs(gaps - np.pi / m)) <= 1e-9:
-                    return planar_symmetric_nwise(m, eta).decision
-                if eta <= coplanar_cyclic_bound(angles) + 1e-12:
-                    return COMPATIBLE
-            nec, suf = n_necessary_sufficient(eta, _unit_rows(sub))
-            if nec.decision == INCOMPATIBLE:
-                return INCOMPATIBLE
-            if suf.decision == COMPATIBLE:
-                return COMPATIBLE
-        if m <= 6:
-            _, v = best_chain_ordering(sub)
-        else:
-            v = general_binary_sufficient(sub)
-        if v.decision == COMPATIBLE:
-            return COMPATIBLE
-        return UNKNOWN
+        for criterion in _DECISION_ORDER:
+            v = criterion(sub)
+            if v is not None and (v.decision != UNKNOWN or v.strength == IFF):
+                return v
+        return v
 
     return decide
 
 
 def oracle_decider(povms, params: oracle_mod.OracleParams = oracle_mod.OracleParams()):
-    """Decision procedure backed by the feasibility oracle."""
+    """Decision procedure backed by the feasibility oracle: Feasible is
+    compatible, LikelyInfeasible incompatible, anything else Unknown. The
+    oracle tests the exact feasibility problem (strength iff, up to its
+    tolerances); the Verdict's margin is minus its final residual."""
+    decisions = {oracle_mod.FEASIBLE: COMPATIBLE, oracle_mod.LIKELY_INFEASIBLE: INCOMPATIBLE}
 
-    def decide(combo) -> str:
+    def decide(combo) -> Verdict:
         res = oracle_mod.decide([povms[i - 1] for i in combo], params)
-        if res.status == oracle_mod.FEASIBLE:
-            return COMPATIBLE
-        if res.status == oracle_mod.LIKELY_INFEASIBLE:
-            return INCOMPATIBLE
-        return UNKNOWN
+        return Verdict(decisions.get(res.status, UNKNOWN), IFF, -res.residual, "oracle")
 
     return decide
 
@@ -228,18 +267,27 @@ class RealizationCertificate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RealizationCertificate":
+        """ValueError on an invalid POVM, on an evidence subset that is not
+        distinct indices 1..n, and on a joint of the wrong size."""
         povms = tuple(povms_from_json_dict({"povms": d["povms"]}))
-        compat = tuple(
-            CompatEvidence(
-                tuple(e["subset"]),
-                e["constructor"],
-                e["digest"],
-                JointPovm.from_json_dict(e["joint"], tol=1e-8),
-            )
-            for e in d["evidence"]["compatible"]
-        )
+        require_valid_povms(povms)
+
+        def subset(e) -> tuple:
+            s = tuple(e["subset"])
+            if len(set(s)) != len(s) or not all(
+                type(i) is int and 1 <= i <= len(povms) for i in s
+            ):
+                raise ValueError(f"evidence subset {list(s)} is not distinct indices 1..{len(povms)}")
+            return s
+
+        compat = []
+        for e in d["evidence"]["compatible"]:
+            s, joint = subset(e), JointPovm.from_json_dict(e["joint"], tol=1e-8)
+            if joint.n != len(s):
+                raise ValueError(f"joint for subset {list(s)} has {joint.n} measurements")
+            compat.append(CompatEvidence(s, e["constructor"], e["digest"], joint))
         incompat = tuple(
-            IncompatEvidence(tuple(e["subset"]), e["criterion"], float(e["margin"]))
+            IncompatEvidence(subset(e), e["criterion"], float(e["margin"]))
             for e in d["evidence"]["incompatible"]
         )
         return cls(
@@ -248,7 +296,7 @@ class RealizationCertificate:
             float(d["eta"]),
             tuple(d["eta_window"]),
             JmStructure.from_json_dict(d["structure"]),
-            compat,
+            tuple(compat),
             incompat,
             d.get("recipe", {}),
             tuple(d.get("notes", [])),
@@ -258,61 +306,6 @@ class RealizationCertificate:
 def joint_digest(joint: JointPovm) -> str:
     payload = json.dumps(joint.to_json_dict(), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _minimal_incompatible_sets(claimed: JmStructure) -> list:
-    import itertools
-
-    n = claimed.n_vertices
-    minimal = []
-    for size in range(2, n + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            s = frozenset(combo)
-            if claimed.is_compatible(s):
-                continue
-            if any(bad <= s for bad in minimal):
-                continue
-            # minimal means every proper subset is compatible
-            if all(
-                claimed.is_compatible(s - {v}) for v in s
-            ):
-                minimal.append(s)
-    return sorted(minimal, key=lambda s: (len(s), sorted(s)))
-
-
-def _incompat_evidence(subset, povms_sub) -> IncompatEvidence:
-    """Prefer Iff criteria, then the necessary bound, then the oracle."""
-    m = len(povms_sub)
-    unbiased = all(p.is_unbiased for p in povms_sub)
-    if m == 2:
-        if unbiased:
-            v = pair_unbiased(
-                povms_sub[0].eta, _unit_rows(povms_sub)[0],
-                povms_sub[1].eta, _unit_rows(povms_sub)[1],
-            )
-        else:
-            v = pair_general(povms_sub[0], povms_sub[1])
-    elif m == 3 and unbiased:
-        v = triple_unbiased([p.eta for p in povms_sub], _unit_rows(povms_sub))
-    else:
-        v = None
-        eta = _common_purity(povms_sub) if unbiased else None
-        if eta is not None:
-            angles = _coplanar_line_angles(povms_sub)
-            if angles is not None and np.max(
-                np.abs(_cyclic_gaps(angles) - np.pi / m)
-            ) <= 1e-9:
-                v = planar_symmetric_nwise(m, eta)
-            if v is None or v.decision != INCOMPATIBLE:
-                nec, _ = n_necessary_sufficient(eta, _unit_rows(povms_sub))
-                if nec.decision == INCOMPATIBLE:
-                    v = nec
-    if v is not None and v.decision == INCOMPATIBLE:
-        return IncompatEvidence(tuple(subset), v.criterion_id, v.margin)
-    res = oracle_mod.decide(list(povms_sub))
-    if res.status != oracle_mod.LIKELY_INFEASIBLE:
-        raise RuntimeError(f"no incompatibility evidence found for subset {subset}")
-    return IncompatEvidence(tuple(subset), "oracle", -res.residual)
 
 
 def _certificate(
@@ -335,13 +328,12 @@ def _certificate(
         compat.append(
             CompatEvidence(tuple(mset), constructor, joint_digest(joint), joint)
         )
-    incompat = [
-        _incompat_evidence(tuple(sorted(s)), [povms[i - 1] for i in sorted(s)])
-        for s in _minimal_incompatible_sets(claimed)
-    ]
+    incompat = tuple(
+        IncompatEvidence(s, v.criterion_id, v.margin) for s, v in claimed.incompatible
+    )
     return RealizationCertificate(
         label, povms, eta, tuple(window), claimed,
-        tuple(compat), tuple(incompat), recipe, tuple(notes),
+        tuple(compat), incompat, recipe, tuple(notes),
     )
 
 
@@ -604,8 +596,24 @@ def realize_four_vertex(
     )
 
 
-def atlas_manifest() -> dict:
-    """Windows and structures of all 20 four-vertex entries (no heavy joints)."""
+def atlas_certificates() -> dict:
+    """All 21 atlas certificates by file stem: four-vertex-<id>, with id 6 as
+    four-vertex-6-mixed-purity and four-vertex-6-non-coplanar."""
+    certs = {}
+    for i in ATLAS_IDS:
+        if i == 6:
+            for variant in ("mixed-purity", "non-coplanar"):
+                certs[f"four-vertex-6-{variant}"] = realize_four_vertex(6, variant)
+        else:
+            certs[f"four-vertex-{i}"] = realize_four_vertex(i)
+    return certs
+
+
+def atlas_manifest(certs: Optional[dict] = None) -> dict:
+    """Windows and structures of all 20 four-vertex entries (no heavy joints),
+    read from atlas_certificates(), which is called when certs is not given."""
+    if certs is None:
+        certs = atlas_certificates()
     entries = []
     for i in ATLAS_IDS:
         if i == 6:
@@ -623,7 +631,7 @@ def atlas_manifest() -> dict:
             )
             continue
         N, subset, lo, hi = FOUR_VERTEX_CATALOG[i]
-        cert = realize_four_vertex(i)
+        cert = certs[f"four-vertex-{i}"]
         entries.append(
             {
                 "id": i,
@@ -651,27 +659,6 @@ class VerificationReport:
     ok: bool
     issues: tuple = ()
     inconclusive: tuple = ()
-
-
-def _reevaluate_incompat(criterion: str, povms_sub) -> Optional[Verdict]:
-    units = _unit_rows(povms_sub)
-    if criterion == "pair-unbiased":
-        return pair_unbiased(povms_sub[0].eta, units[0], povms_sub[1].eta, units[1])
-    if criterion == "pair-general":
-        return pair_general(povms_sub[0], povms_sub[1])
-    if criterion == "triple-ft":
-        return triple_unbiased([p.eta for p in povms_sub], units)
-    if criterion == "planar-symmetric-nwise":
-        eta = _common_purity(povms_sub)
-        if eta is None:
-            return None
-        return planar_symmetric_nwise(len(povms_sub), eta)
-    if criterion == "n-wise-necessary":
-        eta = _common_purity(povms_sub)
-        if eta is None:
-            return None
-        return n_necessary_sufficient(eta, units)[0]
-    return None
 
 
 def verify_certificate(
@@ -716,20 +703,13 @@ def verify_certificate(
                     issues.append(
                         f"witness for {list(e.subset)} marginal {k} off by {err:.2e}"
                     )
-        needed = {frozenset(s) for s in _minimal_incompatible_sets(cert.claimed)}
-        got = {frozenset(e.subset) for e in cert.incompatible}
-        if needed != got:
+        needed = {frozenset(s) for s, _ in recomputed.incompatible}
+        if needed != {frozenset(e.subset) for e in cert.incompatible}:
             issues.append("incompatible evidence does not cover the minimal sets")
         for e in cert.incompatible:
-            sub = [povms[i - 1] for i in e.subset]
-            if e.criterion == "oracle":
-                if mode == "closed-form":
-                    inconclusive.append(
-                        f"subset {list(e.subset)}: oracle evidence not re-run in closed-form mode"
-                    )
-                continue
-            v = _reevaluate_incompat(e.criterion, sub)
-            if v is None or v.decision != INCOMPATIBLE:
+            criterion = REGISTRY.get(e.criterion)
+            v = criterion([povms[i - 1] for i in e.subset]) if criterion else None
+            if v is None or v.criterion_id != e.criterion or not v.is_incompatible:
                 issues.append(
                     f"criterion {e.criterion} does not prove {list(e.subset)} incompatible"
                 )

@@ -28,6 +28,9 @@ class JmStructure:
     n_vertices: int
     maximal: frozenset = field(default_factory=frozenset)
     undecided: frozenset = field(default_factory=frozenset)
+    # (subset, Verdict) of each minimal incompatible set, when structure_of
+    # built the structure; evidence, not part of the structure's identity
+    incompatible: tuple = field(default=(), compare=False, repr=False)
 
     @classmethod
     def from_sets(cls, n: int, compatible_sets, undecided=()) -> "JmStructure":
@@ -146,30 +149,38 @@ def enumerate_structures(n: int) -> list:
 def structure_of(povms, decider: Callable) -> JmStructure:
     """Compute the structure of a POVM list with a subset decider.
 
-    decider(subset_indices_1based) must return one of the criteria decision
-    strings. Subsets are visited smallest first; supersets of an incompatible
-    set are pruned without calling the decider. Unknown answers make the
-    result partial (undecided subsets listed, treated as not compatible for
-    maximality).
+    decider(subset_indices_1based) returns a Verdict. The walk is level-wise
+    (Apriori): a (k+1)-set is visited only when all its k-subsets were
+    visited and not decided incompatible, so supersets of an incompatible set
+    never reach the decider and the incompatible verdicts are those of the
+    minimal incompatible sets, kept in visiting order as ``incompatible``.
+    Unknown answers make the result partial (undecided subsets listed,
+    treated as not compatible for maximality).
     """
     n = len(povms)
     compatible = {frozenset([k]) for k in range(1, n + 1)}
-    incompatible: set = set()
+    incompatible = []
     undecided: set = set()
-    for size in range(2, n + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            s = frozenset(combo)
-            if any(bad <= s for bad in incompatible):
+    level = [(k,) for k in range(1, n + 1)]  # visited, not incompatible; sorted
+    while level:
+        alive = set(level)
+        candidates = [s + (k,) for s in level for k in range(s[-1] + 1, n + 1)]
+        level = []
+        for c in candidates:
+            # c without its last element is s, already alive
+            if not all(c[:j] + c[j + 1:] in alive for j in range(len(c) - 1)):
                 continue
-            d = decider(combo)
-            if d == COMPATIBLE:
-                compatible.add(s)
-            elif d == INCOMPATIBLE:
-                incompatible.add(s)
-            elif d == UNKNOWN:
-                undecided.add(s)
+            v = decider(c)
+            if v.decision == INCOMPATIBLE:
+                incompatible.append((c, v))
+                continue
+            if v.decision == COMPATIBLE:
+                compatible.add(frozenset(c))
+            elif v.decision == UNKNOWN:
+                undecided.add(frozenset(c))
             else:
-                raise ValueError(f"decider returned {d!r}")
+                raise ValueError(f"decider returned {v!r}")
+            level.append(c)
     # closure: an undecided subset of a decided-compatible set is compatible
     undecided = {u for u in undecided if not any(u <= c for c in compatible)}
-    return JmStructure(n, _maximal_only(compatible), frozenset(undecided))
+    return JmStructure(n, _maximal_only(compatible), frozenset(undecided), tuple(incompatible))

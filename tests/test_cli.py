@@ -186,6 +186,59 @@ def test_verify_failure_exits_2(tmp_path, capsys):
     assert json.loads(out2)["ok"] is False
 
 
+def _set_incompat_subset(subset):
+    def tamper(d):
+        d["evidence"]["incompatible"][0]["subset"] = subset
+
+    return tamper
+
+
+def _set_povm(d):
+    d["povms"][0] = {"bias": 0.9, "bloch": [0.9, 0, 0]}  # |b| > 1 - |a|: not a POVM
+
+
+def _shrink_joint(d):
+    e = d["evidence"]["compatible"][0]
+    e["subset"] = e["subset"] + [3]  # a 3-element subset with a 2-element joint
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _set_incompat_subset([2, 9]),  # index beyond n = 4
+        _set_incompat_subset([0, 2]),  # index 0 would read the last POVM
+        _set_incompat_subset([2, 2]),
+        _set_incompat_subset([1.0, 3]),
+        _set_povm,
+        _shrink_joint,
+    ],
+    ids=["index-high", "index-zero", "duplicate", "non-integer", "invalid-povm", "joint-size"],
+)
+def test_verify_rejects_malformed_certificate_exits_65(tmp_path, capsys, tamper):
+    code, out, _ = run(capsys, "realize", "--structure", "n-cycle", "--n", "4")
+    d = json.loads(out)
+    tamper(d)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_atlas_builds_each_certificate_once(tmp_path, capsys, monkeypatch):
+    from jmqubit import realizer
+
+    calls = []
+    build = realizer.realize_four_vertex
+    monkeypatch.setattr(
+        realizer, "realize_four_vertex", lambda *a, **k: calls.append(a) or build(*a, **k)
+    )
+    code, _, _ = run(capsys, "atlas", "--out", str(tmp_path / "atlas"))
+    assert code == 0
+    assert len(calls) == 21
+
+
 def test_atlas_writes_certificates(tmp_path, capsys):
     out_dir = tmp_path / "atlas"
     code, out, _ = run(capsys, "atlas", "--out", str(out_dir))

@@ -56,6 +56,32 @@ def test_validate_povm_flags_bias_bound():
     assert any("bias" in name or "PSD" in name for name, _ in rep.violations)
 
 
+def _validate_via_effects(p, tol=1e-12):
+    """Reference: the checks spelled out on the two Effect objects."""
+    violations = []
+    if abs(p.bias) - (1.0 - p.eta) > tol:
+        violations.append(("bias-bound |b| <= 1-|a|", abs(p.bias) - (1.0 - p.eta)))
+    for out in (1, -1):
+        e = p.effect(out)
+        if e.min_eigenvalue() < -tol:
+            violations.append((f"effect({out:+d}) PSD", -e.min_eigenvalue()))
+        if e.max_eigenvalue() > 1.0 + tol:
+            violations.append((f"effect({out:+d}) <= I", e.max_eigenvalue() - 1.0))
+    plus, minus = p.effect(1), p.effect(-1)
+    comp = max(abs(plus.alpha + minus.alpha - 2.0), float(np.max(np.abs(plus.bloch + minus.bloch))))
+    if comp > tol:
+        violations.append(("completeness", comp))
+    return tuple(violations)
+
+
+@given(st.floats(-1.5, 1.5), st.floats(-1.2, 1.2), finite, finite)
+def test_validate_povm_matches_effect_reference(b, x, y, z):
+    p = BinaryQubitPovm(b, [x, y, z])
+    rep = validate_povm(p)
+    assert rep.violations == _validate_via_effects(p)
+    assert rep.ok == (not rep.violations)
+
+
 def test_unbiased_povm_normalizes_direction():
     p = unbiased_povm(0.5, [2.0, 0.0, 0.0])
     assert p.eta == pytest.approx(0.5)

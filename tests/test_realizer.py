@@ -24,6 +24,8 @@ from jmqubit import (
     unbiased_povm,
     verify_certificate,
 )
+from jmqubit import realizer
+from jmqubit.criteria import pair_unbiased, planar_symmetric_nwise
 from jmqubit.realizer import (
     MISC_SCENARIOS,
     UNDECIDED_INTERVAL_N5,
@@ -179,9 +181,9 @@ def test_closed_form_decider_basics():
     fam = PlanarSymmetricFamily(3, 0.7)  # between 2/3 and sqrt(3)-1
     povms = fam.povms()
     decide = closed_form_decider(povms)
-    assert decide((1,)) == COMPATIBLE
-    assert decide((1, 2)) == COMPATIBLE
-    assert decide((1, 2, 3)) == INCOMPATIBLE
+    assert decide((1,)).decision == COMPATIBLE
+    assert decide((1, 2)).decision == COMPATIBLE
+    assert decide((1, 2, 3)).decision == INCOMPATIBLE
 
 
 def test_closed_form_decider_unknown_case():
@@ -190,7 +192,7 @@ def test_closed_form_decider_unknown_case():
     dirs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
     povms = [unbiased_povm(0.56, d) for d in dirs]
     decide = closed_form_decider(povms)
-    assert decide((1, 2, 3, 4)) == UNKNOWN
+    assert decide((1, 2, 3, 4)).decision == UNKNOWN
     struct = structure_of(povms, decide)
     assert struct.is_partial
 
@@ -199,3 +201,60 @@ def test_digest_is_stable():
     cert = realize_n_cycle(4)
     e = cert.compatible[0]
     assert joint_digest(e.joint) == e.digest
+
+
+def test_n_cycle_walk_is_quadratic(monkeypatch):
+    calls = []
+    factory = realizer.closed_form_decider
+
+    def counting(povms):
+        decide = factory(povms)
+        return lambda combo: calls.append(combo) or decide(combo)
+
+    monkeypatch.setattr(realizer, "closed_form_decider", counting)
+    cert = realize_n_cycle(24)
+    # the pairs only: no triple of a 24-cycle has three compatible pairs
+    assert len(calls) <= 24 * 23 // 2
+    assert cert.claimed.maximal == n_cycle(24).maximal
+
+
+def test_realize_and_verify_n_cycle_40():
+    cert = realize_n_cycle(40)
+    assert cert.claimed.maximal == n_cycle(40).maximal
+    assert len(cert.incompatible) == 40 * 39 // 2 - 40
+    rep = verify_certificate(cert)
+    assert rep.ok and not rep.inconclusive, rep.issues
+
+
+def test_incompatible_evidence_is_the_deciding_verdict():
+    cert = realize_n_cycle(5)
+    structure = structure_of(list(cert.povms), closed_form_decider(list(cert.povms)))
+    assert [(e.subset, e.criterion, e.margin) for e in cert.incompatible] == [
+        (s, v.criterion_id, v.margin) for s, v in structure.incompatible
+    ]
+    assert {e.criterion for e in cert.incompatible} == {"pair-general"}
+
+
+def test_pair_unbiased_evidence_still_verifies():
+    # certificates written before pair-general became the pair evidence
+    cert = realize_n_cycle(5)
+    d = cert.to_json_dict()
+    for e in d["evidence"]["incompatible"]:
+        p, q = (cert.povms[i - 1] for i in e["subset"])
+        e["criterion"] = "pair-unbiased"
+        e["margin"] = pair_unbiased(p.eta, p.bloch / p.eta, q.eta, q.bloch / q.eta).margin
+    rep = verify_certificate(RealizationCertificate.from_json_dict(d))
+    assert rep.ok, rep.issues
+
+
+def test_verify_rejects_criterion_that_does_not_apply():
+    # the pairs of the non-coplanar recipe are not equiangular, so the
+    # planar-symmetric criterion proves nothing about them
+    cert = realize_four_vertex(6, "non-coplanar")
+    d = cert.to_json_dict()
+    e = d["evidence"]["incompatible"][0]
+    e["criterion"] = "planar-symmetric-nwise"
+    e["margin"] = planar_symmetric_nwise(2, cert.eta).margin
+    rep = verify_certificate(RealizationCertificate.from_json_dict(d))
+    assert not rep.ok
+    assert any("planar-symmetric-nwise does not prove" in i for i in rep.issues)

@@ -1,12 +1,17 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jmqubit import (
     COMPATIBLE,
     INCOMPATIBLE,
+    IFF,
     UNKNOWN,
     JmStructure,
+    Verdict,
     canonicalize,
     enumerate_structures,
     is_isomorphic,
@@ -16,6 +21,10 @@ from jmqubit import (
     nm_compatible,
     structure_of,
 )
+
+
+def stub(decision):
+    return Verdict(decision, IFF, 0.0, "stub")
 
 
 def test_from_sets_keeps_maximal_only():
@@ -78,8 +87,8 @@ def test_structure_of_with_stub_decider():
     def decider(combo):
         s = frozenset(combo)
         if len(s) <= 2 or s == frozenset({1, 2, 3}):
-            return COMPATIBLE
-        return INCOMPATIBLE
+            return stub(COMPATIBLE)
+        return stub(INCOMPATIBLE)
 
     out = structure_of([None] * 4, decider)
     assert out.is_compatible({1, 2, 3})
@@ -93,7 +102,7 @@ def test_structure_of_prunes_supersets():
 
     def decider(combo):
         calls.append(combo)
-        return INCOMPATIBLE if len(combo) >= 2 else COMPATIBLE
+        return stub(INCOMPATIBLE if len(combo) >= 2 else COMPATIBLE)
 
     structure_of([None] * 4, decider)
     # once every pair is incompatible, no triple or quadruple is queried
@@ -107,10 +116,10 @@ def test_structure_of_partial_and_closure():
     def decider(combo):
         s = frozenset(combo)
         if s == frozenset({1, 2}):
-            return UNKNOWN
+            return stub(UNKNOWN)
         if len(s) <= 3:
-            return COMPATIBLE
-        return INCOMPATIBLE
+            return stub(COMPATIBLE)
+        return stub(INCOMPATIBLE)
 
     out = structure_of([None] * 4, decider)
     # {1,2} is inside the compatible {1,2,3}, so it is not undecided
@@ -120,13 +129,59 @@ def test_structure_of_partial_and_closure():
 
 def test_structure_of_keeps_genuine_unknown():
     def decider(combo):
-        return UNKNOWN if len(combo) == 3 else (
+        return stub(UNKNOWN if len(combo) == 3 else (
             COMPATIBLE if len(combo) <= 2 else INCOMPATIBLE
-        )
+        ))
 
     out = structure_of([None] * 3, decider)
     assert out.is_partial
     assert frozenset({1, 2, 3}) in out.undecided
+
+
+def _all_subsets_reference(n, decider):
+    """The walk it replaced: every subset by size, skipping supersets of a
+    subset decided incompatible."""
+    compatible = {frozenset([k]) for k in range(1, n + 1)}
+    incompatible, undecided, visited = [], set(), []
+    for size in range(2, n + 1):
+        for combo in itertools.combinations(range(1, n + 1), size):
+            s = frozenset(combo)
+            if any(bad <= s for bad, _ in incompatible):
+                continue
+            visited.append(combo)
+            v = decider(combo)
+            if v.decision == COMPATIBLE:
+                compatible.add(s)
+            elif v.decision == INCOMPATIBLE:
+                incompatible.append((s, v))
+            else:
+                undecided.add(s)
+    undecided = {u for u in undecided if not any(u <= c for c in compatible)}
+    maximal = {s for s in compatible if not any(s < t for t in compatible)}
+    return maximal, undecided, incompatible, visited
+
+
+@given(
+    st.integers(1, 7),
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(1, 8), st.integers(0, 3), st.integers(0, 2)),
+)
+def test_structure_of_matches_all_subsets_reference(n, seed, weights):
+    rng = random.Random(seed)
+    answers = {}
+
+    def decider(combo):
+        if combo not in answers:
+            answers[combo] = stub(rng.choices([COMPATIBLE, INCOMPATIBLE, UNKNOWN], weights)[0])
+        return answers[combo]
+
+    maximal, undecided, incompatible, visited = _all_subsets_reference(n, decider)
+    calls = []
+    out = structure_of([None] * n, lambda combo: calls.append(combo) or decider(combo))
+    assert out.maximal == maximal
+    assert out.undecided == undecided
+    assert [(frozenset(s), v) for s, v in out.incompatible] == incompatible
+    assert calls == visited
 
 
 def test_json_roundtrip():
