@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: check (POVM set -> per-subset verdicts and structure), joint
+Subcommands: check (POVM set -> structure and minimal incompatible sets), joint
 (POVM set -> explicit joint POVM), realize (named structure -> certificate),
 verify (certificate -> report), atlas (20-entry manifest), bounds (closed-form
 threshold tables as CSV).
@@ -14,7 +14,6 @@ human-readable summary goes to stderr.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -22,15 +21,9 @@ from pathlib import Path
 
 from . import oracle as oracle_mod
 from . import realizer
-from .criteria import (
-    COMPATIBLE,
-    INCOMPATIBLE,
-    UNKNOWN,
-    pair_same_purity_bound,
-    planar_nwise_bound,
-)
+from .criteria import UNKNOWN, pair_same_purity_bound, planar_nwise_bound
 from .povm import povms_from_json_dict, require_valid_povms
-from .structures import JmStructure, structure_of
+from .structures import structure_of
 from .surgery import build_general_binary_joint
 
 EXIT_OK = 0
@@ -109,21 +102,13 @@ def cmd_check(args) -> int:
     n = len(povms)
     decider = _decider_for_mode(povms, args.mode)
     struct = structure_of(povms, decider)
-    verdicts = []
-    for size in range(2, n + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            s = frozenset(combo)
-            if struct.is_compatible(s):
-                d = COMPATIBLE
-            elif s in struct.undecided:
-                d = UNKNOWN
-            else:
-                d = INCOMPATIBLE
-            verdicts.append({"subset": list(combo), "decision": d})
     payload = {
         "structure": struct.to_json_dict(),
         "undecided": sorted(map(sorted, struct.undecided)),
-        "verdicts": verdicts,
+        "incompatible": [
+            {"subset": list(s), "criterion": v.criterion_id, "margin": v.margin}
+            for s, v in struct.incompatible
+        ],
     }
     n_und = len(struct.undecided)
     _emit(
@@ -292,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="decide compatibility of every subset")
+    p = sub.add_parser("check", help="structure and minimal incompatible sets of a POVM set")
     p.add_argument("input", nargs="?", default="-", help="POVM-set JSON file or - for stdin")
     p.add_argument("--mode", choices=["closed-form", "oracle", "both"], default="closed-form")
     p.add_argument("--out")

@@ -155,13 +155,7 @@ def _witness_from(V: np.ndarray, n: int) -> JointPovm:
 
 def verify_witness(witness: JointPovm, povms, tol: float = 1e-8) -> bool:
     """Witness must be a valid joint POVM whose marginals match the targets."""
-    if not witness.validate(tol).ok:
-        return False
-    for k, p in enumerate(povms, start=1):
-        m = witness.marginal_povm(k)
-        if abs(m.bias - p.bias) > tol or np.max(np.abs(m.bloch - p.bloch)) > tol:
-            return False
-    return True
+    return witness.validate(tol).ok and witness.marginal_error(povms) <= tol
 
 
 @dataclass(frozen=True)

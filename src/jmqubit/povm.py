@@ -242,6 +242,17 @@ class JointPovm:
         plus = self.marginalize([k]).effect(1)
         return BinaryQubitPovm(plus.alpha - 1.0, plus.bloch)
 
+    def marginal_error(self, povms: Sequence[BinaryQubitPovm]) -> float:
+        """Largest deviation of a marginal's bias or Bloch component from its
+        target, marginal k against povms[k-1]."""
+        if len(povms) != self.n:
+            raise ValueError("one target POVM per measurement")
+        err = 0.0
+        for k, p in enumerate(povms, start=1):
+            m = self.marginal_povm(k)
+            err = max(err, abs(m.bias - p.bias), float(np.max(np.abs(m.bloch - p.bloch))))
+        return err
+
     def marginalize(self, keep: Iterable[int]) -> "JointPovm":
         """Sum effects over the dropped measurements (keep is 1-based, increasing)."""
         keep = list(keep)

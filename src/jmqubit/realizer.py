@@ -267,10 +267,14 @@ class RealizationCertificate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RealizationCertificate":
-        """ValueError on an invalid POVM, on an evidence subset that is not
-        distinct indices 1..n, and on a joint of the wrong size."""
+        """ValueError on an invalid POVM, on a structure whose n is not the
+        POVM count, on an evidence subset that is not distinct indices 1..n,
+        and on a joint of the wrong size."""
         povms = tuple(povms_from_json_dict({"povms": d["povms"]}))
         require_valid_povms(povms)
+        claimed = JmStructure.from_json_dict(d["structure"])
+        if claimed.n_vertices != len(povms):
+            raise ValueError(f"structure has n = {claimed.n_vertices} for {len(povms)} POVMs")
 
         def subset(e) -> tuple:
             s = tuple(e["subset"])
@@ -295,7 +299,7 @@ class RealizationCertificate:
             povms,
             float(d["eta"]),
             tuple(d["eta_window"]),
-            JmStructure.from_json_dict(d["structure"]),
+            claimed,
             tuple(compat),
             incompat,
             d.get("recipe", {}),
@@ -695,14 +699,9 @@ def verify_certificate(
             rep = e.joint.validate(1e-11)
             if not rep.ok:
                 issues.append(f"witness for {list(e.subset)} invalid: {rep.violations}")
-            for pos, k in enumerate(e.subset, start=1):
-                m = e.joint.marginal_povm(pos)
-                p = povms[k - 1]
-                err = max(abs(m.bias - p.bias), float(np.max(np.abs(m.bloch - p.bloch))))
-                if err > 1e-11:
-                    issues.append(
-                        f"witness for {list(e.subset)} marginal {k} off by {err:.2e}"
-                    )
+            err = e.joint.marginal_error([povms[k - 1] for k in e.subset])
+            if err > 1e-11:
+                issues.append(f"witness for {list(e.subset)} marginals off by {err:.2e}")
         needed = {frozenset(s) for s, _ in recomputed.incompatible}
         if needed != {frozenset(e.subset) for e in cert.incompatible}:
             issues.append("incompatible evidence does not cover the minimal sets")
@@ -719,17 +718,13 @@ def verify_certificate(
                 )
 
     if mode in ("oracle", "both"):
-        for e in cert.compatible:
+        checks = [(e, oracle_mod.FEASIBLE, "compatibility") for e in cert.compatible]
+        checks += [(e, oracle_mod.LIKELY_INFEASIBLE, "incompatibility") for e in cert.incompatible]
+        for e, expected, claim in checks:
             res = oracle_mod.decide([povms[i - 1] for i in e.subset], oracle_params)
-            if res.status == oracle_mod.LIKELY_INFEASIBLE:
-                issues.append(f"oracle contradicts compatibility of {list(e.subset)}")
-            elif res.status != oracle_mod.FEASIBLE:
+            if res.status == oracle_mod.INCONCLUSIVE:
                 inconclusive.append(f"oracle inconclusive on {list(e.subset)}")
-        for e in cert.incompatible:
-            res = oracle_mod.decide([povms[i - 1] for i in e.subset], oracle_params)
-            if res.status == oracle_mod.FEASIBLE:
-                issues.append(f"oracle contradicts incompatibility of {list(e.subset)}")
-            elif res.status != oracle_mod.LIKELY_INFEASIBLE:
-                inconclusive.append(f"oracle inconclusive on {list(e.subset)}")
+            elif res.status != expected:
+                issues.append(f"oracle contradicts {claim} of {list(e.subset)}")
 
     return VerificationReport(not issues, tuple(issues), tuple(inconclusive))

@@ -3,7 +3,8 @@
 Covers the optimal joint for a full planar symmetric family, the marginal-
 surgery recipes for pairs and M-element subsets of such a family, the general
 coplanar same-purity chain construction, and the fully general (possibly
-biased) chain construction. Every constructor checks its closed-form purity
+biased) chain construction; the last three build the same chain joint, each
+after its own bound check. Every constructor checks its closed-form purity
 bound up front (with 1e-12 slack) and produces a joint whose marginals equal
 the requested POVMs to 1e-12.
 """
@@ -22,7 +23,7 @@ from .criteria import (
     planar_nwise_bound,
     planar_subset_bound,
 )
-from .povm import BinaryQubitPovm, Effect, JointPovm, apply_orthogonal
+from .povm import BinaryQubitPovm, Effect, JointPovm
 
 BOUND_SLACK = 1e-12
 
@@ -88,14 +89,13 @@ def _run_masks(n: int, p: int) -> tuple:
 
 def build_coplanar_same_purity_joint(angles, eta: float) -> JointPovm:
     """Joint POVM for N coplanar unbiased same-purity POVMs at line angles
-    (0, a_1, ..., a_{N-1}), all in [0, pi).
+    (0, a_1, ..., a_{N-1}), all in [0, pi): the chain joint.
 
     2N nonzero effects: for each p < N a rank-one pair with geometric part
     along t_p = (sin m_p, -cos m_p, 0), m_p the mean of adjacent angles, and
     two "all-equal" effects along s = (cos(a_{N-1}/2), sin(a_{N-1}/2), 0).
     """
     alphas = [0.0] + [float(a) for a in angles]
-    N = len(alphas)
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("angles must be strictly increasing and positive")
     if alphas[-1] >= math.pi:
@@ -103,26 +103,9 @@ def build_coplanar_same_purity_joint(angles, eta: float) -> JointPovm:
     bound = coplanar_chain_bound(alphas[1:])
     if eta > bound + BOUND_SLACK:
         raise ValueError(f"eta {eta} above the chain bound {bound}")
-
-    effects = {}
-    sin_total = 0.0
-    for p in range(1, N):
-        half_gap = (alphas[p] - alphas[p - 1]) / 2.0
-        mean = (alphas[p] + alphas[p - 1]) / 2.0
-        w = eta * math.sin(half_gap)
-        sin_total += math.sin(half_gap)
-        t = np.array([math.sin(mean), -math.cos(mean), 0.0])
-        k_plus, k_minus = _run_masks(N, p)
-        effects[k_plus] = Effect(w, w * t)
-        effects[k_minus] = Effect(w, -w * t)
-    half_span = alphas[-1] / 2.0
-    s = np.array([math.cos(half_span), math.sin(half_span), 0.0])
-    a_eq = 1.0 - eta * sin_total
-    g = eta * math.cos(half_span)
-    all_plus = (1 << N) - 1
-    effects[all_plus] = Effect(a_eq, g * s)
-    effects[0] = Effect(a_eq, -g * s)
-    return JointPovm(N, effects, validate=False)
+    return _chain_joint(
+        [BinaryQubitPovm(0.0, eta * np.array([math.cos(a), math.sin(a), 0.0])) for a in alphas]
+    )[0]
 
 
 def surgery_mtuple(N: int, subset, eta: float) -> JointPovm:
@@ -134,12 +117,7 @@ def surgery_mtuple(N: int, subset, eta: float) -> JointPovm:
     bound = planar_subset_bound(N, ks)
     if eta > bound + BOUND_SLACK:
         raise ValueError(f"eta {eta} above the subset bound {bound}")
-    rel_angles = [(k - ks[0]) * math.pi / N for k in ks[1:]]
-    joint = build_coplanar_same_purity_joint(rel_angles, eta)
-    theta0 = (ks[0] - 1) * math.pi / N
-    c, s = math.cos(theta0), math.sin(theta0)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return apply_orthogonal(joint, rot)
+    return _chain_joint(PlanarSymmetricFamily(N, eta).povms(ks))[0]
 
 
 def surgery_pair(N: int, k1: int, k2: int, eta: float) -> JointPovm:
@@ -172,6 +150,13 @@ def build_general_binary_joint(povms) -> tuple:
     margin = chain_margin(povms)
     if margin < -BOUND_SLACK:
         raise ValueError(f"chain inequality violated by {-margin}")
+    return _chain_joint(povms)
+
+
+def _chain_joint(povms) -> tuple:
+    """(JointPovm, AppliedRelabeling) of the chain construction for a
+    nonempty POVM list, without checking the chain inequality: callers check
+    it, or an equivalent closed-form bound, first."""
     ps, order, flips = normalize_for_chain(povms)
     N = len(ps)
     a = [p.bloch for p in ps]

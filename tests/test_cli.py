@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from jmqubit import JointPovm, RealizationCertificate, povms_from_json_dict
+from jmqubit import (
+    JmStructure,
+    JointPovm,
+    RealizationCertificate,
+    n_cycle,
+    povms_from_json_dict,
+    povms_to_json_dict,
+    realize_n_cycle,
+)
 from jmqubit.cli import main, parse_angle
 
 
@@ -65,7 +73,26 @@ def test_check_reports_verdicts(tmp_path, capsys):
     code, out, _ = run(capsys, "check", path)
     assert code == 0
     payload = json.loads(out)
-    assert payload["verdicts"] == [{"subset": [1, 2], "decision": "incompatible"}]
+    [entry] = payload["incompatible"]
+    assert entry["subset"] == [1, 2]
+    assert entry["criterion"] == "pair-general"
+    assert entry["margin"] < 0
+
+
+def test_check_lists_minimal_incompatible_sets_of_24_cycle(tmp_path, capsys):
+    cert = realize_n_cycle(24)
+    path = write_povms(tmp_path, povms_to_json_dict(cert.povms)["povms"])
+    code, out, _ = run(capsys, "check", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert JmStructure.from_json_dict(payload["structure"]) == n_cycle(24)
+    assert payload["undecided"] == []
+    non_adjacent = sorted(
+        [i, j] for i in range(1, 25) for j in range(i + 1, 25) if j - i not in (1, 23)
+    )
+    assert len(non_adjacent) == 252
+    assert sorted(e["subset"] for e in payload["incompatible"]) == non_adjacent
+    assert all(e["margin"] < 0 for e in payload["incompatible"])
 
 
 def test_check_unknown_exits_3(tmp_path, capsys):
@@ -197,6 +224,10 @@ def _set_povm(d):
     d["povms"][0] = {"bias": 0.9, "bloch": [0.9, 0, 0]}  # |b| > 1 - |a|: not a POVM
 
 
+def _set_structure_n(d):
+    d["structure"]["n"] = 6  # six vertices for four POVMs
+
+
 def _shrink_joint(d):
     e = d["evidence"]["compatible"][0]
     e["subset"] = e["subset"] + [3]  # a 3-element subset with a 2-element joint
@@ -211,8 +242,12 @@ def _shrink_joint(d):
         _set_incompat_subset([1.0, 3]),
         _set_povm,
         _shrink_joint,
+        _set_structure_n,
     ],
-    ids=["index-high", "index-zero", "duplicate", "non-integer", "invalid-povm", "joint-size"],
+    ids=[
+        "index-high", "index-zero", "duplicate", "non-integer", "invalid-povm", "joint-size",
+        "structure-n",
+    ],
 )
 def test_verify_rejects_malformed_certificate_exits_65(tmp_path, capsys, tamper):
     code, out, _ = run(capsys, "realize", "--structure", "n-cycle", "--n", "4")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -161,6 +162,21 @@ def test_verify_oracle_mode_cross_checks():
     assert rep.ok and not rep.inconclusive
     with pytest.raises(ValueError):
         verify_certificate(cert, "bogus-mode")
+
+
+def test_verify_oracle_mode_reports_contradictions():
+    cert = realize_n_cycle(4)
+    # [1, 3] is a non-adjacent (incompatible) pair, [1, 2] an adjacent one
+    compat = (dataclasses.replace(cert.compatible[0], subset=(1, 3)),) + cert.compatible[1:]
+    incompat = (dataclasses.replace(cert.incompatible[0], subset=(1, 2)),) + cert.incompatible[1:]
+    for tampered, claim in (
+        (dataclasses.replace(cert, compatible=compat), "compatibility of [1, 3]"),
+        (dataclasses.replace(cert, incompatible=incompat), "incompatibility of [1, 2]"),
+    ):
+        rep = verify_certificate(tampered, "oracle")
+        assert not rep.ok
+        assert rep.issues == (f"oracle contradicts {claim}",)
+        assert not rep.inconclusive
 
 
 def test_atlas_manifest_shape():

@@ -7,6 +7,7 @@ from jmqubit import (
     BinaryQubitPovm,
     PlanarSymmetricFamily,
     build_coplanar_same_purity_joint,
+    coplanar_chain_bound,
     build_general_binary_joint,
     build_planar_symmetric_joint,
     chain_margin,
@@ -16,6 +17,7 @@ from jmqubit import (
     surgery_pair,
     unbiased_povm,
 )
+from jmqubit.surgery import BOUND_SLACK
 from conftest import random_unit
 
 
@@ -120,6 +122,77 @@ def test_surgery_mtuple_random_subsets(rng):
         fam = PlanarSymmetricFamily(N, eta)
         joint = surgery_mtuple(N, ks, eta)
         assert_marginals(joint, fam.povms(ks), tol=1e-11)
+
+
+def closed_form_coplanar_joint(thetas, eta):
+    """The paper's closed-form joint for unbiased purity-eta POVMs on lines at
+    increasing angles thetas (span below pi), as mask -> (alpha, bloch): for
+    each gap p a rank-one pair (w, +-w t_p), w = eta sin(gap/2) and t_p =
+    (sin m_p, -cos m_p, 0) with m_p the gap's midpoint, and the all-equal pair
+    (1 - eta sum sin(gap/2), +-eta cos(span/2) s), s along the mean line."""
+    N = len(thetas)
+    full = (1 << N) - 1
+    effects = {}
+    sin_total = 0.0
+    for p in range(1, N):
+        half_gap = (thetas[p] - thetas[p - 1]) / 2.0
+        mean = (thetas[p] + thetas[p - 1]) / 2.0
+        w = eta * math.sin(half_gap)
+        sin_total += math.sin(half_gap)
+        t = np.array([math.sin(mean), -math.cos(mean), 0.0])
+        plus = (1 << p) - 1
+        effects[plus] = (w, w * t)
+        effects[plus ^ full] = (w, -w * t)
+    mid = (thetas[0] + thetas[-1]) / 2.0
+    g = eta * math.cos((thetas[-1] - thetas[0]) / 2.0)
+    s = np.array([math.cos(mid), math.sin(mid), 0.0])
+    effects[full] = (1.0 - eta * sin_total, g * s)
+    effects[0] = (1.0 - eta * sin_total, -g * s)
+    return effects
+
+
+def assert_matches_closed_form(joint, thetas, eta, tol=1e-15):
+    ref = closed_form_coplanar_joint(thetas, eta)
+    assert set(joint.effects) == set(ref)
+    for mask, (alpha, bloch) in ref.items():
+        eff = joint.effects[mask]
+        assert abs(eff.alpha - alpha) <= tol
+        assert np.max(np.abs(eff.bloch - bloch)) <= tol
+
+
+def test_chain_constructors_match_closed_form(rng):
+    for _ in range(200):
+        m = int(rng.integers(2, 7))
+        angles = np.sort(rng.uniform(0.0, math.pi, size=m - 1))
+        if angles[0] <= 0.0 or np.any(np.diff(angles) <= 0.0):
+            continue
+        bound = coplanar_chain_bound(angles)
+        eta = rng.uniform(0.1, 1.0) * bound
+        thetas = [0.0] + list(angles)
+        assert_matches_closed_form(build_coplanar_same_purity_joint(angles, eta), thetas, eta)
+
+        N = int(rng.integers(2, 13))
+        ks = sorted(rng.choice(np.arange(1, N + 1), size=min(m, N), replace=False).tolist())
+        eta = rng.uniform(0.1, 1.0) * planar_subset_bound(N, ks)
+        thetas = [(k - 1) * math.pi / N for k in ks]
+        assert_matches_closed_form(surgery_mtuple(N, ks, eta), thetas, eta)
+
+
+def test_chain_constructors_bound_slack(rng):
+    for _ in range(50):
+        m = int(rng.integers(2, 6))
+        angles = np.sort(rng.uniform(0.05, math.pi * 0.95, size=m - 1))
+        bound = coplanar_chain_bound(angles)
+        build_coplanar_same_purity_joint(angles, bound + 0.5 * BOUND_SLACK)
+        with pytest.raises(ValueError):
+            build_coplanar_same_purity_joint(angles, bound + 2e-12)
+
+        N = int(rng.integers(m, 13))
+        ks = sorted(rng.choice(np.arange(1, N + 1), size=m, replace=False).tolist())
+        bound = planar_subset_bound(N, ks)
+        surgery_mtuple(N, ks, bound + 0.5 * BOUND_SLACK)
+        with pytest.raises(ValueError):
+            surgery_mtuple(N, ks, bound + 2e-12)
 
 
 def test_surgery_pair_matches_mtuple():
