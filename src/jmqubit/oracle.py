@@ -4,11 +4,21 @@ Joint measurability of N binary qubit POVMs is a convex feasibility problem:
 find 2^N PSD effects (each a 2x2 Hermitian, stored as an (alpha, bloch)
 4-vector) lying in the affine subspace fixed by the N marginal equalities and
 completeness. Dykstra-corrected alternating projection between the product
-PSD cone (closed-form eigenvalue clipping) and the affine subspace
-(precomputed orthogonal projection) either converges into the intersection
+PSD cone and the affine subspace either converges into the intersection
 (Feasible, with a witness) or its gap plateaus at a positive value
 (LikelyInfeasible). Feasible is constructive proof; LikelyInfeasible is
 evidence only.
+
+The problems are small (2^N <= 4096 rows, mostly 8 to 64), so a step costs
+what its numpy calls cost, and both projections keep that count low:
+
+- PSD side: each row's two eigenvalues are clipped at zero in one
+  branchless pass (no masks, no fancy-index writes); rows with |bloch| = 0
+  are safe without a branch.
+- Affine side: (M M^T)^-1 is folded once into G = M^T (M M^T)^-1 and
+  c = G T, so a projection is two thin products, V - G (M V) + c. The dense
+  2^N x 2^N projector I - G M is never formed: at N = 12 it would take
+  128 MB and a 4096 x 4096 product per step.
 """
 
 from __future__ import annotations
@@ -26,6 +36,8 @@ ORACLE_N_CAP = 12
 FEASIBLE = "feasible"
 LIKELY_INFEASIBLE = "likely-infeasible"
 INCONCLUSIVE = "inconclusive"
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -52,30 +64,28 @@ class FeasibilityVerdict:
 
 
 def _project_psd(V: np.ndarray) -> np.ndarray:
-    """Nearest-PSD projection of each (alpha, bloch) row; eigenvalues are
-    (alpha +- |bloch|)/2, clipped at zero keeping the eigenbasis."""
+    """Nearest-PSD projection of each (alpha, bloch) row: the eigenvalues
+    (alpha +- |bloch|)/2 are clipped at zero in one pass, keeping the
+    eigenbasis. With lp, lm the clipped alpha +- |bloch|, the row becomes
+    ((lp + lm)/2, bloch (lp - lm)/(2 |bloch|))."""
     alpha = V[:, 0]
     bloch = V[:, 1:]
-    nb = np.linalg.norm(bloch, axis=1)
-    lam_plus = 0.5 * (alpha + nb)
-    lam_minus = 0.5 * (alpha - nb)
-    out = V.copy()
-    neg = lam_minus < 0.0
-    dead = lam_plus <= 0.0
-    fix = neg & ~dead
-    if np.any(fix):
-        lp = lam_plus[fix]
-        out[fix, 0] = lp
-        safe = np.where(nb[fix] > 0.0, nb[fix], 1.0)
-        out[fix, 1:] = (lp / safe)[:, None] * bloch[fix]
-    if np.any(dead):
-        out[dead] = 0.0
+    nb = np.sqrt(np.einsum("ij,ij->i", bloch, bloch))
+    lp = np.maximum(alpha + nb, 0.0)
+    lm = np.maximum(alpha - nb, 0.0)
+    out = np.empty_like(V)
+    out[:, 0] = 0.5 * (lp + lm)
+    # lp - lm = 0 when |bloch| = 0, so any positive divisor is safe there
+    out[:, 1:] = bloch * ((0.5 * (lp - lm)) / np.maximum(nb, _TINY))[:, None]
     return out
 
 
 class _AffineProjector:
     """Orthogonal projector onto { V : M V = T } where row 0 of M is
-    completeness and row k is the x_k = +1 marginal indicator."""
+    completeness and row k is the x_k = +1 marginal indicator.
+
+    With K = (M M^T)^-1 folded into G = M^T K and c = G T once, the
+    projection V - M^T K (M V - T) is V - G (M V) + c."""
 
     def __init__(self, povms):
         N = len(povms)
@@ -89,15 +99,15 @@ class _AffineProjector:
             T[k + 1, 0] = 1.0 + p.bias
             T[k + 1, 1:] = p.bloch
         self.M = M
-        self.T = T
-        self.K = np.linalg.inv(M @ M.T)
+        self.G = M.T @ np.linalg.inv(M @ M.T)
+        self.c = self.G @ T
+
+    def displacement(self, V: np.ndarray) -> np.ndarray:
+        """V minus its projection, G (M V) - c."""
+        return self.G @ (self.M @ V) - self.c
 
     def __call__(self, V: np.ndarray) -> np.ndarray:
-        resid = self.M @ V - self.T
-        return V - self.M.T @ (self.K @ resid)
-
-    def residual(self, V: np.ndarray) -> float:
-        return float(np.max(np.abs(self.M @ V - self.T)))
+        return V - self.displacement(V)
 
 
 def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
@@ -119,10 +129,13 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
     check_best = np.inf
     next_check = params.plateau
     for it in range(1, params.max_iter + 1):
-        y = _project_psd(x + p_corr)
-        p_corr = x + p_corr - y
-        x = proj(y)  # affine: Dykstra correction unnecessary on this side
-        gap = float(np.max(np.abs(y - x)))
+        z = x + p_corr
+        y = _project_psd(z)
+        p_corr = z - y
+        # affine: Dykstra correction unnecessary on this side
+        r = proj.displacement(y)
+        x = y - r
+        gap = float(np.abs(r).max())
         if gap < best:
             best = gap
             best_V = x

@@ -100,6 +100,8 @@ def build_coplanar_same_purity_joint(angles, eta: float) -> JointPovm:
         raise ValueError("angles must be strictly increasing and positive")
     if alphas[-1] >= math.pi:
         raise ValueError("total span must stay below pi")
+    if not eta > 0.0:
+        raise ValueError("eta must be positive")
     bound = coplanar_chain_bound(alphas[1:])
     if eta > bound + BOUND_SLACK:
         raise ValueError(f"eta {eta} above the chain bound {bound}")

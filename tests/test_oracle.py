@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jmqubit import (
+    BinaryQubitPovm,
     FEASIBLE,
     INCONCLUSIVE,
     LIKELY_INFEASIBLE,
@@ -20,6 +21,82 @@ from conftest import random_unit
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def reference_project_psd(V):
+    """Row by row: clip the eigenvalues of (alpha I + bloch . sigma)/2 at
+    zero and read (alpha, bloch) back off the rebuilt matrix."""
+    out = np.empty_like(V)
+    for i, row in enumerate(V):
+        H = 0.5 * (row[0] * np.eye(2) + np.einsum("k,kij->ij", row[1:], PAULI))
+        w, U = np.linalg.eigh(H)
+        P = (U * np.maximum(w, 0.0)) @ U.conj().T
+        out[i] = [np.trace(P).real] + [np.trace(P @ s).real for s in PAULI]
+    return out
+
+
+def reference_decide(povms, params=OracleParams()):
+    """The Dykstra loop as written before the branchless PSD clipping and the
+    folded affine projector: masked clipping, and (M M^T)^-1 applied to the
+    marginal residual at every step. Returns (status, iterations, residual)."""
+
+    def project_psd(V):
+        alpha, bloch = V[:, 0], V[:, 1:]
+        nb = np.linalg.norm(bloch, axis=1)
+        lam_plus = 0.5 * (alpha + nb)
+        lam_minus = 0.5 * (alpha - nb)
+        out = V.copy()
+        neg = lam_minus < 0.0
+        dead = lam_plus <= 0.0
+        fix = neg & ~dead
+        if np.any(fix):
+            lp = lam_plus[fix]
+            out[fix, 0] = lp
+            safe = np.where(nb[fix] > 0.0, nb[fix], 1.0)
+            out[fix, 1:] = (lp / safe)[:, None] * bloch[fix]
+        if np.any(dead):
+            out[dead] = 0.0
+        return out
+
+    N = len(povms)
+    idx = np.arange(1 << N)
+    M = np.ones((N + 1, 1 << N))
+    for k in range(N):
+        M[k + 1] = (idx >> k) & 1
+    T = np.zeros((N + 1, 4))
+    T[0, 0] = 2.0
+    for k, p in enumerate(povms):
+        T[k + 1, 0] = 1.0 + p.bias
+        T[k + 1, 1:] = p.bloch
+    K = np.linalg.inv(M @ M.T)
+
+    def proj(V):
+        return V - M.T @ (K @ (M @ V - T))
+
+    V = np.zeros((1 << N, 4))
+    V[:, 0] = 2.0 / (1 << N)
+    x = proj(V)
+    p_corr = np.zeros_like(x)
+    best = np.inf
+    check_best = np.inf
+    next_check = params.plateau
+    for it in range(1, params.max_iter + 1):
+        y = project_psd(x + p_corr)
+        p_corr = x + p_corr - y
+        x = proj(y)
+        best = min(best, float(np.max(np.abs(y - x))))
+        if best <= params.eps_feasible:
+            return FEASIBLE, it, best
+        if it >= next_check:
+            if (
+                best > params.eps_infeasible
+                and best > check_best * (1.0 - params.plateau_rel_improvement)
+            ):
+                return LIKELY_INFEASIBLE, it, best
+            check_best = best
+            next_check = it + params.plateau
+    return INCONCLUSIVE, params.max_iter, best
 
 
 def test_psd_projection_properties(rng):
@@ -33,6 +110,52 @@ def test_psd_projection_properties(rng):
     W = np.abs(V[:, :1]) * 2 + np.linalg.norm(V[:, 1:], axis=1, keepdims=True)
     V2 = np.hstack([W[:, :1], V[:, 1:]])
     np.testing.assert_allclose(_project_psd(V2), V2, atol=1e-12)
+
+
+def test_psd_projection_matches_eigh_reference(rng):
+    V = rng.normal(size=(200, 4))
+    edge = np.array([
+        [1.3, 0.0, 0.0, 0.0],  # |bloch| = 0, alpha of either sign
+        [-0.7, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [1.25, 0.75, 0.0, -1.0],  # alpha = +|bloch| exactly
+        [-1.25, 0.0, -1.0, 0.75],  # alpha = -|bloch| exactly
+        [0.5, 0.0, 0.0, 0.5],
+        [-0.5, 0.5, 0.0, 0.0],
+        [-2.0, 0.3, -0.4, 0.5],  # alpha < -|bloch|
+        [1e-300, 0.0, 0.0, 1e-300],
+    ])
+    for rows in (V, edge, 1e-6 * V):
+        np.testing.assert_allclose(_project_psd(rows), reference_project_psd(rows), rtol=0, atol=1e-12)
+    assert np.all(_project_psd(edge)[[1, 2, 4, 6, 7]] == 0.0)
+
+
+def test_iteration_matches_reference_loop():
+    problems = [
+        PlanarSymmetricFamily(N, planar_nwise_bound(N) * f).povms()
+        for N in (3, 4, 5, 6)
+        for f in (0.88, 0.98, 1.02, 1.12)
+    ]
+    for eta in (0.65, 0.75):  # either side of this biased pair's boundary
+        problems.append([BinaryQubitPovm(0.15, [0.0, 0.0, eta]), BinaryQubitPovm(-0.1, [eta, 0.0, 0.0])])
+    rng = np.random.default_rng(8)
+    problems.append([unbiased_povm(0.4, random_unit(rng)) for _ in range(8)])
+    statuses = set()
+    for povms in problems:
+        res = decide(povms)
+        status, iterations, residual = reference_decide(povms)
+        assert (res.status, res.iterations) == (status, iterations)
+        assert abs(res.residual - residual) <= 1e-12
+        statuses.add(status)
+    assert statuses == {FEASIBLE, LIKELY_INFEASIBLE}
+
+
+def test_feasible_at_n_cap(rng):
+    # 2^12 rows: the affine step must stay two thin products
+    povms = [unbiased_povm(0.3, random_unit(rng)) for _ in range(ORACLE_N_CAP)]
+    res = decide(povms)
+    assert res.status == FEASIBLE
+    assert verify_witness(res.witness, povms)
 
 
 def test_feasible_pair_with_witness():
@@ -60,8 +183,6 @@ def test_boundary_commuting_pair():
 
 
 def test_biased_povms_supported():
-    from jmqubit import BinaryQubitPovm
-
     povms = [BinaryQubitPovm(0.2, [0.3, 0, 0]), BinaryQubitPovm(-0.1, [0, 0.3, 0])]
     res = decide(povms)
     assert res.status == FEASIBLE

@@ -209,6 +209,20 @@ def test_surgery_bound_enforced():
         surgery_mtuple(6, [1, 2], planar_subset_bound(6, [1, 2]) + 1e-9)
 
 
+@pytest.mark.parametrize("eta", [-0.9, -1e-12, 0.0])
+def test_chain_constructors_reject_nonpositive_eta(eta):
+    # a negative eta passes every bound check, and the chain joint built
+    # from it is not a POVM
+    with pytest.raises(ValueError):
+        build_coplanar_same_purity_joint([2.0], eta)
+    with pytest.raises(ValueError):
+        surgery_mtuple(4, [1, 3], eta)
+    assert_marginals(build_coplanar_same_purity_joint([2.0], 1e-12), [
+        unbiased_povm(1e-12, [1.0, 0.0, 0.0]),
+        unbiased_povm(1e-12, [math.cos(2.0), math.sin(2.0), 0.0]),
+    ])
+
+
 def test_general_chain_random_biased(rng):
     built = 0
     while built < 30:
