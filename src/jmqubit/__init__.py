@@ -87,6 +87,7 @@ from .oracle import (
     OracleParams,
     agreement_sweep,
     decide,
+    verify_dual,
     verify_witness,
 )
 from .realizer import (

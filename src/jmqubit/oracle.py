@@ -2,12 +2,23 @@
 
 Joint measurability of N binary qubit POVMs is a convex feasibility problem:
 find 2^N PSD effects (each a 2x2 Hermitian, stored as an (alpha, bloch)
-4-vector) lying in the affine subspace fixed by the N marginal equalities and
-completeness. Dykstra-corrected alternating projection between the product
-PSD cone and the affine subspace either converges into the intersection
-(Feasible, with a witness) or its gap plateaus at a positive value
-(LikelyInfeasible). Feasible is constructive proof; LikelyInfeasible is
-evidence only.
+4-vector, PSD iff alpha >= |bloch|) with M V = T, where row 0 of M is
+completeness and row k the x_k = +1 marginal indicator. Dykstra-corrected
+alternating projection between the product PSD cone and that affine
+subspace either converges into the intersection (Feasible, with a witness
+joint POVM) or leaves a gap. Both answers carry a witness checkable in a
+few lines:
+
+- Feasible carries the joint POVM (`verify_witness`).
+- LikelyInfeasible carries a Farkas dual Y of shape (N+1) x 4 when one is
+  found (`verify_dual`): every row of M^T Y lies in the Lorentz cone and
+  <T, Y> < 0. For any feasible V, <T, Y> = <M V, Y> = <V, M^T Y> >= 0,
+  because the cone is self-dual, so no feasible V exists. Every
+  DUAL_EVERY iterations the gap gives a candidate, and the run returns at
+  the first one that checks. Without a dual the plateau rule still ends
+  the run, and the answer is evidence only. The status string stays
+  "likely-infeasible" either way, so callers that key on the three status
+  strings keep working; a proof is told apart by its `dual`.
 
 The problems are small (2^N <= 4096 rows, mostly 8 to 64), so a step costs
 what its numpy calls cost, and both projections keep that count low:
@@ -19,6 +30,9 @@ what its numpy calls cost, and both projections keep that count low:
   c = G T, so a projection is two thin products, V - G (M V) + c. The dense
   2^N x 2^N projector I - G M is never formed: at N = 12 it would take
   128 MB and a 4096 x 4096 product per step.
+- Dual side: the displacement r = G (M y) - c equals M^T Y for
+  Y = (M M^T)^-1 (M y - T), so with M y kept from the affine step a
+  candidate costs one (N+1) x (N+1) product.
 """
 
 from __future__ import annotations
@@ -39,6 +53,14 @@ INCONCLUSIVE = "inconclusive"
 
 _TINY = np.finfo(float).tiny
 
+# Farkas duals: a candidate is formed every DUAL_EVERY iterations. A dual is
+# accepted only when <T, Y> < -DUAL_SLACK * |T| * |Y| (Frobenius norms), so
+# rounding in M^T Y and <T, Y>, each of relative size N * 1e-16, can never
+# carry a wrong proof. The oracle lifts a candidate's cone rows by the same
+# relative slack so that the exact float cone test in verify_dual passes.
+DUAL_EVERY = 50
+DUAL_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class OracleParams:
@@ -57,6 +79,8 @@ class FeasibilityVerdict:
     iterations: int
     witness: Optional[JointPovm] = None
     params: OracleParams = field(default_factory=OracleParams)
+    # Farkas dual proving infeasibility; left out of ==, which an array breaks
+    dual: Optional[np.ndarray] = field(default=None, compare=False)
 
     @property
     def is_feasible(self) -> bool:
@@ -80,34 +104,48 @@ def _project_psd(V: np.ndarray) -> np.ndarray:
     return out
 
 
+def _marginal_system(povms):
+    """(M, T) of the constraints M V = T on a joint's (2^N, 4) effect rows:
+    row 0 of M is completeness (all ones, T row 0 = 2 I), row k the
+    x_k = +1 indicator of outcome masks (T row k = E_k(+1))."""
+    N = len(povms)
+    idx = np.arange(1 << N)
+    M = np.ones((N + 1, 1 << N))
+    for k in range(N):
+        M[k + 1] = (idx >> k) & 1
+    T = np.zeros((N + 1, 4))
+    T[0, 0] = 2.0
+    for k, p in enumerate(povms):
+        T[k + 1, 0] = 1.0 + p.bias
+        T[k + 1, 1:] = p.bloch
+    return M, T
+
+
 class _AffineProjector:
-    """Orthogonal projector onto { V : M V = T } where row 0 of M is
-    completeness and row k is the x_k = +1 marginal indicator.
+    """Orthogonal projector onto { V : M V = T }.
 
     With K = (M M^T)^-1 folded into G = M^T K and c = G T once, the
     projection V - M^T K (M V - T) is V - G (M V) + c."""
 
     def __init__(self, povms):
-        N = len(povms)
-        idx = np.arange(1 << N)
-        M = np.ones((N + 1, 1 << N))
-        for k in range(N):
-            M[k + 1] = (idx >> k) & 1
-        T = np.zeros((N + 1, 4))
-        T[0, 0] = 2.0
-        for k, p in enumerate(povms):
-            T[k + 1, 0] = 1.0 + p.bias
-            T[k + 1, 1:] = p.bloch
-        self.M = M
-        self.G = M.T @ np.linalg.inv(M @ M.T)
-        self.c = self.G @ T
-
-    def displacement(self, V: np.ndarray) -> np.ndarray:
-        """V minus its projection, G (M V) - c."""
-        return self.G @ (self.M @ V) - self.c
+        self.M, self.T = _marginal_system(povms)
+        self.K = np.linalg.inv(self.M @ self.M.T)
+        self.G = self.M.T @ self.K
+        self.c = self.G @ self.T
 
     def __call__(self, V: np.ndarray) -> np.ndarray:
-        return V - self.displacement(V)
+        return V - (self.G @ (self.M @ V) - self.c)
+
+    def dual(self, MV: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Farkas candidate from a step's M V and displacement r = M^T Y:
+        Y = K (M V - T), with Y[0,0] raised by the worst cone violation of
+        r's rows plus a rounding slack. Row 0 of M is all ones, so the lift
+        moves every row of M^T Y into the cone and adds 2 * lift to <T, Y>."""
+        Y = self.K @ (MV - self.T)
+        nb = np.sqrt(np.einsum("ij,ij->i", r[:, 1:], r[:, 1:]))
+        eps = max(float(np.max(nb - r[:, 0])), 0.0)
+        Y[0, 0] += eps + DUAL_SLACK * float(np.linalg.norm(Y))
+        return Y
 
 
 def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
@@ -133,7 +171,8 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
         y = _project_psd(z)
         p_corr = z - y
         # affine: Dykstra correction unnecessary on this side
-        r = proj.displacement(y)
+        My = proj.M @ y
+        r = proj.G @ My - proj.c
         x = y - r
         gap = float(np.abs(r).max())
         if gap < best:
@@ -142,6 +181,10 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
         if best <= params.eps_feasible:
             witness = _witness_from(best_V, N)
             return FeasibilityVerdict(FEASIBLE, best, it, witness, params)
+        if it % DUAL_EVERY == 0:
+            Y = proj.dual(My, r)
+            if np.vdot(proj.T, Y) < 0.0 and verify_dual(Y, povms):
+                return FeasibilityVerdict(LIKELY_INFEASIBLE, best, it, None, params, Y)
         if it >= next_check:
             # plateau: no meaningful improvement over a whole window while
             # the gap sits above the infeasibility threshold
@@ -171,6 +214,32 @@ def verify_witness(witness: JointPovm, povms, tol: float = 1e-8) -> bool:
     return witness.validate(tol).ok and witness.marginal_error(povms) <= tol
 
 
+def verify_dual(dual, povms) -> bool:
+    """Farkas check that no joint POVM has these marginals: every row of
+    M^T Y lies in the Lorentz cone (alpha >= |bloch|) and
+    <T, Y> < -DUAL_SLACK |T| |Y|."""
+    M, T = _marginal_system(povms)
+    Y = np.asarray(dual, dtype=float)
+    if Y.shape != T.shape or not np.all(np.isfinite(Y)):
+        return False
+    W = M.T @ Y
+    if np.any(W[:, 0] < np.sqrt(np.einsum("ij,ij->i", W[:, 1:], W[:, 1:]))):
+        return False
+    return float(np.vdot(T, Y)) < -DUAL_SLACK * float(np.linalg.norm(T) * np.linalg.norm(Y))
+
+
+def checked_decision(res: FeasibilityVerdict, povms) -> Optional[str]:
+    """What an oracle answer proves about povms: COMPATIBLE when it carries
+    a joint POVM that passes verify_witness, INCOMPATIBLE when it carries a
+    Farkas dual that passes verify_dual, None otherwise (a plateau without
+    a dual, or an inconclusive run)."""
+    if res.status == FEASIBLE and verify_witness(res.witness, povms, res.params.witness_tol):
+        return COMPATIBLE
+    if res.dual is not None and verify_dual(res.dual, povms):
+        return INCOMPATIBLE
+    return None
+
+
 @dataclass(frozen=True)
 class SweepMismatch:
     eta: float
@@ -183,7 +252,9 @@ def agreement_sweep(generator, etas, delta: float = 5e-3, params: OracleParams =
 
     generator(eta) must return (povms, verdict) with verdict from an Iff
     criterion. Grid points inside the delta band around the criterion's
-    boundary are skipped. Returns the list of mismatches (empty = agreement).
+    boundary are skipped. The oracle agrees only where checked_decision,
+    which checks its witness or Farkas dual, matches the verdict. Returns
+    the list of mismatches (empty = agreement).
     """
     mismatches = []
     for eta in etas:
@@ -193,13 +264,6 @@ def agreement_sweep(generator, etas, delta: float = 5e-3, params: OracleParams =
         if abs(verdict.margin) < delta:
             continue  # too close to the boundary to trust either side
         res = decide(povms, params)
-        ok = (
-            (verdict.decision == COMPATIBLE and res.status == FEASIBLE)
-            or (verdict.decision == INCOMPATIBLE and res.status == LIKELY_INFEASIBLE)
-        )
-        if verdict.decision == COMPATIBLE and res.status == FEASIBLE:
-            if not verify_witness(res.witness, povms, params.witness_tol):
-                ok = False
-        if not ok:
+        if checked_decision(res, povms) != verdict.decision:
             mismatches.append(SweepMismatch(float(eta), verdict.decision, res.status))
     return mismatches

@@ -247,11 +247,18 @@ class JointPovm:
         target, marginal k against povms[k-1]."""
         if len(povms) != self.n:
             raise ValueError("one target POVM per measurement")
-        err = 0.0
-        for k, p in enumerate(povms, start=1):
-            m = self.marginal_povm(k)
-            err = max(err, abs(m.bias - p.bias), float(np.max(np.abs(m.bloch - p.bloch))))
-        return err
+        # all N marginal +1 effects in one pass: plus[k] sums the (alpha,
+        # bloch) rows whose mask has bit k set
+        k, effects = len(self.effects), self.effects.values()
+        masks = np.fromiter(self.effects, dtype=np.int64, count=k)
+        rows = np.column_stack((
+            np.fromiter((e.alpha for e in effects), dtype=float, count=k),
+            np.array([e.bloch for e in effects], dtype=float).reshape(k, 3),
+        ))
+        bits = (masks[:, None] >> np.arange(self.n)) & 1
+        plus = bits.T.astype(float) @ rows
+        target = np.array([(1.0 + p.bias, *p.bloch) for p in povms])
+        return float(np.max(np.abs(plus - target)))
 
     def marginalize(self, keep: Iterable[int]) -> "JointPovm":
         """Sum effects over the dropped measurements (keep is 1-based, increasing)."""

@@ -191,15 +191,17 @@ def closed_form_decider(povms):
 
 
 def oracle_decider(povms, params: oracle_mod.OracleParams = oracle_mod.OracleParams()):
-    """Decision procedure backed by the feasibility oracle: Feasible is
-    compatible, LikelyInfeasible incompatible, anything else Unknown. The
-    oracle tests the exact feasibility problem (strength iff, up to its
-    tolerances); the Verdict's margin is minus its final residual."""
-    decisions = {oracle_mod.FEASIBLE: COMPATIBLE, oracle_mod.LIKELY_INFEASIBLE: INCOMPATIBLE}
+    """Decision procedure backed by the feasibility oracle: what
+    `oracle.checked_decision` proves (a checked joint POVM or Farkas dual),
+    Unknown when it proves nothing. The oracle tests the exact feasibility
+    problem (strength iff, up to its tolerances); the Verdict's margin is
+    minus its final residual."""
 
     def decide(combo) -> Verdict:
-        res = oracle_mod.decide([povms[i - 1] for i in combo], params)
-        return Verdict(decisions.get(res.status, UNKNOWN), IFF, -res.residual, "oracle")
+        sub = [povms[i - 1] for i in combo]
+        res = oracle_mod.decide(sub, params)
+        decision = oracle_mod.checked_decision(res, sub) or UNKNOWN
+        return Verdict(decision, IFF, -res.residual, "oracle")
 
     return decide
 
@@ -718,13 +720,15 @@ def verify_certificate(
                 )
 
     if mode in ("oracle", "both"):
-        checks = [(e, oracle_mod.FEASIBLE, "compatibility") for e in cert.compatible]
-        checks += [(e, oracle_mod.LIKELY_INFEASIBLE, "incompatibility") for e in cert.incompatible]
+        checks = [(e, COMPATIBLE, "compatibility") for e in cert.compatible]
+        checks += [(e, INCOMPATIBLE, "incompatibility") for e in cert.incompatible]
         for e, expected, claim in checks:
-            res = oracle_mod.decide([povms[i - 1] for i in e.subset], oracle_params)
-            if res.status == oracle_mod.INCONCLUSIVE:
-                inconclusive.append(f"oracle inconclusive on {list(e.subset)}")
-            elif res.status != expected:
+            sub = [povms[i - 1] for i in e.subset]
+            res = oracle_mod.decide(sub, oracle_params)
+            found = oracle_mod.checked_decision(res, sub)
+            if found is None:
+                inconclusive.append(f"oracle {res.status} without a witness on {list(e.subset)}")
+            elif found != expected:
                 issues.append(f"oracle contradicts {claim} of {list(e.subset)}")
 
     return VerificationReport(not issues, tuple(issues), tuple(inconclusive))

@@ -181,6 +181,25 @@ def test_realize_verify_pipeline(tmp_path, capsys):
     assert json.loads(out2)["ok"] is True
 
 
+def test_verify_oracle_mode_without_duals_is_inconclusive(tmp_path, capsys, monkeypatch):
+    from jmqubit import OracleParams, oracle
+
+    code, out, _ = run(capsys, "realize", "--structure", "n-cycle", "--n", "4")
+    assert code == 0
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(out)
+    # no Farkas dual can be found: every incompatible pair ends on a plateau
+    monkeypatch.setattr(oracle, "DUAL_EVERY", OracleParams().max_iter + 1)
+    code, out, _ = run(capsys, "verify", str(cert_path), "--mode", "oracle")
+    assert code == 3
+    report = json.loads(out)
+    assert report["ok"] is True and report["issues"] == []
+    cert = RealizationCertificate.from_json_dict(json.loads(cert_path.read_text()))
+    assert report["inconclusive"] == [
+        f"oracle likely-infeasible without a witness on {list(e.subset)}" for e in cert.incompatible
+    ]
+
+
 def test_realize_four_vertex_variants(capsys):
     for extra in ([], ["--variant", "non-coplanar"]):
         code, out, _ = run(capsys, "realize", "--structure", "four-vertex-6", *extra)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from jmqubit import (
     pair_unbiased,
     planar_nwise_bound,
     unbiased_povm,
+    verify_dual,
     verify_witness,
 )
-from jmqubit.oracle import ORACLE_N_CAP, _project_psd, decide
+from jmqubit import oracle
+from jmqubit.oracle import ORACLE_N_CAP, _marginal_system, _project_psd, decide
 from conftest import random_unit
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -130,24 +133,73 @@ def test_psd_projection_matches_eigh_reference(rng):
     assert np.all(_project_psd(edge)[[1, 2, 4, 6, 7]] == 0.0)
 
 
-def test_iteration_matches_reference_loop():
+def biased_pair(eta):
+    return [BinaryQubitPovm(0.15, [0.0, 0.0, eta]), BinaryQubitPovm(-0.1, [eta, 0.0, 0.0])]
+
+
+@pytest.fixture(scope="module")
+def reference_runs():
+    """(povms, reference_decide(povms)) on both sides of several boundaries."""
     problems = [
         PlanarSymmetricFamily(N, planar_nwise_bound(N) * f).povms()
         for N in (3, 4, 5, 6)
         for f in (0.88, 0.98, 1.02, 1.12)
     ]
-    for eta in (0.65, 0.75):  # either side of this biased pair's boundary
-        problems.append([BinaryQubitPovm(0.15, [0.0, 0.0, eta]), BinaryQubitPovm(-0.1, [eta, 0.0, 0.0])])
+    problems += [biased_pair(0.65), biased_pair(0.75)]  # either side of its boundary
     rng = np.random.default_rng(8)
     problems.append([unbiased_povm(0.4, random_unit(rng)) for _ in range(8)])
+    return [(povms, reference_decide(povms)) for povms in problems]
+
+
+def test_iteration_matches_reference_loop(reference_runs, monkeypatch):
+    # with the dual check out of reach the loop is the reference loop
+    monkeypatch.setattr(oracle, "DUAL_EVERY", OracleParams().max_iter + 1)
     statuses = set()
-    for povms in problems:
+    for povms, (status, iterations, residual) in reference_runs:
         res = decide(povms)
-        status, iterations, residual = reference_decide(povms)
         assert (res.status, res.iterations) == (status, iterations)
         assert abs(res.residual - residual) <= 1e-12
+        assert res.dual is None
         statuses.add(status)
     assert statuses == {FEASIBLE, LIKELY_INFEASIBLE}
+
+
+def test_dual_exit_against_reference_loop(reference_runs):
+    infeasible = 0
+    for povms, (status, iterations, residual) in reference_runs:
+        res = decide(povms)
+        if status == FEASIBLE:
+            assert (res.status, res.iterations) == (status, iterations)
+            assert abs(res.residual - residual) <= 1e-12
+            assert res.dual is None
+        else:
+            assert res.status == LIKELY_INFEASIBLE
+            assert res.dual is not None and verify_dual(res.dual, povms)
+            assert res.iterations <= iterations
+            infeasible += 1
+    assert infeasible > 0
+
+
+def test_verify_dual_rejects_bad_duals():
+    # biased, so no two rows of M^T Y tie on their cone slack
+    bad = biased_pair(0.75)
+    Y = decide(bad).dual
+    assert verify_dual(Y, bad)
+    assert not verify_dual(-Y, bad)
+    # lower Y[0,0] until the tightest row of M^T Y leaves the cone;
+    # <T, Y> only falls, so the cone test alone must reject it
+    M, T = _marginal_system(bad)
+    W = M.T @ Y
+    slack = W[:, 0] - np.linalg.norm(W[:, 1:], axis=1)
+    out = Y.copy()
+    out[0, 0] -= np.min(slack) + 1e-9
+    W_out = M.T @ out
+    assert np.sum(W_out[:, 0] < np.linalg.norm(W_out[:, 1:], axis=1)) == 1
+    assert np.vdot(T, out) < np.vdot(T, Y) < 0
+    assert not verify_dual(out, bad)
+    # a valid dual proves nothing about a feasible problem
+    assert not verify_dual(Y, biased_pair(0.65))
+    assert not verify_dual(Y[:-1], bad)
 
 
 def test_feasible_at_n_cap(rng):
@@ -156,6 +208,13 @@ def test_feasible_at_n_cap(rng):
     res = decide(povms)
     assert res.status == FEASIBLE
     assert verify_witness(res.witness, povms)
+    # the marginals of all 4096 effects are summed in one array pass
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        verify_witness(res.witness, povms)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.05
 
 
 def test_feasible_pair_with_witness():
@@ -172,6 +231,7 @@ def test_infeasible_pair():
     assert res.status == LIKELY_INFEASIBLE
     assert res.residual > 1e-7
     assert res.witness is None
+    assert verify_dual(res.dual, povms)
 
 
 def test_boundary_commuting_pair():
@@ -192,8 +252,10 @@ def test_biased_povms_supported():
 def test_trine_both_sides():
     fam_ok = PlanarSymmetricFamily(3, 2 / 3 - 5e-3)
     fam_bad = PlanarSymmetricFamily(3, 2 / 3 + 5e-3)
-    assert decide(fam_ok.povms()).status == FEASIBLE
-    assert decide(fam_bad.povms()).status == LIKELY_INFEASIBLE
+    ok, bad = decide(fam_ok.povms()), decide(fam_bad.povms())
+    assert ok.status == FEASIBLE and ok.dual is None
+    assert bad.status == LIKELY_INFEASIBLE
+    assert verify_dual(bad.dual, fam_bad.povms())
 
 
 def test_n_cap_enforced():
@@ -222,6 +284,20 @@ def test_agreement_sweep_small_grid():
 
     etas = np.linspace(0.5, 0.9, 21)
     assert agreement_sweep(gen, etas) == []
+
+
+def test_agreement_sweep_needs_a_dual(monkeypatch):
+    # a plateau without a Farkas dual does not agree with an incompatible verdict
+    def gen(eta):
+        povms = [unbiased_povm(eta, EX), unbiased_povm(eta, EY)]
+        return povms, pair_unbiased(eta, EX, eta, EY)
+
+    etas = [0.6, 0.8, 0.9]  # 1/sqrt(2) is the boundary
+    monkeypatch.setattr(oracle, "DUAL_EVERY", OracleParams().max_iter + 1)
+    assert [(m.eta, m.oracle_status) for m in agreement_sweep(gen, etas)] == [
+        (0.8, LIKELY_INFEASIBLE),
+        (0.9, LIKELY_INFEASIBLE),
+    ]
 
 
 def test_agreement_sweep_requires_iff():

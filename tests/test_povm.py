@@ -125,6 +125,33 @@ def test_marginals_of_product_joint():
         np.testing.assert_allclose(m.bloch, p.bloch, atol=1e-12)
 
 
+def reference_marginal_error(joint, povms):
+    """marginal_error as it was first written: one marginalize([k]) per
+    measurement, effects added one at a time."""
+    err = 0.0
+    for k, p in enumerate(povms, start=1):
+        m = joint.marginal_povm(k)
+        err = max(err, abs(m.bias - p.bias), float(np.max(np.abs(m.bloch - p.bloch))))
+    return err
+
+
+def test_marginal_error_matches_marginalize(rng):
+    for n in range(1, 7):
+        for _ in range(5):
+            # sparse: about a quarter of the outcome masks carry no effect
+            masks = [m for m in range(1 << n) if rng.random() > 0.25]
+            effects = {m: Effect(rng.uniform(0.0, 1.0), rng.normal(size=3)) for m in masks}
+            joint = JointPovm(n, effects, validate=False)
+            povms = [BinaryQubitPovm(rng.uniform(-0.3, 0.3), rng.normal(size=3)) for _ in range(n)]
+            err = joint.marginal_error(povms)
+            assert abs(err - reference_marginal_error(joint, povms)) <= 1e-14
+    p1, p2 = BinaryQubitPovm(0.1, [0.5, 0, 0]), BinaryQubitPovm(-0.2, [0.3, 0, 0])
+    assert _product_joint(p1, p2).marginal_error([p1, p2]) <= 1e-15
+    assert JointPovm(2, {}, validate=False).marginal_error([p1, p2]) == reference_marginal_error(
+        JointPovm(2, {}, validate=False), [p1, p2]
+    )
+
+
 def test_marginalize_argument_checks():
     j = _product_joint(BinaryQubitPovm(0, [0.4, 0, 0]), BinaryQubitPovm(0, [0.2, 0, 0]))
     with pytest.raises(ValueError):
