@@ -20,6 +20,27 @@ few lines:
   "likely-infeasible" either way, so callers that key on the three status
   strings keep working; a proof is told apart by its `dual`.
 
+Dykstra is dual ascent. Each step maps z = x + p_corr to z - r, so
+z = x0 + M^T Y for the warm start x0 and an (N+1) x 4 multiplier
+Y = K M (z - x0), K = (M M^T)^-1, and the cone point is y = P(z), P the
+row-wise PSD projection. The step is Y <- Y + K grad, the preconditioned
+gradient ascent on the smooth concave dual
+
+    theta(Y) = <T, Y> - |P(x0 + M^T Y)|^2 / 2,  grad = T - M P(x0 + M^T Y),
+
+whose maximiser gives the joint nearest x0. Gradient ascent crawls near
+the boundary, where the feasible set is thin, so at every DUAL_EVERY
+checkpoint that finds no dual the oracle also tries a Newton polish
+(semismooth Newton, as for the nearest correlation matrix: Qi and Sun,
+SIMAX 28, 2006; Malick, SIMAX 26, 2004). From the Dykstra multiplier it
+takes up to NEWTON_STEPS steps Y <- Y + H^-1 grad with
+H = sum_i m_i m_i^T (x) J_i, m_i the i-th column of M and J_i the 4 x 4
+Jacobian of P at row i (`_psd_jacobian`), only 4(N+1) unknowns. After each
+step the cone point P(x0 + M^T Y) is projected onto M V = T, and the run
+returns Feasible at the first such joint that meets verify_witness's
+tolerances. A failed polish leaves the Dykstra state untouched, so the
+iterates that follow are the ones the loop alone would make.
+
 The problems are small (2^N <= 4096 rows, mostly 8 to 64), so a step costs
 what its numpy calls cost, and both projections keep that count low:
 
@@ -33,6 +54,9 @@ what its numpy calls cost, and both projections keep that count low:
 - Dual side: the displacement r = G (M y) - c equals M^T Y for
   Y = (M M^T)^-1 (M y - T), so with M y kept from the affine step a
   candidate costs one (N+1) x (N+1) product.
+- Newton side: H is one ((N+1)^2, 2^N) @ (2^N, 16) product of the fixed
+  column outer products m_i m_i^T with the Jacobians, and a step is one
+  4(N+1) solve.
 """
 
 from __future__ import annotations
@@ -60,6 +84,14 @@ _TINY = np.finfo(float).tiny
 # relative slack so that the exact float cone test in verify_dual passes.
 DUAL_EVERY = 50
 DUAL_SLACK = 1e-12
+
+# Newton polish at each DUAL_EVERY checkpoint: at most NEWTON_STEPS undamped
+# steps. NEWTON_RIDGE keeps the solve defined where H is singular (too many
+# rows in the polar cone, as when a polish runs off on an infeasible
+# problem); a step it spoils only yields a joint that fails the witness
+# tolerance.
+NEWTON_STEPS = 6
+NEWTON_RIDGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,6 +136,27 @@ def _project_psd(V: np.ndarray) -> np.ndarray:
     return out
 
 
+def _psd_jacobian(V: np.ndarray) -> np.ndarray:
+    """(rows, 4, 4) Jacobians of _project_psd at each row (alpha, bloch):
+    I inside the cone (alpha >= |bloch|), 0 in the polar cone
+    (alpha <= -|bloch|), and between them
+    (1/2) [[1, u^T], [u, (1 + s) I - s u u^T]], u = bloch / |bloch|,
+    s = alpha / |bloch|."""
+    alpha = V[:, 0]
+    nb = np.sqrt(np.einsum("ij,ij->i", V[:, 1:], V[:, 1:]))
+    safe = np.where(nb > 0.0, nb, 1.0)  # |bloch| = 0 is never between
+    u = V[:, 1:] / safe[:, None]
+    s = alpha / safe
+    J = np.empty((len(V), 4, 4))
+    J[:, 0, 0] = 0.5
+    J[:, 0, 1:] = J[:, 1:, 0] = 0.5 * u
+    J[:, 1:, 1:] = (-0.5 * s)[:, None, None] * (u[:, :, None] * u[:, None, :])
+    J[:, 1:, 1:] += (0.5 * (1.0 + s))[:, None, None] * np.eye(3)
+    J[nb <= alpha] = np.eye(4)
+    J[nb <= -alpha] = 0.0
+    return J
+
+
 def _marginal_system(povms):
     """(M, T) of the constraints M V = T on a joint's (2^N, 4) effect rows:
     row 0 of M is completeness (all ones, T row 0 = 2 I), row k the
@@ -132,6 +185,7 @@ class _AffineProjector:
         self.K = np.linalg.inv(self.M @ self.M.T)
         self.G = self.M.T @ self.K
         self.c = self.G @ self.T
+        self._mm = None  # column outer products m_i m_i^T, built at first polish
 
     def __call__(self, V: np.ndarray) -> np.ndarray:
         return V - (self.G @ (self.M @ V) - self.c)
@@ -147,19 +201,53 @@ class _AffineProjector:
         Y[0, 0] += eps + DUAL_SLACK * float(np.linalg.norm(Y))
         return Y
 
+    def witness_residual(self, V: np.ndarray) -> float:
+        """What verify_witness measures on _witness_from(V): the worst of
+        the completeness and marginal errors and the most negative effect
+        eigenvalue (negated), over the rows the witness keeps."""
+        x = V * _support(V)[:, None]
+        nb = np.sqrt(np.einsum("ij,ij->i", x[:, 1:], x[:, 1:]))
+        return max(float(np.max(np.abs(self.M @ x - self.T))), float(np.max(0.5 * (nb - x[:, 0]))))
+
+    def polish(self, x0: np.ndarray, z: np.ndarray, tol: float):
+        """Newton polish of the dual from the Dykstra point z = x0 + M^T Y.
+        After each step the cone point V = P(x0 + M^T Y) is projected onto
+        M V = T; returns (joint rows, witness residual) for the first joint
+        whose residual is at most tol, else None."""
+        n1 = len(self.M)
+        if self._mm is None:
+            Mt = self.M.T
+            self._mm = (Mt[:, :, None] * Mt[:, None, :]).reshape(len(Mt), n1 * n1)
+        Y = self.G.T @ (z - x0)
+        W = z
+        grad = self.T - self.M @ _project_psd(W)
+        for _ in range(NEWTON_STEPS):
+            H = (self._mm.T @ _psd_jacobian(W).reshape(-1, 16)).reshape(n1, n1, 4, 4)
+            H = H.transpose(0, 2, 1, 3).reshape(4 * n1, 4 * n1)
+            H[np.diag_indices_from(H)] += NEWTON_RIDGE
+            Y = Y + np.linalg.solve(H, grad.reshape(-1)).reshape(n1, 4)
+            W = x0 + self.M.T @ Y
+            V = _project_psd(W)
+            grad = self.T - self.M @ V
+            x = V + self.G @ grad  # the projection of V onto M V = T
+            residual = self.witness_residual(x)
+            if residual <= tol:
+                return x, residual
+        return None
+
 
 def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
     """Run the alternating-projection feasibility search."""
     N = len(povms)
-    if N > ORACLE_N_CAP:
-        raise ValueError(f"oracle capped at N = {ORACLE_N_CAP}")
+    if not 1 <= N <= ORACLE_N_CAP:
+        raise ValueError(f"oracle takes 1..{ORACLE_N_CAP} POVMs, got {N}")
     proj = _AffineProjector(povms)
 
     # warm start: the maximally mixed product joint, least-squares adjusted
     # onto the marginal subspace
     V = np.zeros((1 << N, 4))
     V[:, 0] = 2.0 / (1 << N)
-    x = proj(V)
+    x0 = x = proj(V)
 
     p_corr = np.zeros_like(x)
     best = np.inf
@@ -185,6 +273,10 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
             Y = proj.dual(My, r)
             if np.vdot(proj.T, Y) < 0.0 and verify_dual(Y, povms):
                 return FeasibilityVerdict(LIKELY_INFEASIBLE, best, it, None, params, Y)
+            polished = proj.polish(x0, x + p_corr, params.witness_tol)
+            if polished is not None:
+                rows, residual = polished
+                return FeasibilityVerdict(FEASIBLE, residual, it, _witness_from(rows, N), params)
         if it >= next_check:
             # plateau: no meaningful improvement over a whole window while
             # the gap sits above the infeasibility threshold
@@ -198,14 +290,14 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
     return FeasibilityVerdict(INCONCLUSIVE, best, params.max_iter, None, params)
 
 
+def _support(V: np.ndarray) -> np.ndarray:
+    """Rows a witness keeps: all but those whose alpha and every |Bloch
+    component| are at most 1e-13."""
+    return (V[:, 0] > 1e-13) | (np.max(np.abs(V[:, 1:]), axis=1) > 1e-13)
+
+
 def _witness_from(V: np.ndarray, n: int) -> JointPovm:
-    effects = {}
-    for mask in range(len(V)):
-        alpha = float(V[mask, 0])
-        bloch = V[mask, 1:]
-        if alpha <= 1e-13 and np.max(np.abs(bloch)) <= 1e-13:
-            continue
-        effects[mask] = Effect(alpha, bloch)
+    effects = {int(mask): Effect(V[mask, 0], V[mask, 1:]) for mask in np.flatnonzero(_support(V))}
     return JointPovm(n, effects, validate=False)
 
 

@@ -219,16 +219,20 @@ class JointPovm:
             if not rep.ok:
                 raise ValueError(f"invalid joint POVM: {rep.violations}")
 
+    def _columns(self) -> tuple:
+        """The effects' alphas, shape (k,), and Bloch vectors, shape (k, 3),
+        in insertion order."""
+        effects = self.effects.values()
+        return np.array([e.alpha for e in effects]), np.array([e.bloch for e in effects]).reshape(-1, 3)
+
     def validate(self, tol: float = EPS_MARG) -> ValidationReport:
-        violations = []
-        total_alpha = 0.0
-        total_bloch = np.zeros(3)
-        for mask, eff in self.effects.items():
-            if eff.min_eigenvalue() < -tol:
-                violations.append((f"effect[{mask}] PSD", -eff.min_eigenvalue()))
-            total_alpha += eff.alpha
-            total_bloch = total_bloch + eff.bloch
-        comp = max(abs(total_alpha - 2.0), float(np.max(np.abs(total_bloch))))
+        alpha, bloch = self._columns()
+        # every effect's smaller eigenvalue (alpha - |bloch|)/2 in one pass
+        min_eig = 0.5 * (alpha - np.sqrt((bloch * bloch).sum(axis=1)))
+        bad = np.flatnonzero(min_eig < -tol)
+        masks = list(self.effects)
+        violations = [(f"effect[{masks[i]}] PSD", -float(min_eig[i])) for i in bad]
+        comp = max(abs(float(alpha.sum()) - 2.0), float(np.abs(bloch.sum(axis=0)).max()))
         if comp > tol:
             violations.append(("completeness", comp))
         return ValidationReport(not violations, tuple(violations))
@@ -249,12 +253,8 @@ class JointPovm:
             raise ValueError("one target POVM per measurement")
         # all N marginal +1 effects in one pass: plus[k] sums the (alpha,
         # bloch) rows whose mask has bit k set
-        k, effects = len(self.effects), self.effects.values()
-        masks = np.fromiter(self.effects, dtype=np.int64, count=k)
-        rows = np.column_stack((
-            np.fromiter((e.alpha for e in effects), dtype=float, count=k),
-            np.array([e.bloch for e in effects], dtype=float).reshape(k, 3),
-        ))
+        masks = np.fromiter(self.effects, dtype=np.int64, count=len(self.effects))
+        rows = np.column_stack(self._columns())
         bits = (masks[:, None] >> np.arange(self.n)) & 1
         plus = bits.T.astype(float) @ rows
         target = np.array([(1.0 + p.bias, *p.bloch) for p in povms])

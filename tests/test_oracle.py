@@ -19,7 +19,7 @@ from jmqubit import (
     verify_witness,
 )
 from jmqubit import oracle
-from jmqubit.oracle import ORACLE_N_CAP, _marginal_system, _project_psd, decide
+from jmqubit.oracle import ORACLE_N_CAP, _marginal_system, _project_psd, _psd_jacobian, decide
 from conftest import random_unit
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -133,6 +133,26 @@ def test_psd_projection_matches_eigh_reference(rng):
     assert np.all(_project_psd(edge)[[1, 2, 4, 6, 7]] == 0.0)
 
 
+def test_psd_jacobian_matches_finite_differences(rng):
+    rows = rng.normal(size=(300, 4))
+    nb = np.linalg.norm(rows[:, 1:], axis=1)
+    # keep clear of the two cone boundaries, where the projection has a kink
+    far = np.abs(np.abs(rows[:, 0]) - nb) > 1e-3
+    rows, nb = rows[far], nb[far]
+    # 2 inside the cone, 0 between, -2 in the polar cone
+    regions = np.sign(rows[:, 0] - nb) + np.sign(rows[:, 0] + nb)
+    assert set(regions) == {-2.0, 0.0, 2.0}
+    J = _psd_jacobian(rows)
+    h = 1e-6
+    for q in range(4):
+        dq = np.zeros(4)
+        dq[q] = h
+        fd = (_project_psd(rows + dq) - _project_psd(rows - dq)) / (2 * h)
+        np.testing.assert_allclose(J[:, :, q], fd, rtol=0, atol=1e-7)
+    np.testing.assert_array_equal(J[regions == 2.0], np.broadcast_to(np.eye(4), (np.sum(regions == 2.0), 4, 4)))
+    assert np.all(J[regions == -2.0] == 0.0)
+
+
 def biased_pair(eta):
     return [BinaryQubitPovm(0.15, [0.0, 0.0, eta]), BinaryQubitPovm(-0.1, [eta, 0.0, 0.0])]
 
@@ -165,19 +185,54 @@ def test_iteration_matches_reference_loop(reference_runs, monkeypatch):
 
 
 def test_dual_exit_against_reference_loop(reference_runs):
+    # default settings: feasible runs may end early at a Newton-polished
+    # witness, infeasible runs at a Farkas dual
     infeasible = 0
+    for povms, (status, iterations, residual) in reference_runs:
+        res = decide(povms)
+        assert res.iterations <= iterations
+        if status == FEASIBLE:
+            assert res.status == FEASIBLE
+            assert verify_witness(res.witness, povms, res.params.witness_tol)
+            assert res.dual is None
+        else:
+            assert res.status == LIKELY_INFEASIBLE
+            assert res.dual is not None and verify_dual(res.dual, povms)
+            infeasible += 1
+    assert infeasible > 0
+
+
+def test_failed_polish_leaves_the_loop_unchanged(reference_runs, monkeypatch):
+    # the polish still runs at every checkpoint, but its joints are thrown
+    # away: the Dykstra iterates must be the reference loop's
+    polish = oracle._AffineProjector.polish
+    monkeypatch.setattr(oracle._AffineProjector, "polish", lambda *args: polish(*args) and None)
+    feasible = 0
     for povms, (status, iterations, residual) in reference_runs:
         res = decide(povms)
         if status == FEASIBLE:
             assert (res.status, res.iterations) == (status, iterations)
             assert abs(res.residual - residual) <= 1e-12
-            assert res.dual is None
-        else:
-            assert res.status == LIKELY_INFEASIBLE
-            assert res.dual is not None and verify_dual(res.dual, povms)
-            assert res.iterations <= iterations
-            infeasible += 1
-    assert infeasible > 0
+            feasible += 1
+        else:  # the dual is tried before the polish
+            assert res.status == LIKELY_INFEASIBLE and verify_dual(res.dual, povms)
+    assert feasible > 0
+
+
+def test_polish_witnesses_near_boundaries():
+    rng = np.random.default_rng(8)
+    problems = [PlanarSymmetricFamily(N, 0.995 * planar_nwise_bound(N)).povms() for N in (3, 4, 5, 6)]
+    problems.append(biased_pair(0.65))
+    problems.append([unbiased_povm(0.4, random_unit(rng)) for _ in range(8)])
+    rng = np.random.default_rng(0)  # the N = 12 set of test_feasible_at_n_cap
+    problems.append([unbiased_povm(0.3, random_unit(rng)) for _ in range(ORACLE_N_CAP)])
+    for povms in problems:
+        status, iterations, _ = reference_decide(povms)
+        res = decide(povms)
+        assert status == res.status == FEASIBLE
+        assert res.iterations <= iterations
+        assert verify_witness(res.witness, povms, res.params.witness_tol)
+        assert res.residual <= res.params.witness_tol
 
 
 def test_verify_dual_rejects_bad_duals():
@@ -234,12 +289,31 @@ def test_infeasible_pair():
     assert verify_dual(res.dual, povms)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_boundary_commuting_pair():
-    # projective plus an aligned noisy POVM: compatible with zero margin
+    # projective plus an aligned noisy POVM: compatible with zero margin;
+    # two rows of the polish's start sit exactly on the cone boundary,
+    # where the Jacobian has a kink
     povms = [unbiased_povm(0.8, EX), unbiased_povm(1.0, EX)]
     res = decide(povms)
     assert res.status == FEASIBLE
     assert verify_witness(res.witness, povms)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_polish_with_singular_hessian():
+    # an infeasible triple whose dual needs four checkpoints: the failed
+    # polishes run Newton steps into an H with zero eigenvalues (rows in
+    # the polar cone), which NEWTON_RIDGE keeps solvable and quiet
+    dirs = [
+        [-0.5107937436299098, 0.8528742729182628, 0.10814446847937462],
+        [-0.82950496324043, -0.040081410318072545, -0.5570592396742082],
+        [-0.5886162667637395, -0.456465279681728, -0.667210865428764],
+    ]
+    povms = [unbiased_povm(0.6909, d) for d in dirs]
+    res = decide(povms)
+    assert res.status == LIKELY_INFEASIBLE and res.iterations > oracle.DUAL_EVERY
+    assert verify_dual(res.dual, povms)
 
 
 def test_biased_povms_supported():
@@ -262,6 +336,11 @@ def test_n_cap_enforced():
     povms = [unbiased_povm(0.1, EX)] * (ORACLE_N_CAP + 1)
     with pytest.raises(ValueError):
         decide(povms)
+
+
+def test_decide_rejects_empty_input():
+    with pytest.raises(ValueError, match=f"1..{ORACLE_N_CAP}"):
+        decide([])
 
 
 def test_max_iter_inconclusive():

@@ -152,6 +152,43 @@ def test_marginal_error_matches_marginalize(rng):
     )
 
 
+def reference_validate(joint, tol):
+    """The per-effect check: one PSD violation per effect in insertion
+    order, then completeness from running sums."""
+    violations = []
+    total_alpha, total_bloch = 0.0, np.zeros(3)
+    for mask, eff in joint.effects.items():
+        if eff.min_eigenvalue() < -tol:
+            violations.append((f"effect[{mask}] PSD", -eff.min_eigenvalue()))
+        total_alpha += eff.alpha
+        total_bloch = total_bloch + eff.bloch
+    comp = max(abs(total_alpha - 2.0), float(np.max(np.abs(total_bloch))))
+    if comp > tol:
+        violations.append(("completeness", comp))
+    return not violations, violations
+
+
+def test_validate_matches_per_effect_reference(rng):
+    for n in range(1, 7):
+        for _ in range(5):
+            # shuffled sparse masks, about half the effects not PSD
+            masks = [int(m) for m in rng.permutation(1 << n) if rng.random() > 0.25]
+            effects = {m: Effect(rng.uniform(0.0, 1.0), 0.4 * rng.normal(size=3)) for m in masks}
+            joint = JointPovm(n, effects, validate=False)
+            for tol in (1e-12, 0.05):
+                report = joint.validate(tol)
+                ok, violations = reference_validate(joint, tol)
+                assert report.ok == ok and isinstance(report.violations, tuple)
+                assert [name for name, _ in report.violations] == [name for name, _ in violations]
+                np.testing.assert_allclose(
+                    [v for _, v in report.violations], [v for _, v in violations], rtol=1e-13, atol=1e-15
+                )
+    # a valid product joint, and the empty joint (completeness only)
+    p1, p2 = BinaryQubitPovm(0.1, [0.5, 0, 0]), BinaryQubitPovm(-0.2, [0, 0.3, 0])
+    assert _product_joint(p1, p2).validate().ok
+    assert JointPovm(2, {}, validate=False).validate().violations == (("completeness", 2.0),)
+
+
 def test_marginalize_argument_checks():
     j = _product_joint(BinaryQubitPovm(0, [0.4, 0, 0]), BinaryQubitPovm(0, [0.2, 0, 0]))
     with pytest.raises(ValueError):
