@@ -9,11 +9,17 @@ Exit codes: 0 success/verified, 2 verification failure, 3 undecided or
 inconclusive outcomes, 64 malformed JSON input, 65 precondition violation.
 JSON goes to stdout (floats serialized via shortest round-trip repr); a short
 human-readable summary goes to stderr.
+
+The argparse parser is built once per process, on the first ``main`` call.
+``main`` dispatches by subcommand name: it looks up ``cmd_<name>`` on this
+module at call time, so a function replaced on the module (by a test or a
+tracer) is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -270,6 +276,7 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jmqubit",
@@ -281,13 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default="-", help="POVM-set JSON file or - for stdin")
     p.add_argument("--mode", choices=["closed-form", "oracle", "both"], default="closed-form")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("joint", help="construct an explicit joint POVM")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--constructor", choices=["chain", "oracle"], default="chain")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_joint)
 
     p = sub.add_parser("realize", help="emit a certified realization")
     p.add_argument("--structure", required=True)
@@ -300,17 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="recipe choice for four-vertex-6",
     )
     p.add_argument("--out")
-    p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("verify", help="re-derive a certificate's evidence")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--mode", choices=["closed-form", "oracle", "both"], default="closed-form")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("atlas", help="four-vertex manifest and certificates")
     p.add_argument("--out", help="directory for manifest.json and certificates")
-    p.set_defaults(func=cmd_atlas)
 
     p = sub.add_parser("bounds", help="closed-form threshold tables (CSV)")
     p.add_argument("--family", required=True,
@@ -319,15 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angle", action="append",
                    help="angle with deg/rad suffix (repeatable, pair-angle only)")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_bounds)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -155,6 +155,38 @@ def _anchor_model_minimizer(pts: np.ndarray, j: int, R: np.ndarray, w: float) ->
     return pts[j] + V @ (c / (lam + mu))
 
 
+def _solve_sym3(a, b, c, d, e, f, rx, ry, rz) -> tuple:
+    """Solution of [[a, b, c], [b, d, e], [c, e, f]] x = r by the adjugate."""
+    A00, A01, A02 = d * f - e * e, c * e - b * f, b * e - c * d
+    A11, A12, A22 = a * f - c * c, b * c - a * e, a * d - b * b
+    det = a * A00 + b * A01 + c * A02
+    if det == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return (
+        (A00 * rx + A01 * ry + A02 * rz) / det,
+        (A01 * rx + A11 * ry + A12 * rz) / det,
+        (A02 * rx + A12 * ry + A22 * rz) / det,
+    )
+
+
+def _total_distance(P: list, y) -> float:
+    """sum_i |y - p_i| for lists of Python floats, summed in point order:
+    the same bits as numpy's row norms and sum."""
+    yx, yy, yz = y
+    total = 0.0
+    for px, py, pz in P:
+        dx, dy, dz = yx - px, yy - py, yz - pz
+        total += math.sqrt(dx * dx + dy * dy + dz * dz)
+    return total
+
+
+def total_distance(points, y) -> float:
+    """The Fermat-Torricelli objective f(y) = sum_i |y - p_i|."""
+    return _total_distance(
+        np.asarray(points, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()
+    )
+
+
 def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     """Minimizer of the total Euclidean distance f(y) = sum |y - p_i|.
 
@@ -164,7 +196,9 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     Otherwise the minimizer is not a data point, f is smooth there, and a
     damped Newton iteration runs on the closed-form Hessian
     sum_i (I - u_i u_i^T)/d_i. Each step is capped at half the distance to the
-    nearest point and halved until f decreases. It starts from the centroid
+    nearest point and halved until f decreases; this loop runs on Python
+    floats, one pass over the points per iteration for the distances, the
+    gradient and the six Hessian entries. It starts from the centroid
     or, if f is lower there, from the minimizer of the local model at the
     anchor with the smallest |R_j|: when |R_j| is barely above 1 the minimizer
     sits very close to that anchor, and the local model finds it.
@@ -182,58 +216,76 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     if ok.any():
         return pts[int(np.argmax(ok))].copy()
 
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    y = pts.mean(axis=0)
-    f = total_distance(pts, y)
+    scale = float(np.max(np.abs(pts)))  # > 0: all-equal points are an anchor
+    P = pts.tolist()  # from here on Python floats: m is tiny
+    y = pts.mean(axis=0).tolist()
+    f = _total_distance(P, y)
     j = int(np.argmin(norms))
-    y_model = _anchor_model_minimizer(pts, j, R[j], 1.0 + float(dup[j]))
-    f_model = total_distance(pts, y_model)
+    y_model = _anchor_model_minimizer(pts, j, R[j], 1.0 + float(dup[j])).tolist()
+    f_model = _total_distance(P, y_model)
     if f_model < f:
         y, f = y_model, f_model
 
     for _ in range(max_iter):
-        diff = y - pts
-        d = np.linalg.norm(diff, axis=1)
-        inv = 1.0 / d
-        u = diff * inv[:, None]
-        grad = u.sum(axis=0)
-        if np.linalg.norm(grad) <= 1e-9:
-            return y
-        step = -np.linalg.solve(_hessian(u, inv), grad)
-        length = float(np.linalg.norm(step))
+        yx, yy, yz = y
+        # one pass: distances, gradient sum_i u_i and the Hessian
+        # s I - sum_i u_i u_i^T / d_i, s = sum_i 1/d_i
+        gx = gy = gz = s = hxx = hxy = hxz = hyy = hyz = hzz = 0.0
+        dmin = math.inf
+        for px, py, pz in P:
+            dx, dy, dz = yx - px, yy - py, yz - pz
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            inv = 1.0 / d
+            ux, uy, uz = dx * inv, dy * inv, dz * inv
+            gx += ux
+            gy += uy
+            gz += uz
+            s += inv
+            wx, wy, wz = ux * inv, uy * inv, uz * inv
+            hxx += wx * ux
+            hxy += wx * uy
+            hxz += wx * uz
+            hyy += wy * uy
+            hyz += wy * uz
+            hzz += wz * uz
+            if d < dmin:
+                dmin = d
+        if math.sqrt(gx * gx + gy * gy + gz * gz) <= 1e-9:
+            return np.array(y)
+        sx, sy, sz = _solve_sym3(
+            s - hxx, -hxy, -hxz, s - hyy, -hyz, s - hzz, -gx, -gy, -gz
+        )
+        length = math.sqrt(sx * sx + sy * sy + sz * sz)
         if length <= 1e-15 * scale:
-            return y  # the step is below the resolution of y
-        cap = 0.5 * float(d.min())
+            return np.array(y)  # the step is below the resolution of y
+        cap = 0.5 * dmin
         if length > cap:
-            step *= cap / length
+            shrink = cap / length
+            sx, sy, sz = sx * shrink, sy * shrink, sz * shrink
             length = cap
-        elif -float(grad @ step) <= 2e-15 * f:
+        elif -(gx * sx + gy * sy + gz * sz) <= 2e-15 * f:
             # the predicted decrease is below the rounding of f, so comparing
             # values of f cannot judge the step; Newton is in its quadratic
             # region and takes it whole
-            y = y + step
-            f = total_distance(pts, y)
+            y = [yx + sx, yy + sy, yz + sz]
+            f = _total_distance(P, y)
             continue
         while True:
-            y_new = y + step
-            f_new = total_distance(pts, y_new)
+            y_new = [yx + sx, yy + sy, yz + sz]
+            f_new = _total_distance(P, y_new)
             if f_new < f:
                 break
-            step *= 0.5
+            sx, sy, sz = 0.5 * sx, 0.5 * sy, 0.5 * sz
             length *= 0.5
             if length <= 1e-15 * scale:
-                return y  # f no longer decreases in floating point
+                return np.array(y)  # f no longer decreases in floating point
         y, f = y_new, f_new
+    y = np.array(y)
     diff = y - pts
     residual = float(np.linalg.norm((diff / np.linalg.norm(diff, axis=1)[:, None]).sum(axis=0)))
     if residual <= 1e-6:
         return y
     raise FtConvergenceError(residual)
-
-
-def total_distance(points, y) -> float:
-    pts = np.asarray(points, dtype=float)
-    return float(np.linalg.norm(pts - np.asarray(y, dtype=float), axis=1).sum())
 
 
 # ---------------------------------------------------------------------------

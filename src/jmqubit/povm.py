@@ -8,6 +8,7 @@ a 2x2 Hermitian reconstruction helper exists only for eigenvalue tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -84,13 +85,17 @@ class BinaryQubitPovm:
 
     def __post_init__(self):
         object.__setattr__(self, "bias", float(self.bias))
-        object.__setattr__(self, "bloch", _as_bloch(self.bloch))
+        # a read-only copy: eta is computed once, so bloch must never change
+        bloch = _as_bloch(self.bloch).copy()
+        bloch.flags.writeable = False
+        object.__setattr__(self, "bloch", bloch)
         if not math.isfinite(self.bias):
             raise ValueError("bias must be finite")
 
-    @property
+    @functools.cached_property
     def eta(self) -> float:
-        """Purity (Bloch norm); the usual sharpness parameter when bias = 0."""
+        """Purity (Bloch norm); the usual sharpness parameter when bias = 0.
+        Computed once per instance."""
         return float(np.linalg.norm(self.bloch))
 
     @property

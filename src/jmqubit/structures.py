@@ -181,6 +181,8 @@ def structure_of(povms, decider: Callable) -> JmStructure:
             else:
                 raise ValueError(f"decider returned {v!r}")
             level.append(c)
-    # closure: an undecided subset of a decided-compatible set is compatible
-    undecided = {u for u in undecided if not any(u <= c for c in compatible)}
-    return JmStructure(n, _maximal_only(compatible), frozenset(undecided), tuple(incompatible))
+    # closure: an undecided subset of a decided-compatible set is compatible;
+    # every compatible set lies in a maximal one, so those are the only tests
+    maximal = _maximal_only(compatible)
+    undecided = frozenset(u for u in undecided if not any(u <= m for m in maximal))
+    return JmStructure(n, maximal, undecided, tuple(incompatible))

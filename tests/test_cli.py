@@ -13,6 +13,7 @@ from jmqubit import (
     povms_to_json_dict,
     realize_n_cycle,
 )
+from jmqubit import cli
 from jmqubit.cli import main, parse_angle
 
 
@@ -52,6 +53,31 @@ def test_bounds_pair_angle(capsys):
     assert code == 0
     value = float(out.strip().splitlines()[1].split(",")[2])
     assert value == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+
+
+def test_main_dispatches_by_name_at_call_time(tmp_path, capsys, monkeypatch):
+    path = write_povms(tmp_path, [{"bias": 0.0, "bloch": [0.5, 0, 0]}])
+    assert run(capsys, "check", path)[0] == 0  # the parser now exists
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.input) or 0)
+    assert run(capsys, "check", path) == (0, "", "")
+    assert seen == [path]
+
+
+def test_no_state_carries_across_parses(tmp_path, capsys, monkeypatch):
+    for _ in range(2):
+        code, out, _ = run(capsys, "bounds", "--family", "pair-angle", "--angle", "30deg")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2  # header and one row
+    path = write_povms(tmp_path, [{"bias": 0.0, "bloch": [0.5, 0, 0]}])
+    modes = []
+    real = cli._decider_for_mode
+    monkeypatch.setattr(
+        cli, "_decider_for_mode", lambda povms, mode: modes.append(mode) or real(povms, mode)
+    )
+    assert run(capsys, "check", "--mode", "oracle", path)[0] == 0
+    assert run(capsys, "check", path)[0] == 0
+    assert modes == ["oracle", "closed-form"]
 
 
 def test_check_single_povm_trivially_compatible(tmp_path, capsys):

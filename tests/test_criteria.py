@@ -176,6 +176,124 @@ def test_ft_non_convergence_raises_and_triple_is_unknown(monkeypatch):
     assert v.decision == UNKNOWN and math.isnan(v.margin)
 
 
+def _numpy_objective(pts, y) -> float:
+    return float(np.linalg.norm(pts - y, axis=1).sum())
+
+
+def reference_fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
+    """The damped Newton loop of fermat_torricelli on numpy (4, 3) arrays,
+    kept as the reference for the float loop that replaced it. Its step floor
+    1e-15 * max(1, max|p|) stops it early on points much smaller than 1,
+    with |grad f| up to 1e-7 at scale 1e-6; the float loop drops the 1."""
+    pts = np.asarray(points, dtype=float)
+    R, norms, dup = criteria._unit_sums(pts)
+    ok = norms <= 1.0 + dup + 1e-12
+    if ok.any():
+        return pts[int(np.argmax(ok))].copy()
+
+    scale = max(1.0, float(np.max(np.abs(pts))))
+    y = pts.mean(axis=0)
+    f = _numpy_objective(pts, y)
+    j = int(np.argmin(norms))
+    y_model = criteria._anchor_model_minimizer(pts, j, R[j], 1.0 + float(dup[j]))
+    f_model = _numpy_objective(pts, y_model)
+    if f_model < f:
+        y, f = y_model, f_model
+
+    for _ in range(max_iter):
+        diff = y - pts
+        d = np.linalg.norm(diff, axis=1)
+        inv = 1.0 / d
+        u = diff * inv[:, None]
+        grad = u.sum(axis=0)
+        if np.linalg.norm(grad) <= 1e-9:
+            return y
+        step = -np.linalg.solve(criteria._hessian(u, inv), grad)
+        length = float(np.linalg.norm(step))
+        if length <= 1e-15 * scale:
+            return y
+        cap = 0.5 * float(d.min())
+        if length > cap:
+            step *= cap / length
+            length = cap
+        elif -float(grad @ step) <= 2e-15 * f:
+            y = y + step
+            f = _numpy_objective(pts, y)
+            continue
+        while True:
+            y_new = y + step
+            f_new = _numpy_objective(pts, y_new)
+            if f_new < f:
+                break
+            step *= 0.5
+            length *= 0.5
+            if length <= 1e-15 * scale:
+                return y
+        y, f = y_new, f_new
+    diff = y - pts
+    residual = float(np.linalg.norm((diff / np.linalg.norm(diff, axis=1)[:, None]).sum(axis=0)))
+    if residual <= 1e-6:
+        return y
+    raise FtConvergenceError(residual)
+
+
+def _ft_reference_inputs(rng):
+    """(kind, points) for seeded 4-point sets of every kind the loop meets."""
+    for _ in range(80):
+        yield "generic", rng.normal(size=(4, 3))
+    for _ in range(80):
+        yield "near-anchor", _near_anchor_points(rng)
+    for _ in range(40):
+        etas = rng.uniform(0.3, 1.0, size=3)
+        a = etas[:, None] * np.array([random_unit(rng) for _ in range(3)])
+        v0 = -a.sum(axis=0)
+        yield "triple", np.vstack([v0, -2.0 * a - v0])
+    for _ in range(20):
+        pts = rng.normal(size=(4, 3))
+        pts[int(rng.integers(1, 4))] = pts[0]
+        yield "coincident", pts
+    for _ in range(20):
+        t = np.sort(rng.normal(size=4))
+        yield "collinear", rng.normal(size=3) + t[:, None] * random_unit(rng)
+    for _ in range(20):
+        t = rng.normal(size=4)
+        line = rng.normal(size=3) + t[:, None] * random_unit(rng)
+        yield "near-collinear", line + 1e-3 * rng.normal(size=(4, 3))
+    for factor in (1e-6, 1e3):
+        for _ in range(30):
+            yield f"scaled {factor:g}", factor * rng.normal(size=(4, 3))
+        for _ in range(10):
+            yield f"near-anchor scaled {factor:g}", factor * _near_anchor_points(rng)
+
+
+def test_ft_float_loop_matches_numpy_reference():
+    rng = np.random.default_rng(20261018)
+    kinds = set()
+    count = 0
+    for kind, pts in _ft_reference_inputs(rng):
+        count += 1
+        ref = reference_fermat_torricelli(pts)
+        y = fermat_torricelli(pts)
+        if any((ref == p).all() for p in pts):
+            # the anchor path is shared: same point, bit for bit
+            assert np.array_equal(y, ref), kind
+            kinds.add((kind, "anchor"))
+            continue
+        kinds.add((kind, "newton"))
+        f_ref, f = _numpy_objective(pts, ref), _numpy_objective(pts, y)
+        assert f == total_distance(pts, y)  # the float objective, bit for bit
+        assert abs(f - f_ref) <= 1e-14 * max(1.0, f_ref), (kind, f, f_ref)
+        diff = y - pts
+        grad = (diff / np.linalg.norm(diff, axis=1)[:, None]).sum(axis=0)
+        assert np.linalg.norm(grad) <= 1e-9, (kind, np.linalg.norm(grad))
+    assert count >= 300
+    # every kind of input reached the branch it was made for
+    assert {("coincident", "anchor"), ("collinear", "anchor")} <= kinds
+    for kind in ("generic", "near-anchor", "triple", "near-collinear",
+                 "scaled 1e-06", "scaled 1000"):
+        assert (kind, "newton") in kinds
+
+
 # ---------------------------------------------------------------------------
 # triples
 

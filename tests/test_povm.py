@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -245,3 +246,27 @@ def test_json_roundtrips_bit_exact():
     for mask, eff in j.effects.items():
         assert j2.effect(mask).alpha == eff.alpha
         assert np.array_equal(j2.effect(mask).bloch, eff.bloch)
+
+
+def test_eta_is_cached_and_not_a_field(rng):
+    assert [f.name for f in dataclasses.fields(BinaryQubitPovm)] == ["bias", "bloch"]
+    for bloch in rng.normal(size=(20, 3)) * 0.3:
+        p = BinaryQubitPovm(0.1, bloch)
+        assert "eta" not in vars(p)
+        assert p.eta == float(np.linalg.norm(p.bloch))  # bit for bit
+        assert type(p.eta) is float and vars(p)["eta"] is p.eta  # computed once
+    p = BinaryQubitPovm(0.25, [0.3, -0.4, 0.0])
+    assert p.eta == 0.5
+    assert json.dumps(povms_to_json_dict([p])) == (
+        '{"povms": [{"bias": 0.25, "bloch": [0.3, -0.4, 0.0]}]}'
+    )
+
+
+def test_bloch_is_a_read_only_copy():
+    a = np.array([0.5, 0.0, 0.0])
+    p = BinaryQubitPovm(0.0, a)
+    assert p.eta == 0.5
+    a[0] = 0.9  # the caller's array is not the POVM's
+    assert p.bloch[0] == 0.5 and p.eta == 0.5
+    with pytest.raises(ValueError):
+        p.bloch[0] = 0.9
