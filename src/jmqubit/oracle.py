@@ -67,7 +67,7 @@ from typing import Optional
 import numpy as np
 
 from .criteria import COMPATIBLE, INCOMPATIBLE, IFF
-from .povm import Effect, JointPovm
+from .povm import JointPovm, _marginal_system
 
 ORACLE_N_CAP = 12
 
@@ -157,23 +157,6 @@ def _psd_jacobian(V: np.ndarray) -> np.ndarray:
     return J
 
 
-def _marginal_system(povms):
-    """(M, T) of the constraints M V = T on a joint's (2^N, 4) effect rows:
-    row 0 of M is completeness (all ones, T row 0 = 2 I), row k the
-    x_k = +1 indicator of outcome masks (T row k = E_k(+1))."""
-    N = len(povms)
-    idx = np.arange(1 << N)
-    M = np.ones((N + 1, 1 << N))
-    for k in range(N):
-        M[k + 1] = (idx >> k) & 1
-    T = np.zeros((N + 1, 4))
-    T[0, 0] = 2.0
-    for k, p in enumerate(povms):
-        T[k + 1, 0] = 1.0 + p.bias
-        T[k + 1, 1:] = p.bloch
-    return M, T
-
-
 class _AffineProjector:
     """Orthogonal projector onto { V : M V = T }.
 
@@ -181,7 +164,8 @@ class _AffineProjector:
     projection V - M^T K (M V - T) is V - G (M V) + c."""
 
     def __init__(self, povms):
-        self.M, self.T = _marginal_system(povms)
+        N = len(povms)
+        self.M, self.T = _marginal_system(N, np.arange(1 << N), povms)
         self.K = np.linalg.inv(self.M @ self.M.T)
         self.G = self.M.T @ self.K
         self.c = self.G @ self.T
@@ -297,8 +281,8 @@ def _support(V: np.ndarray) -> np.ndarray:
 
 
 def _witness_from(V: np.ndarray, n: int) -> JointPovm:
-    effects = {int(mask): Effect(V[mask, 0], V[mask, 1:]) for mask in np.flatnonzero(_support(V))}
-    return JointPovm(n, effects, validate=False)
+    keep = _support(V)
+    return JointPovm(n, np.flatnonzero(keep), V[keep])
 
 
 def verify_witness(witness: JointPovm, povms, tol: float = 1e-8) -> bool:
@@ -310,7 +294,8 @@ def verify_dual(dual, povms) -> bool:
     """Farkas check that no joint POVM has these marginals: every row of
     M^T Y lies in the Lorentz cone (alpha >= |bloch|) and
     <T, Y> < -DUAL_SLACK |T| |Y|."""
-    M, T = _marginal_system(povms)
+    N = len(povms)
+    M, T = _marginal_system(N, np.arange(1 << N), povms)
     Y = np.asarray(dual, dtype=float)
     if Y.shape != T.shape or not np.all(np.isfinite(Y)):
         return False

@@ -4,6 +4,10 @@ A binary qubit POVM is stored as a bias b and a Bloch vector a, meaning
 effects E(+1) = (1/2)((1+b)I + a.sigma) and E(-1) = (1/2)((1-b)I - a.sigma).
 Effects are kept in (alpha, bloch) coordinates, never as complex matrices;
 a 2x2 Hermitian reconstruction helper exists only for eigenvalue tests.
+
+A joint POVM is two read-only arrays, its distinct outcome masks and one
+(alpha, bloch) row per mask; every operation on it is an array pass, and
+`_marginal_system` lays out the constraints it shares with the oracle.
 """
 
 from __future__ import annotations
@@ -70,10 +74,6 @@ class Effect:
 
 
 ZERO_EFFECT = Effect(0.0, np.zeros(3))
-
-
-def add_effects(a: Effect, b: Effect) -> Effect:
-    return Effect(a.alpha + b.alpha, a.bloch + b.bloch)
 
 
 @dataclass(frozen=True)
@@ -201,43 +201,67 @@ class OutcomeString:
         return f"OutcomeString({self.n}, 0b{self.mask:0{self.n}b})"
 
 
-class JointPovm:
-    """Joint POVM over N binary measurements; sparse map mask -> Effect.
+def _read_only(a, dtype) -> np.ndarray:
+    """a as a read-only array of dtype: shared if it already is one, else a copy."""
+    a = np.asarray(a, dtype=dtype)
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
 
-    Absent outcome keys mean the zero effect.
+
+def _marginal_system(n: int, masks: np.ndarray, povms=()) -> tuple:
+    """(M, T) of the constraints M V = T on effect rows V at these outcome
+    masks, one column of M per mask: row 0 of M is completeness (all ones,
+    T row 0 = 2 I), row k the x_k = +1 indicator (T row k = E_k(+1) of
+    povms[k-1]; zero past the given POVMs)."""
+    M = np.ones((n + 1, len(masks)))
+    M[1:] = (masks >> np.arange(n)[:, None]) & 1
+    T = np.zeros((n + 1, 4))
+    T[0, 0] = 2.0
+    for k, p in enumerate(povms, 1):
+        T[k] = (1.0 + p.bias, *p.bloch)
+    return M, T
+
+
+class JointPovm:
+    """Joint POVM over N binary measurements, stored sparse: distinct outcome
+    masks, shape (k,), and their (alpha, bloch) effect rows, shape (k, 4),
+    both read-only so that derived joints share them. Absent masks mean the
+    zero effect. The constructor checks structure only; `validate` checks
+    that the effects form a POVM.
     """
 
-    def __init__(self, n: int, effects: dict, tol: float = EPS_MARG, validate: bool = True):
-        if n < 1 or n > N_CAP:
+    def __init__(self, n: int, masks, rows):
+        if not 1 <= n <= N_CAP:
             raise ValueError(f"n must be in 1..{N_CAP}")
-        self.n = int(n)
-        self.effects = {}
-        for key, eff in effects.items():
-            mask = key.mask if isinstance(key, OutcomeString) else int(key)
-            if mask < 0 or mask >> n:
-                raise ValueError("outcome mask out of range")
-            if not isinstance(eff, Effect):
-                raise TypeError("effects must map to Effect")
-            self.effects[mask] = eff
-        if validate:
-            rep = self.validate(tol)
-            if not rep.ok:
-                raise ValueError(f"invalid joint POVM: {rep.violations}")
+        try:
+            masks = _read_only(masks, np.int64)
+        except OverflowError:
+            raise ValueError("outcome mask out of range") from None
+        rows = _read_only(rows, float)
+        if masks.ndim != 1 or rows.shape != (len(masks), 4):
+            raise ValueError(f"need (k,) masks and (k, 4) rows, got {masks.shape} and {rows.shape}")
+        if np.any((masks < 0) | (masks >> n != 0)):
+            raise ValueError("outcome mask out of range")
+        if len(set(masks.tolist())) != len(masks):
+            raise ValueError("outcome masks must be distinct")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("effect entries must be finite")
+        self.n, self.masks, self.rows = int(n), masks, rows
 
-    def _columns(self) -> tuple:
-        """The effects' alphas, shape (k,), and Bloch vectors, shape (k, 3),
-        in insertion order."""
-        effects = self.effects.values()
-        return np.array([e.alpha for e in effects]), np.array([e.bloch for e in effects]).reshape(-1, 3)
+    @property
+    def effects(self) -> dict:
+        """{mask: Effect} in storage order, built on each access."""
+        return {m: Effect(r[0], r[1:]) for m, r in zip(self.masks.tolist(), self.rows)}
 
     def validate(self, tol: float = EPS_MARG) -> ValidationReport:
-        alpha, bloch = self._columns()
+        alpha, bloch = self.rows[:, 0], self.rows[:, 1:]
         # every effect's smaller eigenvalue (alpha - |bloch|)/2 in one pass
         min_eig = 0.5 * (alpha - np.sqrt((bloch * bloch).sum(axis=1)))
         bad = np.flatnonzero(min_eig < -tol)
-        masks = list(self.effects)
-        violations = [(f"effect[{masks[i]}] PSD", -float(min_eig[i])) for i in bad]
-        comp = max(abs(float(alpha.sum()) - 2.0), float(np.abs(bloch.sum(axis=0)).max()))
+        violations = [(f"effect[{self.masks[i]}] PSD", -float(min_eig[i])) for i in bad]
+        comp = float(np.max(np.abs(self.rows.sum(axis=0) - (2.0, 0.0, 0.0, 0.0))))
         if comp > tol:
             violations.append(("completeness", comp))
         return ValidationReport(not violations, tuple(violations))
@@ -256,14 +280,8 @@ class JointPovm:
         target, marginal k against povms[k-1]."""
         if len(povms) != self.n:
             raise ValueError("one target POVM per measurement")
-        # all N marginal +1 effects in one pass: plus[k] sums the (alpha,
-        # bloch) rows whose mask has bit k set
-        masks = np.fromiter(self.effects, dtype=np.int64, count=len(self.effects))
-        rows = np.column_stack(self._columns())
-        bits = (masks[:, None] >> np.arange(self.n)) & 1
-        plus = bits.T.astype(float) @ rows
-        target = np.array([(1.0 + p.bias, *p.bloch) for p in povms])
-        return float(np.max(np.abs(plus - target)))
+        M, T = _marginal_system(self.n, self.masks, povms)
+        return float(np.max(np.abs(M[1:] @ self.rows - T[1:])))
 
     def marginalize(self, keep: Iterable[int]) -> "JointPovm":
         """Sum effects over the dropped measurements (keep is 1-based, increasing)."""
@@ -274,35 +292,34 @@ class JointPovm:
             raise ValueError("keep must be strictly increasing")
         if keep[0] < 1 or keep[-1] > self.n:
             raise IndexError("index out of range")
-        bits = [k - 1 for k in keep]
-        out: dict = {}
-        for mask, eff in self.effects.items():
-            sub = 0
-            for j, b in enumerate(bits):
-                if mask >> b & 1:
-                    sub |= 1 << j
-            if sub in out:
-                out[sub] = add_effects(out[sub], eff)
-            else:
-                out[sub] = eff
-        return JointPovm(len(bits), out, validate=False)
+        M, _ = _marginal_system(self.n, self.masks)
+        sub = (np.exp2(np.arange(len(keep))) @ M[keep]).astype(np.int64)
+        masks = np.array(sorted(set(sub.tolist())), dtype=np.int64)
+        # each kept outcome's rows, added in storage order
+        rows = np.zeros((len(masks), 4))
+        np.add.at(rows, np.searchsorted(masks, sub), self.rows)
+        return JointPovm(len(keep), masks, rows)
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "effects": {
-                str(mask): {"alpha": eff.alpha, "bloch": list(map(float, eff.bloch))}
-                for mask, eff in sorted(self.effects.items())
+                str(mask): {"alpha": row[0], "bloch": row[1:]}
+                for mask, row in sorted(zip(self.masks.tolist(), self.rows.tolist()))
             },
         }
 
     @classmethod
     def from_json_dict(cls, d: dict, tol: float = EPS_MARG) -> "JointPovm":
-        effects = {
-            int(mask): Effect(entry["alpha"], entry["bloch"])
-            for mask, entry in d["effects"].items()
-        }
-        return cls(int(d["n"]), effects, tol=tol)
+        """ValueError on a malformed or duplicate outcome key, a non-finite
+        entry, or effects that fail validate(tol)."""
+        entries = d["effects"]
+        rows = np.array([[e["alpha"], *e["bloch"]] for e in entries.values()], dtype=float)
+        joint = cls(int(d["n"]), [int(mask) for mask in entries], rows)
+        rep = joint.validate(tol)
+        if not rep.ok:
+            raise ValueError(f"invalid joint POVM: {rep.violations}")
+        return joint
 
 
 def relabel_outcomes(p: BinaryQubitPovm, swap: bool) -> BinaryQubitPovm:
@@ -316,15 +333,10 @@ def relabel_joint(j: JointPovm, swaps: Sequence[bool]) -> JointPovm:
     """Per-measurement outcome swaps; outcome keys permute accordingly."""
     if len(swaps) != j.n:
         raise ValueError("one swap flag per measurement")
-    flip_mask = 0
-    for k, s in enumerate(swaps):
-        if s:
-            flip_mask |= 1 << k
+    flip_mask = sum(1 << k for k, s in enumerate(swaps) if s)
     if flip_mask == 0:
         return j
-    return JointPovm(
-        j.n, {mask ^ flip_mask: eff for mask, eff in j.effects.items()}, validate=False
-    )
+    return JointPovm(j.n, j.masks ^ flip_mask, j.rows)
 
 
 def _check_orthogonal(O: np.ndarray) -> np.ndarray:
@@ -342,11 +354,8 @@ def apply_orthogonal(obj, O: np.ndarray):
     if isinstance(obj, Effect):
         return Effect(obj.alpha, O @ obj.bloch)
     if isinstance(obj, JointPovm):
-        return JointPovm(
-            obj.n,
-            {m: Effect(e.alpha, O @ e.bloch) for m, e in obj.effects.items()},
-            validate=False,
-        )
+        bloch = (O @ obj.rows[:, 1:, None])[:, :, 0]  # bit for bit O @ b per row
+        return JointPovm(obj.n, obj.masks, np.column_stack((obj.rows[:, 0], bloch)))
     raise TypeError("unsupported type for apply_orthogonal")
 
 

@@ -23,7 +23,7 @@ from .criteria import (
     planar_nwise_bound,
     planar_subset_bound,
 )
-from .povm import BinaryQubitPovm, Effect, JointPovm
+from .povm import BinaryQubitPovm, JointPovm
 
 BOUND_SLACK = 1e-12
 
@@ -70,15 +70,11 @@ def build_planar_symmetric_joint(fam: PlanarSymmetricFamily) -> JointPovm:
         e_angles = [j * math.pi / N for j in range(2 * N)]
     else:
         e_angles = [(2 * j + 1) * math.pi / (2 * N) for j in range(2 * N)]
-    effects = {}
+    masks, rows = [], []
     for ang in e_angles:
-        e = np.array([math.cos(ang), math.sin(ang), 0.0])
-        mask = 0
-        for k in range(N):
-            if math.cos(ang - k * math.pi / N) > 0.0:
-                mask |= 1 << k
-        effects[mask] = Effect(1.0 / N, (mu / N) * e)
-    return JointPovm(N, effects, validate=False)
+        masks.append(sum(1 << k for k in range(N) if math.cos(ang - k * math.pi / N) > 0.0))
+        rows.append((1.0 / N, *((mu / N) * np.array([math.cos(ang), math.sin(ang), 0.0]))))
+    return JointPovm(N, masks, rows)
 
 
 def _run_masks(n: int, p: int) -> tuple:
@@ -164,35 +160,21 @@ def _chain_joint(povms) -> tuple:
     a = [p.bloch for p in ps]
     b = [p.bias for p in ps]
 
-    effects = {}
     if N == 1:
-        effects[1] = Effect(1.0 + b[0], a[0])
-        effects[0] = Effect(1.0 - b[0], -a[0])
+        masks, rows = [1, 0], [(1.0 + b[0], *a[0]), (1.0 - b[0], *-a[0])]
     else:
+        masks, rows = [], []
         half_sum = 0.0
         for p in range(1, N):
             t = 0.5 * (a[p - 1] - a[p])
             nt = float(np.linalg.norm(t))
             half_sum += nt
-            k_plus, k_minus = _run_masks(N, p)
-            effects[k_plus] = Effect(nt, t)
-            effects[k_minus] = Effect(nt + (b[p] - b[p - 1]), -t)
+            masks += _run_masks(N, p)
+            rows += [(nt, *t), (nt + (b[p] - b[p - 1]), *-t)]
         s = 0.5 * (a[0] + a[N - 1])
-        effects[(1 << N) - 1] = Effect(1.0 + b[0] - half_sum, s)
-        effects[0] = Effect(1.0 - b[N - 1] - half_sum, -s)
+        masks += [(1 << N) - 1, 0]
+        rows += [(1.0 + b[0] - half_sum, *s), (1.0 - b[N - 1] - half_sum, *-s)]
 
     # map chain positions/labels back to the caller's order
-    mapped = {}
-    for mask, eff in effects.items():
-        out = 0
-        for i in range(N):
-            bit = (mask >> i) & 1
-            if flips[i]:
-                bit ^= 1
-            if bit:
-                out |= 1 << order[i]
-        if out in mapped:
-            raise AssertionError("outcome collision while relabeling")
-        mapped[out] = eff
-    joint = JointPovm(N, mapped, validate=False)
-    return joint, AppliedRelabeling(order, flips)
+    masks = [sum(1 << order[i] for i in range(N) if (m >> i & 1) ^ flips[i]) for m in masks]
+    return JointPovm(N, masks, rows), AppliedRelabeling(order, flips)

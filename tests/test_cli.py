@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +280,20 @@ def _shrink_joint(d):
     e["subset"] = e["subset"] + [3]  # a 3-element subset with a 2-element joint
 
 
+def _nan_witness(d):
+    e = d["evidence"]["compatible"][0]
+    for entry in e["joint"]["effects"].values():
+        entry["alpha"] = math.nan
+    # a matching digest, so only the finiteness check stands in the way
+    e["digest"] = hashlib.sha256(json.dumps(e["joint"], sort_keys=True).encode()).hexdigest()
+
+
+def _duplicate_mask(d):
+    effects = d["evidence"]["compatible"][0]["joint"]["effects"]
+    key = next(iter(effects))
+    effects["0" + key] = effects[key]  # the same outcome mask under a second key
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
@@ -288,10 +304,12 @@ def _shrink_joint(d):
         _set_povm,
         _shrink_joint,
         _set_structure_n,
+        _nan_witness,
+        _duplicate_mask,
     ],
     ids=[
         "index-high", "index-zero", "duplicate", "non-integer", "invalid-povm", "joint-size",
-        "structure-n",
+        "structure-n", "nan-witness", "duplicate-mask",
     ],
 )
 def test_verify_rejects_malformed_certificate_exits_65(tmp_path, capsys, tamper):
@@ -304,6 +322,17 @@ def test_verify_rejects_malformed_certificate_exits_65(tmp_path, capsys, tamper)
     assert code == 65
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", ["5-cycle.json", "5-specker.json"])
+def test_certificates_written_by_earlier_versions_still_verify(capsys, name):
+    # written by `jmqubit realize` before joints were stored as mask and row arrays
+    path = Path(__file__).parent / "data" / name
+    d = json.loads(path.read_text())
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and json.loads(out)["ok"]
+    again = RealizationCertificate.from_json_dict(d).to_json_dict()
+    assert json.dumps(again, sort_keys=True) == json.dumps(d, sort_keys=True)
 
 
 def test_atlas_builds_each_certificate_once(tmp_path, capsys, monkeypatch):

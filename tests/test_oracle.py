@@ -19,7 +19,8 @@ from jmqubit import (
     verify_witness,
 )
 from jmqubit import oracle
-from jmqubit.oracle import ORACLE_N_CAP, _marginal_system, _project_psd, _psd_jacobian, decide
+from jmqubit.oracle import ORACLE_N_CAP, _project_psd, _psd_jacobian, decide
+from jmqubit.povm import _marginal_system
 from conftest import random_unit
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -243,7 +244,7 @@ def test_verify_dual_rejects_bad_duals():
     assert not verify_dual(-Y, bad)
     # lower Y[0,0] until the tightest row of M^T Y leaves the cone;
     # <T, Y> only falls, so the cone test alone must reject it
-    M, T = _marginal_system(bad)
+    M, T = _marginal_system(2, np.arange(4), bad)
     W = M.T @ Y
     slack = W[:, 0] - np.linalg.norm(W[:, 1:], axis=1)
     out = Y.copy()

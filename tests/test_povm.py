@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -103,16 +104,16 @@ def test_outcome_string_roundtrip():
 def _product_joint(p1, p2):
     # product of commuting-by-construction effect pairs is a valid joint when
     # both POVMs share an axis; here we use the trivial tensor-like split
-    effects = {}
+    masks, rows = [], []
     for x1 in (1, -1):
         for x2 in (1, -1):
             e1, e2 = p1.effect(x1), p2.effect(x2)
             # (1/2)(alpha1 I + a1.sigma)(same axis) composes in closed form
             alpha = 0.5 * (e1.alpha * e2.alpha + float(e1.bloch @ e2.bloch))
             bl = 0.5 * (e1.alpha * e2.bloch + e2.alpha * e1.bloch)
-            mask = (x1 == 1) | ((x2 == 1) << 1)
-            effects[mask] = Effect(alpha, bl)
-    return JointPovm(2, effects, validate=False)
+            masks.append((x1 == 1) | ((x2 == 1) << 1))
+            rows.append((alpha, *bl))
+    return JointPovm(2, masks, rows)
 
 
 def test_marginals_of_product_joint():
@@ -141,15 +142,15 @@ def test_marginal_error_matches_marginalize(rng):
         for _ in range(5):
             # sparse: about a quarter of the outcome masks carry no effect
             masks = [m for m in range(1 << n) if rng.random() > 0.25]
-            effects = {m: Effect(rng.uniform(0.0, 1.0), rng.normal(size=3)) for m in masks}
-            joint = JointPovm(n, effects, validate=False)
+            rows = [(rng.uniform(0.0, 1.0), *rng.normal(size=3)) for _ in masks]
+            joint = JointPovm(n, masks, rows)
             povms = [BinaryQubitPovm(rng.uniform(-0.3, 0.3), rng.normal(size=3)) for _ in range(n)]
             err = joint.marginal_error(povms)
             assert abs(err - reference_marginal_error(joint, povms)) <= 1e-14
     p1, p2 = BinaryQubitPovm(0.1, [0.5, 0, 0]), BinaryQubitPovm(-0.2, [0.3, 0, 0])
     assert _product_joint(p1, p2).marginal_error([p1, p2]) <= 1e-15
-    assert JointPovm(2, {}, validate=False).marginal_error([p1, p2]) == reference_marginal_error(
-        JointPovm(2, {}, validate=False), [p1, p2]
+    assert JointPovm(2, [], np.empty((0, 4))).marginal_error([p1, p2]) == reference_marginal_error(
+        JointPovm(2, [], np.empty((0, 4))), [p1, p2]
     )
 
 
@@ -174,8 +175,8 @@ def test_validate_matches_per_effect_reference(rng):
         for _ in range(5):
             # shuffled sparse masks, about half the effects not PSD
             masks = [int(m) for m in rng.permutation(1 << n) if rng.random() > 0.25]
-            effects = {m: Effect(rng.uniform(0.0, 1.0), 0.4 * rng.normal(size=3)) for m in masks}
-            joint = JointPovm(n, effects, validate=False)
+            rows = [(rng.uniform(0.0, 1.0), *(0.4 * rng.normal(size=3))) for _ in masks]
+            joint = JointPovm(n, masks, rows)
             for tol in (1e-12, 0.05):
                 report = joint.validate(tol)
                 ok, violations = reference_validate(joint, tol)
@@ -187,7 +188,81 @@ def test_validate_matches_per_effect_reference(rng):
     # a valid product joint, and the empty joint (completeness only)
     p1, p2 = BinaryQubitPovm(0.1, [0.5, 0, 0]), BinaryQubitPovm(-0.2, [0, 0.3, 0])
     assert _product_joint(p1, p2).validate().ok
-    assert JointPovm(2, {}, validate=False).validate().violations == (("completeness", 2.0),)
+    assert JointPovm(2, [], np.empty((0, 4))).validate().violations == (("completeness", 2.0),)
+
+
+def test_constructor_rejects_malformed_arrays():
+    rows = [(1.0, 0.1, 0.0, 0.0), (1.0, -0.1, 0.0, 0.0)]
+    JointPovm(1, [0, 1], rows)  # well formed
+    for masks, bad_rows in (
+        ([0, 2], rows),  # mask 2 needs two measurements
+        ([0, 2**70], rows),  # past int64
+        ([-1, 0], rows),
+        ([1, 1], rows),
+        ([0, 1], [(1.0, 0.1, 0.0, 0.0), (math.nan, -0.1, 0.0, 0.0)]),
+        ([0, 1], [(1.0, 0.1, 0.0, 0.0), (1.0, -0.1, math.inf, 0.0)]),
+        ([0, 1], [(1.0, 0.1, 0.0), (1.0, -0.1, 0.0)]),
+        ([0], rows),
+    ):
+        with pytest.raises(ValueError):
+            JointPovm(1, masks, bad_rows)
+
+
+def test_joint_arrays_are_read_only_and_shared():
+    masks = np.array([0, 1])
+    rows = np.array([(1.0, 0.1, 0.0, 0.0), (1.0, -0.1, 0.0, 0.0)])
+    j = JointPovm(1, masks, rows)
+    rows[0, 0] = 5.0  # the caller's array is not the joint's
+    assert j.rows[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        j.rows[0, 0] = 5.0
+    assert relabel_joint(j, [True]).rows is j.rows
+
+
+def _random_sparse_joint(rng, n):
+    # shuffled storage order, about a quarter of the outcome masks absent
+    masks = [int(m) for m in rng.permutation(1 << n) if rng.random() > 0.25]
+    rows = [(rng.uniform(0.0, 1.0), *rng.normal(size=3)) for _ in masks]
+    return JointPovm(n, masks, np.reshape(rows, (-1, 4)))
+
+
+def reference_marginalize(joint, keep):
+    """marginalize as it was first written: a dict of effects, each one
+    added to its kept outcome in storage order."""
+    bits = [k - 1 for k in keep]
+    out = {}
+    for mask, eff in joint.effects.items():
+        sub = 0
+        for j, b in enumerate(bits):
+            if mask >> b & 1:
+                sub |= 1 << j
+        if sub in out:
+            out[sub] = Effect(out[sub].alpha + eff.alpha, out[sub].bloch + eff.bloch)
+        else:
+            out[sub] = eff
+    return out
+
+
+def test_marginalize_and_relabel_match_per_effect_reference(rng):
+    for n in range(1, 7):
+        for _ in range(3):
+            joint = _random_sparse_joint(rng, n)
+            for m in range(1, n + 1):
+                for keep in itertools.combinations(range(1, n + 1), m):
+                    got = joint.marginalize(keep)
+                    ref = reference_marginalize(joint, keep)
+                    assert got.n == m and set(got.effects) == set(ref)
+                    for mask, eff in got.effects.items():
+                        assert abs(eff.alpha - ref[mask].alpha) <= 1e-15
+                        assert np.max(np.abs(eff.bloch - ref[mask].bloch)) <= 1e-15
+            swaps = [bool(s) for s in rng.integers(0, 2, size=n)]
+            flip = sum(1 << k for k, s in enumerate(swaps) if s)
+            relabeled = relabel_joint(joint, swaps).effects
+            expected = {mask ^ flip: eff for mask, eff in joint.effects.items()}
+            assert set(relabeled) == set(expected)
+            for mask, eff in relabeled.items():
+                assert eff.alpha == expected[mask].alpha
+                assert np.array_equal(eff.bloch, expected[mask].bloch)
 
 
 def test_marginalize_argument_checks():
