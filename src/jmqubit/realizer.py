@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -269,14 +270,16 @@ class RealizationCertificate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RealizationCertificate":
-        """ValueError on an invalid POVM, on a structure whose n is not the
-        POVM count, on an evidence subset that is not distinct indices 1..n,
-        and on a joint of the wrong size."""
+        """ValueError on a field of the wrong JSON type, a non-finite number,
+        an invalid POVM, a structure whose n is not the POVM count, an
+        evidence subset that is not distinct indices 1..n, and a joint of the
+        wrong size."""
         povms = tuple(povms_from_json_dict({"povms": d["povms"]}))
         require_valid_povms(povms)
+        n = d["structure"]["n"]
+        if n != len(povms):  # checked first: n sets the size of the structure
+            raise ValueError(f"structure has n = {n} for {len(povms)} POVMs")
         claimed = JmStructure.from_json_dict(d["structure"])
-        if claimed.n_vertices != len(povms):
-            raise ValueError(f"structure has n = {claimed.n_vertices} for {len(povms)} POVMs")
 
         def subset(e) -> tuple:
             s = tuple(e["subset"])
@@ -291,22 +294,48 @@ class RealizationCertificate:
             s, joint = subset(e), JointPovm.from_json_dict(e["joint"], tol=1e-8)
             if joint.n != len(s):
                 raise ValueError(f"joint for subset {list(s)} has {joint.n} measurements")
-            compat.append(CompatEvidence(s, e["constructor"], e["digest"], joint))
+            constructor = _typed(e["constructor"], str, "constructor")
+            compat.append(CompatEvidence(s, constructor, _typed(e["digest"], str, "digest"), joint))
         incompat = tuple(
-            IncompatEvidence(subset(e), e["criterion"], float(e["margin"]))
+            IncompatEvidence(
+                subset(e), _typed(e["criterion"], str, "criterion"), _finite(e["margin"], "margin")
+            )
             for e in d["evidence"]["incompatible"]
         )
+        window = _typed(d["eta_window"], list, "eta_window")
+        if len(window) != 2:
+            raise ValueError("eta_window must hold two bounds")
+        notes = _typed(d.get("notes", []), list, "notes")
         return cls(
-            d.get("label", ""),
+            _typed(d.get("label", ""), str, "label"),
             povms,
-            float(d["eta"]),
-            tuple(d["eta_window"]),
+            _finite(d["eta"], "eta"),
+            tuple(_finite(x, "eta_window bound") for x in window),
             claimed,
             tuple(compat),
             incompat,
-            d.get("recipe", {}),
-            tuple(d.get("notes", [])),
+            _typed(d.get("recipe", {}), dict, "recipe"),
+            tuple(_typed(x, str, "note") for x in notes),
         )
+
+
+_JSON_TYPE_NAMES = {str: "string", list: "array", dict: "object"}
+_FLOAT_MAX = sys.float_info.max
+
+
+def _typed(value, kind: type, what: str):
+    """value itself, or ValueError when it is not of the JSON type kind."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {_JSON_TYPE_NAMES[kind]}")
+    return value
+
+
+def _finite(value, what: str) -> float:
+    """value as a float, or ValueError when it is not a finite JSON number."""
+    # compared, not converted: a JSON integer beyond the float range must not overflow
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
+        raise ValueError(f"{what} must be a finite number")
+    return float(value)
 
 
 def joint_digest(joint: JointPovm) -> str:

@@ -1,10 +1,16 @@
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jmqubit import (
     JmStructure,
@@ -249,6 +255,20 @@ def test_realize_unknown_structure_exits_65(capsys):
     assert "known" in err
 
 
+@pytest.mark.parametrize("family", sorted(cli.REALIZE_N_CAP))
+def test_realize_n_cap(tmp_path, capsys, family):
+    cap = cli.REALIZE_N_CAP[family]
+    out = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "realize", "--structure", family, "--n", str(cap), "--out", str(out))
+    assert code == 0 and json.loads(out.read_text())["label"] == f"{cap}-{family[2:]}"
+    code, out, err = run(capsys, "realize", "--structure", family, "--n", str(cap + 1))
+    assert code == 65 and out == ""
+    assert f"cap of {cap}" in err
+    with pytest.raises(SystemExit):
+        main(["realize", "--help"])
+    assert f"{family} (at most {cap})" in " ".join(capsys.readouterr().out.split())
+
+
 def test_verify_failure_exits_2(tmp_path, capsys):
     code, out, _ = run(capsys, "realize", "--structure", "n-cycle", "--n", "4")
     d = json.loads(out)
@@ -294,6 +314,11 @@ def _duplicate_mask(d):
     effects["0" + key] = effects[key]  # the same outcome mask under a second key
 
 
+def _effects_list(d):
+    joint = d["evidence"]["compatible"][0]["joint"]
+    joint["effects"] = list(joint["effects"].values())  # an array, not an object of masks
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
@@ -306,10 +331,11 @@ def _duplicate_mask(d):
         _set_structure_n,
         _nan_witness,
         _duplicate_mask,
+        _effects_list,
     ],
     ids=[
         "index-high", "index-zero", "duplicate", "non-integer", "invalid-povm", "joint-size",
-        "structure-n", "nan-witness", "duplicate-mask",
+        "structure-n", "nan-witness", "duplicate-mask", "effects-list",
     ],
 )
 def test_verify_rejects_malformed_certificate_exits_65(tmp_path, capsys, tamper):
@@ -321,7 +347,7 @@ def test_verify_rejects_malformed_certificate_exits_65(tmp_path, capsys, tamper)
     code, out, err = run(capsys, "verify", str(path))
     assert code == 65
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error: bad certificate schema")
 
 
 @pytest.mark.parametrize("name", ["5-cycle.json", "5-specker.json"])
@@ -366,3 +392,68 @@ def test_stdout_json_reparses_bit_exact(capsys):
     assert json.dumps(cert.to_json_dict(), sort_keys=True) == json.dumps(
         json.loads(out), sort_keys=True
     )
+
+
+# ---------------------------------------------------------------------------
+# schema-level fuzzing of the loaders: one JSON node replaced by a value of
+# another type must end in a documented exit code, never in a traceback
+
+DOCUMENTED_EXITS = {0, 2, 3, 64, 65}
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_documents() -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["realize", "--structure", "n-cycle", "--n", "5"]) == 0
+    cert = json.loads(out.getvalue())
+    return {"verify": cert, "check": {"povms": cert["povms"]}}
+
+
+def _node_paths(node, path=()) -> list:
+    """The key path of every node of a JSON document, the root included."""
+    paths = [path]
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            paths += _node_paths(child, path + (key,))
+    return paths
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+)
+_json_values = st.one_of(
+    _scalars,
+    st.sampled_from([math.nan, 1e308, -1e308, math.inf, -math.inf, 10**400, "1", "nan"]),
+    st.lists(_scalars, max_size=3),
+    st.dictionaries(st.text(max_size=3), _scalars, max_size=2),
+)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+@pytest.mark.parametrize("command", ["verify", "check"])
+def test_loaders_survive_schema_fuzzing(tmp_path_factory, command, data):
+    doc = _valid_documents()[command]
+    path = data.draw(st.sampled_from(_node_paths(doc)), label="path")
+    value = data.draw(_json_values, label="value")
+    target = tmp_path_factory.getbasetemp() / f"fuzz-{command}.json"
+    target.write_text(json.dumps(_replaced(doc, path, value)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, str(target)])
+    assert code in DOCUMENTED_EXITS

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -161,7 +162,7 @@ def test_ft_converges_next_to_barely_suboptimal_anchor(rng):
                 assert base <= total_distance(pts, z) + 1e-14
 
 
-def test_ft_non_convergence_raises_and_triple_is_unknown(monkeypatch):
+def test_ft_non_convergence_raises_and_triple_is_unknown(monkeypatch, caplog):
     etas = [0.5, 0.6, 0.7]
     ns = np.array([EX, (EX + EY) / math.sqrt(2.0), (EY + 2.0 * EZ) / math.sqrt(5.0)])
     a = np.array(etas)[:, None] * ns
@@ -172,8 +173,61 @@ def test_ft_non_convergence_raises_and_triple_is_unknown(monkeypatch):
         fermat_torricelli(pts, max_iter=1)
     full = criteria.fermat_torricelli
     monkeypatch.setattr(criteria, "fermat_torricelli", lambda p: full(p, max_iter=1))
-    v = triple_unbiased(etas, ns)
+    with caplog.at_level(logging.DEBUG, logger="jmqubit.criteria"):
+        v = triple_unbiased(etas, ns)
     assert v.decision == UNKNOWN and math.isnan(v.margin)
+    # one DEBUG record carries the residual
+    [record] = caplog.records
+    assert record.name == "jmqubit.criteria" and record.levelno == logging.DEBUG
+    assert "residual" in record.getMessage()
+
+
+# The numpy start of the solver, replaced in src/ by scalar loops and kept
+# here for reference_fermat_torricelli: the anchor test for all points at
+# once, and the local-model minimizer in the eigenbasis of the Hessian.
+
+
+def _unit_sums(pts: np.ndarray) -> tuple:
+    """(R, |R|, dup) for every point at once: R[j] sums the unit vectors from
+    p_j toward the other points, skipping the dup[j] points within 1e-14 of p_j."""
+    diff = pts[None, :, :] - pts[:, None, :]  # diff[j, i] = p_i - p_j
+    dist = np.linalg.norm(diff, axis=2)
+    coincident = dist < 1e-14
+    # dividing by inf zeroes the coincident pairs, the diagonal included
+    R = (diff / np.where(coincident, np.inf, dist)[:, :, None]).sum(axis=1)
+    return R, np.linalg.norm(R, axis=1), coincident.sum(axis=1) - 1
+
+
+def _hessian(u: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """sum_i (I - u_i u_i^T) inv_i: the Hessian of sum_i |y - p_i| for unit
+    vectors u_i along y - p_i and inv_i = 1/|y - p_i|."""
+    return inv.sum() * np.eye(3) - (u * inv[:, None]).T @ u
+
+
+def _anchor_model_minimizer(pts: np.ndarray, j: int, R: np.ndarray, w: float) -> np.ndarray:
+    """Minimizer p_j + h of the local model w|h| - R.h + h.H h/2 at a
+    non-optimal anchor (|R| > w), H the Hessian of the other points' distances.
+
+    Stationarity gives h = (H + mu I)^-1 R with |h| = w/mu. In the eigenbasis
+    of H, F(mu) = w/|h(mu)| - mu is concave and decreasing at its root, so
+    Newton from mu0 = w lam_max/(|R| - w), where F <= 0, descends onto it.
+    """
+    diff = pts - pts[j]
+    dist = np.linalg.norm(diff, axis=1)
+    inv = 1.0 / np.where(dist < 1e-14, np.inf, dist)
+    lam, V = np.linalg.eigh(_hessian(diff * inv[:, None], inv))
+    c = V.T @ R
+    lam_l, c2 = lam.tolist(), (c * c).tolist()
+    mu = w * lam_l[-1] / (math.sqrt(sum(c2)) - w)
+    for _ in range(100):
+        s2 = sum(ck / (lk + mu) ** 2 for lk, ck in zip(lam_l, c2))
+        s3 = sum(ck / (lk + mu) ** 3 for lk, ck in zip(lam_l, c2))
+        q = math.sqrt(s2)
+        F = w / q - mu
+        if F >= -1e-14 * mu:
+            break
+        mu -= F / (w * s3 / (q * s2) - 1.0)
+    return pts[j] + V @ (c / (lam + mu))
 
 
 def _numpy_objective(pts, y) -> float:
@@ -181,12 +235,13 @@ def _numpy_objective(pts, y) -> float:
 
 
 def reference_fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
-    """The damped Newton loop of fermat_torricelli on numpy (4, 3) arrays,
-    kept as the reference for the float loop that replaced it. Its step floor
+    """fermat_torricelli on numpy (4, 3) arrays, from the anchor test and the
+    eigh-based local-model start through the damped Newton loop, kept as the
+    reference for the float code that replaced it. Its step floor
     1e-15 * max(1, max|p|) stops it early on points much smaller than 1,
     with |grad f| up to 1e-7 at scale 1e-6; the float loop drops the 1."""
     pts = np.asarray(points, dtype=float)
-    R, norms, dup = criteria._unit_sums(pts)
+    R, norms, dup = _unit_sums(pts)
     ok = norms <= 1.0 + dup + 1e-12
     if ok.any():
         return pts[int(np.argmax(ok))].copy()
@@ -195,7 +250,7 @@ def reference_fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     y = pts.mean(axis=0)
     f = _numpy_objective(pts, y)
     j = int(np.argmin(norms))
-    y_model = criteria._anchor_model_minimizer(pts, j, R[j], 1.0 + float(dup[j]))
+    y_model = _anchor_model_minimizer(pts, j, R[j], 1.0 + float(dup[j]))
     f_model = _numpy_objective(pts, y_model)
     if f_model < f:
         y, f = y_model, f_model
@@ -208,7 +263,7 @@ def reference_fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
         grad = u.sum(axis=0)
         if np.linalg.norm(grad) <= 1e-9:
             return y
-        step = -np.linalg.solve(criteria._hessian(u, inv), grad)
+        step = -np.linalg.solve(_hessian(u, inv), grad)
         length = float(np.linalg.norm(step))
         if length <= 1e-15 * scale:
             return y
@@ -275,7 +330,7 @@ def test_ft_float_loop_matches_numpy_reference():
         ref = reference_fermat_torricelli(pts)
         y = fermat_torricelli(pts)
         if any((ref == p).all() for p in pts):
-            # the anchor path is shared: same point, bit for bit
+            # both anchor tests pick the same point, bit for bit
             assert np.array_equal(y, ref), kind
             kinds.add((kind, "anchor"))
             continue
