@@ -87,18 +87,19 @@ def pair_general(p1: BinaryQubitPovm, p2: BinaryQubitPovm) -> Verdict:
     only for a projective measurement, where compatibility degenerates to
     commutation (parallel Bloch vectors); that branch is handled explicitly.
     """
-    a1, a2 = p1.bloch, p2.bloch
+    x1, y1, z1 = p1.components
+    x2, y2, z2 = p2.components
     b1, b2 = p1.bias, p2.bias
     F1 = _half_trace_radius(1.0 + b1, p1.eta)
     F2 = _half_trace_radius(1.0 + b2, p2.eta)
     if F1 * F2 < 1e-12:
         # at least one projective measurement: compatible iff commuting
-        cross = np.linalg.norm(np.cross(a1, a2))
-        return _verdict(-cross, IFF, "pair-general")
+        cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+        return _verdict(-math.sqrt(cx * cx + cy * cy + cz * cz), IFF, "pair-general")
     lhs = (1.0 - F1 * F1 - F2 * F2) * (
         1.0 - (b1 * b1) / (F1 * F1) - (b2 * b2) / (F2 * F2)
     )
-    rhs = (float(np.dot(a1, a2)) - b1 * b2) ** 2
+    rhs = (x1 * x2 + y1 * y2 + z1 * z2 - b1 * b2) ** 2
     return _verdict(rhs - lhs, IFF, "pair-general")
 
 
@@ -181,6 +182,30 @@ def _total_distance(P: list, y) -> float:
     return total
 
 
+def _floats(values):
+    """values, a list or array of numbers, as a list of Python floats; None
+    unless they form a 1-D sequence. A list is read without an array round
+    trip."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        return None
+
+
+def _float_rows(rows):
+    """rows, a list or array of shape (m, 3), as m lists [x, y, z] of Python
+    floats; None for any other shape. A list is read without an array round
+    trip."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    try:
+        return [[float(x), float(y), float(z)] for x, y, z in rows]
+    except (TypeError, ValueError):
+        return None
+
+
 def total_distance(points, y) -> float:
     """The Fermat-Torricelli objective f(y) = sum_i |y - p_i|."""
     return _total_distance(
@@ -211,10 +236,9 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     max_iter steps a point with |grad f| <= 1e-6 is still accepted; otherwise
     FtConvergenceError is raised.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or not len(pts):
+    P = _float_rows(points)
+    if not P:
         raise ValueError("points must be a non-empty (m,3) array")
-    P = pts.tolist()
 
     # the anchor test, and the anchor with the smallest |R_j|
     best = math.inf
@@ -321,13 +345,14 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
 
 def triple_unbiased(etas, ns) -> Verdict:
     """Three unbiased POVMs: compatible iff the FT objective of the four
-    derived points v0 = -sum(eta_i n_i), v_j = -2 eta_j n_j - v0 is <= 4."""
-    etas = np.asarray(etas, dtype=float)
-    ns = np.asarray(ns, dtype=float)
-    if etas.shape != (3,) or ns.shape != (3, 3):
+    derived points v0 = -sum(eta_i n_i), v_j = -2 eta_j n_j - v0 is <= 4.
+    etas and ns may be lists of Python floats or arrays, of shapes (3,) and
+    (3, 3)."""
+    etas, ns = _floats(etas), _float_rows(ns)
+    if etas is None or ns is None or len(etas) != 3 or len(ns) != 3:
         raise ValueError("need 3 purities and 3 unit vectors")
     # a_j = eta_j n_j, v0 = -(a_1 + a_2 + a_3) and v_j = -2 a_j - v0
-    a = [(e * x, e * y, e * z) for e, (x, y, z) in zip(etas.tolist(), ns.tolist())]
+    a = [(e * x, e * y, e * z) for e, (x, y, z) in zip(etas, ns)]
     (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = a
     vx, vy, vz = -(x1 + x2 + x3), -(y1 + y2 + y3), -(z1 + z2 + z3)
     pts = [[vx, vy, vz]] + [[-2.0 * x - vx, -2.0 * y - vy, -2.0 * z - vz] for x, y, z in a]
@@ -461,14 +486,33 @@ def pair_same_purity_bound(phi: float) -> float:
 # general biased chain
 
 
-def _chain_arrays(povms) -> tuple:
-    """(biases, Bloch rows, flips, order) of the chain's normal form: every
-    POVM with a negative bias has its outcomes flipped, so all biases are
-    >= 0, and order is the stable sort by bias."""
-    flips = [p.bias < 0 for p in povms]
-    b = np.abs([p.bias for p in povms])
-    a = np.array([-p.bloch if f else p.bloch for p, f in zip(povms, flips)]).reshape(len(b), 3)
-    return b, a, flips, b.argsort(kind="stable")
+def _chain_form(povms) -> tuple:
+    """The chain's normal form, on Python floats: every POVM with a negative
+    bias has its outcomes flipped, so all biases are >= 0. Returns (b, a,
+    order): b[i] = |bias_i|, a[i] the Bloch components of POVM i after the
+    flip, and order the stable sort of the indices by b."""
+    b, a = [], []
+    for p in povms:
+        x, y, z = p.components
+        b.append(abs(p.bias))
+        a.append((-x, -y, -z) if p.bias < 0 else (x, y, z))
+    return b, a, sorted(range(len(b)), key=b.__getitem__)
+
+
+def _path_margin(b: list, a: list, seq) -> float:
+    """Chain slack 2(1 - max b) - |a_s1 + a_sN| - sum_p |a_sp - a_s(p+1)| of
+    the path seq through the normal form (b, a), summed in path order."""
+    px, py, pz = a[seq[0]]
+    qx, qy, qz = a[seq[-1]]
+    dx, dy, dz = px + qx, py + qy, pz + qz
+    ends = math.sqrt(dx * dx + dy * dy + dz * dz)
+    steps = 0.0
+    for i in seq[1:]:
+        qx, qy, qz = a[i]
+        dx, dy, dz = qx - px, qy - py, qz - pz
+        steps += math.sqrt(dx * dx + dy * dy + dz * dz)
+        px, py, pz = qx, qy, qz
+    return 2.0 * (1.0 - max(b)) - (ends + steps)
 
 
 def normalize_for_chain(povms) -> tuple:
@@ -477,32 +521,33 @@ def normalize_for_chain(povms) -> tuple:
     Returns (normalized povms, order, flips) where order[i] is the input index
     placed at position i and flips[i] says whether that input was relabeled.
     """
-    _, _, flips, order = _chain_arrays(povms)
-    flipped = [
-        BinaryQubitPovm(-p.bias, -p.bloch) if f else p for p, f in zip(povms, flips)
-    ]
-    order = order.tolist()
-    return [flipped[i] for i in order], tuple(order), tuple(flips[i] for i in order)
+    order = _chain_form(povms)[2]
+    chain = [povms[i] for i in order]
+    flips = tuple(p.bias < 0 for p in chain)
+    flipped = [BinaryQubitPovm(-p.bias, -p.bloch) if f else p for p, f in zip(chain, flips)]
+    return flipped, tuple(order), flips
 
 
 _SIGNS = np.array([-1.0, 1.0])[:, None, None, None]
 
 
-def _chain_margins(b: np.ndarray, a: np.ndarray, seqs: np.ndarray) -> np.ndarray:
-    """Chain slack 2(1 - max b) - |a_s1 + a_sN| - sum_p |a_sp - a_s(p+1)| for
-    every row s of the (K, N) index array seqs, from normalized b and a."""
+def _chain_margins(b_max: float, a: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+    """Chain slack 2(1 - b_max) - |a_s1 + a_sN| - sum_p |a_sp - a_s(p+1)| for
+    every row s of the (K, N) index array seqs, from the normalized (N, 3)
+    Bloch rows a."""
     d = a + _SIGNS * a[:, None, :]  # d[0, i, j] = a_j - a_i, d[1, i, j] = a_j + a_i
     dist = np.sqrt(np.einsum("...k,...k", d, d))
     lhs = dist[1, seqs[:, 0], seqs[:, -1]] + dist[0, seqs[:, :-1], seqs[:, 1:]].sum(axis=1)
-    return 2.0 * (1.0 - b.max()) - lhs
+    return 2.0 * (1.0 - b_max) - lhs
 
 
 def chain_margin(povms) -> float:
     """Slack of |a_1+a_N| + sum |a_p - a_{p+1}| <= 2(1 - max bias), taken in
     the normal form: outcomes flipped so every bias is >= 0, then the POVMs
-    stable-sorted by bias, ties keeping the caller's order."""
-    b, a, _, order = _chain_arrays(povms)
-    return float(_chain_margins(b, a, order[None, :])[0])
+    stable-sorted by bias, ties keeping the caller's order. Scored as one
+    loop over Python floats."""
+    b, a, order = _chain_form(povms)
+    return _path_margin(b, a, order)
 
 
 def general_binary_sufficient(povms) -> Verdict:
@@ -527,27 +572,13 @@ def _permutations(n: int) -> np.ndarray:
     return table
 
 
-def best_chain_ordering(povms) -> tuple:
-    """Best chain margin over every ordering of the POVMs. N <= 8.
-
-    The normal form sorts by |bias|, so orderings differ only inside groups
-    of exactly tied |bias|: the candidates are the sorted sequence with every
-    group permuted independently (the product of the groups' permutations).
-    A path and its reversal have the same margin, but a reversal is again a
-    candidate only when all |bias| values tie; only then is it dropped. With
-    all |bias| distinct the single sorted sequence is scored. All candidates
-    are scored at once from the matrices |a_i - a_j| and |a_i + a_j|.
-
-    Returns (perm, verdict): chain_margin([povms[i] for i in perm]) is the
-    verdict's margin.
-    """
-    N = len(povms)
-    if N > 8:
-        raise ValueError("ordering search capped at N = 8")
-    if not N:
-        raise ValueError("need at least one POVM")
-    b, a, _, order = _chain_arrays(povms)
-    sizes = [len(list(run)) for _, run in itertools.groupby(b[order].tolist())]
+def _tie_group_orders(b: list, order: list) -> np.ndarray:
+    """(K, N) index array of the candidate orders: the stable sort order with
+    every group of tied b permuted independently. When all b tie, a path's
+    reversal is again a candidate with the same margin, and only one of the
+    two is kept."""
+    sizes = [len(list(run)) for _, run in itertools.groupby(b[i] for i in order)]
+    order = np.array(order)
     seqs = order[None, :]
     start = 0
     for size in sizes:
@@ -557,9 +588,33 @@ def best_chain_ordering(povms) -> tuple:
             seqs = np.repeat(seqs, len(block), axis=0)
             seqs[:, start:start + size] = np.tile(block, (count, 1))
         start += size
-    if len(sizes) == 1 and N > 1:
-        seqs = seqs[seqs[:, 0] < seqs[:, -1]]  # one of each path and its reversal
-    margins = _chain_margins(b, a, seqs)
-    k = int(np.argmax(margins))
+    if len(sizes) == 1:
+        seqs = seqs[seqs[:, 0] < seqs[:, -1]]
+    return seqs
+
+
+def best_chain_ordering(povms) -> tuple:
+    """Best chain margin over every ordering of the POVMs. N <= 8.
+
+    The normal form sorts by |bias|, so orderings differ only inside groups
+    of exactly tied |bias|. With all |bias| distinct the sorted sequence is
+    the only candidate, scored on Python floats as chain_margin scores it.
+    Otherwise the candidates of _tie_group_orders (2 to 20,160 of them) are
+    scored at once in numpy from the matrices |a_i - a_j| and |a_i + a_j|,
+    where a loop over floats would be slower, and the winner is scored again
+    on floats.
+
+    Returns (perm, verdict): chain_margin([povms[i] for i in perm]) is the
+    verdict's margin, bit for bit.
+    """
+    N = len(povms)
+    if N > 8:
+        raise ValueError("ordering search capped at N = 8")
+    if not N:
+        raise ValueError("need at least one POVM")
+    b, a, order = _chain_form(povms)
+    if len(set(b)) < N:
+        seqs = _tie_group_orders(b, order)
+        order = seqs[int(np.argmax(_chain_margins(max(b), np.array(a), seqs)))].tolist()
     strength = IFF if N <= 2 and all(p.is_unbiased for p in povms) else SUFFICIENT_ONLY
-    return tuple(seqs[k].tolist()), _verdict(float(margins[k]), strength, "biased-chain")
+    return tuple(order), _verdict(_path_margin(b, a, order), strength, "biased-chain")

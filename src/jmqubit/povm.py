@@ -85,7 +85,8 @@ class BinaryQubitPovm:
 
     def __post_init__(self):
         object.__setattr__(self, "bias", float(self.bias))
-        # a read-only copy: eta is computed once, so bloch must never change
+        # a read-only copy: eta and components are computed once, so bloch
+        # must never change
         bloch = _as_bloch(self.bloch).copy()
         bloch.flags.writeable = False
         object.__setattr__(self, "bloch", bloch)
@@ -97,6 +98,12 @@ class BinaryQubitPovm:
         """Purity (Bloch norm); the usual sharpness parameter when bias = 0.
         Computed once per instance."""
         return float(np.linalg.norm(self.bloch))
+
+    @functools.cached_property
+    def components(self) -> tuple:
+        """The Bloch vector as a tuple of three Python floats, for the
+        closed-form criteria's scalar loops. Computed once per instance."""
+        return tuple(self.bloch.tolist())
 
     @property
     def is_unbiased(self) -> bool:

@@ -71,12 +71,18 @@ ID6_NOGO_NOTE = (
 # geometry helpers for the composite decider
 
 
-def _unit_rows(povms) -> np.ndarray:
+def _unit_rows(povms) -> list:
+    """Unit Bloch directions as lists of Python floats, (1, 0, 0) for a zero
+    vector."""
     rows = []
     for p in povms:
         n = p.eta
-        rows.append(p.bloch / n if n > 0 else np.array([1.0, 0.0, 0.0]))
-    return np.array(rows)
+        if n > 0:
+            x, y, z = p.components
+            rows.append([x / n, y / n, z / n])
+        else:
+            rows.append([1.0, 0.0, 0.0])
+    return rows
 
 
 def _coplanar_line_angles(povms, tol: float = 1e-9) -> Optional[np.ndarray]:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from jmqubit import (
@@ -35,7 +35,7 @@ from jmqubit import (
 )
 from jmqubit import criteria
 from jmqubit.criteria import FtConvergenceError, total_distance
-from conftest import random_unit
+from conftest import random_orthogonal, random_unit
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -380,6 +380,56 @@ def test_triple_coplanar_matches_general(rng):
         assert v2.margin == pytest.approx(2.0 * v1.margin, abs=1e-6)
 
 
+_UNIT_ROWS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize(
+    "etas, ns",
+    [
+        ([0.5, 0.5], _UNIT_ROWS),  # two purities
+        ([0.5] * 4, _UNIT_ROWS),
+        ([[0.5]] * 3, _UNIT_ROWS),  # purities of shape (3, 1)
+        ([0.5] * 3, _UNIT_ROWS[:2]),  # two vectors
+        ([0.5] * 3, _UNIT_ROWS + [[1.0, 1.0, 0.0]]),
+        ([0.5] * 3, [row[:2] for row in _UNIT_ROWS]),  # 2-component vectors
+        ([0.5] * 3, [row + [0.0] for row in _UNIT_ROWS]),
+        ([0.5] * 3, [[row] for row in _UNIT_ROWS]),  # shape (3, 1, 3)
+        ([0.5] * 3, [1.0, 0.0, 0.0]),  # one flat vector
+    ],
+)
+def test_triple_unbiased_rejects_wrong_shapes(etas, ns, as_array):
+    if as_array:
+        etas, ns = np.array(etas), np.array(ns)
+    with pytest.raises(ValueError, match="need 3 purities and 3 unit vectors"):
+        triple_unbiased(etas, ns)
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize(
+    "points",
+    [
+        [],
+        [1.0, 2.0, 3.0],  # one flat point
+        [[1.0, 2.0]],
+        [[1.0, 2.0, 3.0, 4.0]],
+        [[[1.0, 2.0, 3.0]]],  # shape (1, 1, 3)
+        [[[1.0], [2.0], [3.0]]],  # shape (1, 3, 1)
+    ],
+)
+def test_fermat_torricelli_rejects_wrong_shapes(points, as_array):
+    if as_array:
+        points = np.array(points)
+    with pytest.raises(ValueError, match=r"non-empty \(m,3\) array"):
+        fermat_torricelli(points)
+
+
+def test_fermat_torricelli_rejects_ragged_and_non_numeric_rows():
+    for points in ([[1.0, 2.0, 3.0], [4.0, 5.0]], [[1.0, 2.0, None]], [["a", 2.0, 3.0]], None, 3.0):
+        with pytest.raises(ValueError, match=r"non-empty \(m,3\) array"):
+            fermat_torricelli(points)
+
+
 def test_triple_coplanar_middle_check():
     a1 = np.array([1.0, 0.0, 0.0])
     a3 = np.array([0.0, 1.0, 0.0])
@@ -513,6 +563,183 @@ def test_best_chain_ordering_scores_every_tie_group_order(rng):
             if v.margin >= 0:
                 joint, _ = build_general_binary_joint(ordered)
                 assert joint.validate().ok
+
+
+# The numpy chain scorer, replaced in src/ by a loop over Python floats for
+# unique orders and kept here as the reference: every candidate order built
+# as an index array and scored from the matrices |a_i - a_j| and |a_i + a_j|.
+
+
+def _reference_best_chain_ordering(povms) -> tuple:
+    flips = [p.bias < 0 for p in povms]
+    b = np.abs([p.bias for p in povms])
+    a = np.array([-p.bloch if f else p.bloch for p, f in zip(povms, flips)]).reshape(len(b), 3)
+    order = b.argsort(kind="stable")
+    sizes = [len(list(run)) for _, run in itertools.groupby(b[order].tolist())]
+    seqs = order[None, :]
+    start = 0
+    for size in sizes:
+        if size > 1:
+            block = order[start:start + size][np.array(list(itertools.permutations(range(size))))]
+            count = len(seqs)
+            seqs = np.repeat(seqs, len(block), axis=0)
+            seqs[:, start:start + size] = np.tile(block, (count, 1))
+        start += size
+    if len(sizes) == 1 and len(povms) > 1:
+        seqs = seqs[seqs[:, 0] < seqs[:, -1]]
+    d = a + np.array([-1.0, 1.0])[:, None, None, None] * a[:, None, :]
+    dist = np.sqrt(np.einsum("...k,...k", d, d))
+    lhs = dist[1, seqs[:, 0], seqs[:, -1]] + dist[0, seqs[:, :-1], seqs[:, 1:]].sum(axis=1)
+    margins = 2.0 * (1.0 - b.max()) - lhs
+    k = int(np.argmax(margins))
+    return tuple(seqs[k].tolist()), float(margins[k])
+
+
+def _chain_reference_inputs(rng):
+    for N in range(1, 8):
+        for _ in range(12):
+            yield "distinct", [rng.uniform(-0.3, 0.3) for _ in range(N)]
+            yield "ties", list(rng.choice([0.0, 0.1, -0.1, 0.2, -0.2], size=N))
+            yield "unbiased", [0.0] * N
+            yield "zero vector", list(rng.choice([0.0, 0.15, -0.15], size=N))
+
+
+def test_best_chain_ordering_matches_numpy_reference():
+    rng = np.random.default_rng(20261018)
+    kinds = set()
+    for kind, biases in _chain_reference_inputs(rng):
+        ps = [
+            BinaryQubitPovm(b, rng.uniform(0.0, 1.0 - abs(b)) * random_unit(rng))
+            for b in biases
+        ]
+        if kind == "zero vector":
+            k = int(rng.integers(len(ps)))
+            ps[k] = BinaryQubitPovm(ps[k].bias, np.zeros(3))
+        perm, v = best_chain_ordering(ps)
+        ref_perm, ref_margin = _reference_best_chain_ordering(ps)
+        assert perm == ref_perm, (kind, biases)
+        assert abs(v.margin - ref_margin) <= 1e-15, (kind, v.margin, ref_margin)
+        if len(set(map(abs, biases))) == len(ps):
+            assert chain_margin(ps) == v.margin
+            kinds.add("unique order")
+        else:
+            kinds.add("tie groups")
+    assert kinds == {"unique order", "tie groups"}
+
+
+# TIE policy near the boundary: a margin within TIE of zero resolves toward
+# Compatible, and neither outcome flips nor a common rotation move a verdict
+# across TIE. The inputs scale every Bloch vector by t, with t found by
+# bisection so that the margin sits 10 % inside or outside +-TIE.
+
+_TIE_TARGETS = [s * f * criteria.TIE for s in (-1.0, 1.0) for f in (0.9, 1.1)]
+
+
+def _scaled(biases, vectors, t) -> list:
+    return [BinaryQubitPovm(b, t * np.asarray(v)) for b, v in zip(biases, vectors)]
+
+
+def _at_margin(score, biases, vectors, target):
+    """POVMs (b_k, t a_k) whose margin is target, to 1e-14; None when no t
+    in (0, t_max] brackets it. At t_max one POVM would reach |b| + |a| = 1,
+    where an effect's smaller eigenvalue vanishes and pair-general's F_k,
+    a square root of it, turns rounding into margin errors up to 5.5e-14; t_max
+    keeps every POVM 1 % inside that bound."""
+    t_max = min(0.99 * (1.0 - abs(b)) / np.linalg.norm(v) for b, v in zip(biases, vectors))
+    lo, hi = 1e-6 * t_max, t_max
+    if not score(_scaled(biases, vectors, lo)) > target > score(_scaled(biases, vectors, hi)):
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if score(_scaled(biases, vectors, mid)) > target:
+            lo = mid
+        else:
+            hi = mid
+    povms = _scaled(biases, vectors, lo)
+    return povms if abs(score(povms) - target) <= 1e-14 else None
+
+
+def _proper_rotation(seed: int) -> np.ndarray:
+    R = random_orthogonal(np.random.default_rng(seed))
+    return R if np.linalg.det(R) > 0 else -R
+
+
+def _check_tie_invariance(decide, povms, target, flips, seed):
+    v = decide(povms)
+    if target >= -criteria.TIE:
+        assert v.decision == COMPATIBLE
+    else:
+        assert v.decision == (INCOMPATIBLE if v.strength == IFF else UNKNOWN)
+    R = _proper_rotation(seed)
+    flipped = [BinaryQubitPovm(-p.bias, -p.bloch) if f else p for p, f in zip(povms, flips)]
+    for variant in (flipped, [BinaryQubitPovm(p.bias, R @ p.bloch) for p in flipped]):
+        w = decide(variant)
+        assert w.decision == v.decision
+        assert abs(w.margin - v.margin) <= 1e-14
+
+
+_vector = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
+@given(
+    st.lists(st.floats(-0.4, 0.4), min_size=2, max_size=2),
+    st.lists(_vector, min_size=2, max_size=2),
+    st.sampled_from(_TIE_TARGETS),
+    st.lists(st.booleans(), min_size=2, max_size=2),
+    st.integers(0, 2**32 - 1),
+)
+def test_pair_general_tie_invariant_under_flips_and_rotation(biases, vectors, target, flips, seed):
+    decide = lambda ps: pair_general(*ps)
+    povms = _at_margin(lambda ps: decide(ps).margin, biases, vectors, target)
+    assume(povms is not None)
+    _check_tie_invariance(decide, povms, target, flips, seed)
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.sampled_from([0.0, 0.1, -0.1, 0.25]) | st.floats(-0.3, 0.3), min_size=n, max_size=n),
+            st.lists(_vector, min_size=n, max_size=n),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+        )
+    ),
+    st.sampled_from(_TIE_TARGETS),
+    st.integers(0, 2**32 - 1),
+)
+def test_biased_chain_tie_invariant_under_flips_and_rotation(case, target, seed):
+    biases, vectors, flips = case
+    # the normal form undoes a flip only where the bias is nonzero; flipping
+    # an unbiased POVM negates its vector in the chain, another inequality
+    flips = [f and b != 0.0 for f, b in zip(flips, biases)]
+    decide = lambda ps: best_chain_ordering(ps)[1]
+    povms = _at_margin(lambda ps: decide(ps).margin, biases, vectors, target)
+    assume(povms is not None)
+    _check_tie_invariance(decide, povms, target, flips, seed)
+
+
+@given(
+    st.integers(0, 5),
+    st.floats(-0.45, 0.45),
+    st.floats(0.05, 0.5),
+    _vector,
+    st.floats(1e-10, 1e-8),
+)
+def test_pair_general_continuous_across_projective_branch(axis, b2, eta2, direction, delta):
+    # p1 sharp along a coordinate axis takes the projective branch (F1 = 0)
+    n1 = np.eye(3)[axis % 3] * (1.0 if axis < 3 else -1.0)
+    eta2 = min(eta2, 1.0 - abs(b2))
+    u = np.asarray(direction) / np.linalg.norm(direction)
+    for n2 in (u, n1, -n1):  # a generic direction, then commuting ones
+        p2 = BinaryQubitPovm(b2, eta2 * n2)
+        cross = np.linalg.norm(np.cross(n1, p2.bloch))
+        if 0.0 < cross < 1e-3:
+            continue  # too close to the branch's boundary
+        branch = pair_general(BinaryQubitPovm(0.0, n1), p2)
+        assert abs(branch.margin + cross) <= 1e-15  # the branch's margin
+        near = pair_general(BinaryQubitPovm(0.0, (1.0 - delta) * n1), p2)
+        assert near.decision == branch.decision, (n2, near.margin, branch.margin)
 
 
 def test_sufficient_only_failure_is_unknown():

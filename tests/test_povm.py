@@ -337,6 +337,15 @@ def test_eta_is_cached_and_not_a_field(rng):
     )
 
 
+def test_components_are_cached_python_floats(rng):
+    for bloch in rng.normal(size=(20, 3)) * 0.3:
+        p = BinaryQubitPovm(-0.1, bloch)
+        assert "components" not in vars(p)
+        assert p.components == tuple(p.bloch)  # bit for bit
+        assert all(type(x) is float for x in p.components)
+        assert vars(p)["components"] is p.components  # computed once
+
+
 def test_bloch_is_a_read_only_copy():
     a = np.array([0.5, 0.0, 0.0])
     p = BinaryQubitPovm(0.0, a)
