@@ -39,8 +39,8 @@ EXIT_BAD_JSON = 64
 EXIT_PRECONDITION = 65
 
 # Largest `realize --n` per family. An n-cycle certificate grows as N^2
-# (5.3 MB at N = 256); an n-Specker realization walks 2^N subsets (4,096 at
-# N = 12) and its time doubles with each N.
+# (5.3 MB at N = 256); an n-Specker certificate holds N witnesses of 2^(N-1)
+# effects each (2,048 at N = 12), so its size and time double with each N.
 REALIZE_N_CAP = {"n-cycle": 256, "n-specker": 12}
 
 

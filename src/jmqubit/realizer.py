@@ -349,18 +349,38 @@ def joint_digest(joint: JointPovm) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _named(v: Verdict) -> str:
+    return f"{v.decision} by {v.criterion_id}, margin {v.margin:.3g}"
+
+
 def _certificate(
     label, povms, eta, window, expected, recipe, notes, witness_builder
 ) -> RealizationCertificate:
+    """Certificate of povms. When the structure is expected, the closed-form
+    decider is asked only about its border: each maximal set of size >= 2
+    must come back compatible and each minimal non-face incompatible, else
+    RuntimeError. Without one, a structure_of walk discovers the structure,
+    which must come out fully decided."""
     povms = tuple(povms)
-    claimed = structure_of(povms, closed_form_decider(povms))
-    if claimed.is_partial:
-        raise RuntimeError(f"{label}: structure left partially decided")
-    if expected is not None and claimed.maximal != expected.maximal:
-        raise RuntimeError(
-            f"{label}: realized structure {claimed.sorted_maximal()} does not "
-            f"match the expected {expected.sorted_maximal()}"
-        )
+    decide = closed_form_decider(povms)
+    if expected is None:
+        claimed = structure_of(povms, decide)
+        if claimed.is_partial:
+            raise RuntimeError(f"{label}: structure left partially decided")
+        proofs = claimed.incompatible
+    else:
+        claimed = expected
+        for mset in expected.sorted_maximal():
+            if len(mset) >= 2 and not (v := decide(tuple(mset))).is_compatible:
+                raise RuntimeError(
+                    f"{label}: expected maximal set {mset} is not proven compatible: {_named(v)}"
+                )
+        proofs = tuple((s, decide(s)) for s in expected.minimal_non_faces())
+        for s, v in proofs:
+            if not v.is_incompatible:
+                raise RuntimeError(
+                    f"{label}: expected non-face {list(s)} is not proven incompatible: {_named(v)}"
+                )
     compat = []
     for mset in claimed.sorted_maximal():
         if len(mset) < 2:
@@ -369,9 +389,7 @@ def _certificate(
         compat.append(
             CompatEvidence(tuple(mset), constructor, joint_digest(joint), joint)
         )
-    incompat = tuple(
-        IncompatEvidence(s, v.criterion_id, v.margin) for s, v in claimed.incompatible
-    )
+    incompat = tuple(IncompatEvidence(s, v.criterion_id, v.margin) for s, v in proofs)
     return RealizationCertificate(
         label, povms, eta, tuple(window), claimed,
         tuple(compat), incompat, recipe, tuple(notes),
@@ -707,7 +725,15 @@ def verify_certificate(
     mode: str = "closed-form",
     oracle_params: oracle_mod.OracleParams = oracle_mod.OracleParams(),
 ) -> VerificationReport:
-    """Re-derive every evidence entry. mode: closed-form | oracle | both."""
+    """Re-derive every evidence entry. mode: closed-form | oracle | both.
+
+    The closed-form check proves the claimed structure from its border and
+    decides no other subset: a joint POVM that checks for each maximal set of
+    size >= 2 (its marginals carry compatibility down to every subset), and
+    for each minimal non-face, exactly those, a REGISTRY criterion that
+    re-derives the recorded incompatible verdict (incompatibility carries up
+    to every superset).
+    """
     if mode not in ("closed-form", "oracle", "both"):
         raise ValueError("mode must be closed-form, oracle, or both")
     issues = []
@@ -715,14 +741,6 @@ def verify_certificate(
     povms = list(cert.povms)
 
     if mode in ("closed-form", "both"):
-        recomputed = structure_of(povms, closed_form_decider(povms))
-        if recomputed.is_partial:
-            inconclusive.append("closed-form structure is partial")
-        if recomputed.maximal != cert.claimed.maximal:
-            issues.append(
-                f"claimed structure {cert.claimed.sorted_maximal()} != "
-                f"recomputed {recomputed.sorted_maximal()}"
-            )
         lo, hi = cert.eta_window
         if not lo < cert.eta <= hi:
             issues.append(f"eta {cert.eta} outside window ({lo}, {hi}]")
@@ -739,7 +757,7 @@ def verify_certificate(
             err = e.joint.marginal_error([povms[k - 1] for k in e.subset])
             if err > 1e-11:
                 issues.append(f"witness for {list(e.subset)} marginals off by {err:.2e}")
-        needed = {frozenset(s) for s, _ in recomputed.incompatible}
+        needed = set(map(frozenset, cert.claimed.minimal_non_faces()))
         if needed != {frozenset(e.subset) for e in cert.incompatible}:
             issues.append("incompatible evidence does not cover the minimal sets")
         for e in cert.incompatible:

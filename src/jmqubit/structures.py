@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .criteria import COMPATIBLE, INCOMPATIBLE, UNKNOWN
+from .criteria import COMPATIBLE, IFF, INCOMPATIBLE, UNKNOWN, Verdict
 
 ISO_CAP = 8  # canonicalization iterates over all vertex permutations
 
@@ -18,6 +18,11 @@ def _maximal_only(sets: Iterable[frozenset]) -> frozenset:
     return frozenset(
         s for s in fam if not any(s < t for t in fam)
     )
+
+
+# verdicts of the containment test behind JmStructure.minimal_non_faces
+_FACE = Verdict(COMPATIBLE, IFF, 0.0, "containment")
+_NON_FACE = Verdict(INCOMPATIBLE, IFF, 0.0, "containment")
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,25 @@ class JmStructure:
             for r in range(1, len(m) + 1):
                 out.update(map(frozenset, itertools.combinations(sorted(m), r)))
         return out
+
+    def minimal_non_faces(self) -> tuple:
+        """The minimal subsets contained in no maximal set (the negative
+        border), as sorted 1-based tuples in the order structure_of visits
+        them."""
+        # bit i of masks[v] is set when vertex v lies in the i-th maximal set
+        masks = [0] * (self.n_vertices + 1)
+        for i, m in enumerate(self.maximal):
+            for v in m:
+                masks[v] |= 1 << i
+
+        def contained(c) -> Verdict:
+            common = masks[c[0]]
+            for v in c[1:]:
+                common &= masks[v]
+            return _FACE if common else _NON_FACE
+
+        walk = structure_of(range(self.n_vertices), contained)
+        return tuple(c for c, _ in walk.incompatible)
 
     def sorted_maximal(self) -> list:
         return sorted((sorted(m) for m in self.maximal), key=lambda s: (len(s), s))

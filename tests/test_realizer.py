@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from jmqubit import (
     COMPATIBLE,
     INCOMPATIBLE,
     UNKNOWN,
+    JmStructure,
     PlanarSymmetricFamily,
     RealizationCertificate,
     closed_form_decider,
@@ -219,7 +221,8 @@ def test_digest_is_stable():
     assert joint_digest(e.joint) == e.digest
 
 
-def test_n_cycle_walk_is_quadratic(monkeypatch):
+def _record_decider_calls(monkeypatch) -> list:
+    """The subsets every closed-form decider made from now on is asked about."""
     calls = []
     factory = realizer.closed_form_decider
 
@@ -228,6 +231,11 @@ def test_n_cycle_walk_is_quadratic(monkeypatch):
         return lambda combo: calls.append(combo) or decide(combo)
 
     monkeypatch.setattr(realizer, "closed_form_decider", counting)
+    return calls
+
+
+def test_n_cycle_walk_is_quadratic(monkeypatch):
+    calls = _record_decider_calls(monkeypatch)
     cert = realize_n_cycle(24)
     # the pairs only: no triple of a 24-cycle has three compatible pairs
     assert len(calls) <= 24 * 23 // 2
@@ -242,13 +250,25 @@ def test_realize_and_verify_n_cycle_40():
     assert rep.ok and not rep.inconclusive, rep.issues
 
 
+def _certify_scenarios():
+    """The certificates the certify benchmark realizes, plus the atlas."""
+    certs = [realize_n_cycle(N) for N in (5, 8, 10, 12, 14, 16)]
+    certs += [realize_n_specker(N) for N in (5, 6, 7, 8)]
+    certs += [realize_misc(tag) for tag in sorted(MISC_SCENARIOS)]
+    return certs + list(realizer.atlas_certificates().values())
+
+
 def test_incompatible_evidence_is_the_deciding_verdict():
-    cert = realize_n_cycle(5)
-    structure = structure_of(list(cert.povms), closed_form_decider(list(cert.povms)))
-    assert [(e.subset, e.criterion, e.margin) for e in cert.incompatible] == [
-        (s, v.criterion_id, v.margin) for s, v in structure.incompatible
-    ]
-    assert {e.criterion for e in cert.incompatible} == {"pair-general"}
+    # named structures are realized from their border, in the walk's order
+    for cert in _certify_scenarios():
+        povms = list(cert.povms)
+        walk = structure_of(povms, closed_form_decider(povms))
+        assert walk.maximal == cert.claimed.maximal, cert.label
+        assert cert.claimed.minimal_non_faces() == tuple(s for s, _ in walk.incompatible), cert.label
+        assert [(e.subset, e.criterion, e.margin) for e in cert.incompatible] == [
+            (s, v.criterion_id, v.margin) for s, v in walk.incompatible
+        ], cert.label
+    assert {e.criterion for e in realize_n_cycle(5).incompatible} == {"pair-general"}
 
 
 def test_pair_unbiased_evidence_still_verifies():
@@ -274,3 +294,79 @@ def test_verify_rejects_criterion_that_does_not_apply():
     rep = verify_certificate(RealizationCertificate.from_json_dict(d))
     assert not rep.ok
     assert any("planar-symmetric-nwise does not prove" in i for i in rep.issues)
+
+
+def _verify_json(d: dict):
+    return verify_certificate(RealizationCertificate.from_json_dict(d))
+
+
+def test_verify_rejects_a_shrunk_claim_with_forged_evidence():
+    d = realize_n_cycle(5).to_json_dict()
+    d["structure"]["maximal"].remove([1, 2])
+    d["evidence"]["compatible"] = [e for e in d["evidence"]["compatible"] if e["subset"] != [1, 2]]
+    d["evidence"]["incompatible"].append({"subset": [1, 2], "criterion": "pair-general", "margin": -0.1})
+    rep = _verify_json(d)
+    assert rep.issues == ("criterion pair-general does not prove [1, 2] incompatible",)
+
+
+def test_verify_rejects_a_dropped_minimal_set():
+    d = realize_n_cycle(5).to_json_dict()
+    del d["evidence"]["incompatible"][2]
+    rep = _verify_json(d)
+    assert rep.issues == ("incompatible evidence does not cover the minimal sets",)
+
+
+def test_verify_rejects_an_extra_non_minimal_set():
+    cert = realize_n_cycle(5)
+    # a true incompatible triple, but not minimal: it contains the pair [1, 3]
+    v = closed_form_decider(list(cert.povms))((1, 2, 3))
+    assert v.is_incompatible
+    d = cert.to_json_dict()
+    d["evidence"]["incompatible"].append(
+        {"subset": [1, 2, 3], "criterion": v.criterion_id, "margin": v.margin}
+    )
+    rep = _verify_json(d)
+    assert rep.issues == ("incompatible evidence does not cover the minimal sets",)
+
+
+def test_closed_form_verify_asks_no_decider(monkeypatch):
+    certs = [
+        RealizationCertificate.from_json_dict(json.loads(path.read_text()))
+        for path in sorted((Path(__file__).parent / "data").glob("*.json"))
+    ]
+    assert len(certs) == 2
+    certs.append(realize_n_specker(8))
+
+    def refuse(povms):
+        raise AssertionError("closed-form verify called the decider")
+
+    monkeypatch.setattr(realizer, "closed_form_decider", refuse)
+    for cert in certs:
+        rep = verify_certificate(cert)
+        assert rep.ok and not rep.inconclusive, (cert.label, rep.issues)
+
+
+def test_realize_rejects_a_maximal_set_that_is_not_compatible(monkeypatch):
+    # [1, 3] of a 5-cycle is incompatible in the cycle's window
+    wrong = JmStructure.from_sets(5, list(n_cycle(5).maximal) + [{1, 3}])
+    monkeypatch.setattr(realizer, "n_cycle", lambda N: wrong)
+    message = r"maximal set \[1, 3\] is not proven compatible: incompatible by pair-general"
+    with pytest.raises(RuntimeError, match=message):
+        realize_n_cycle(5)
+
+
+def test_realize_rejects_a_non_face_that_is_not_incompatible(monkeypatch):
+    wrong = JmStructure.from_sets(5, [m for m in n_cycle(5).maximal if m != {1, 2}])
+    monkeypatch.setattr(realizer, "n_cycle", lambda N: wrong)
+    message = r"non-face \[1, 2\] is not proven incompatible: compatible by pair-general"
+    with pytest.raises(RuntimeError, match=message):
+        realize_n_cycle(5)
+
+
+@pytest.mark.parametrize("N", range(5, 13))
+def test_n_specker_asks_the_border_only(monkeypatch, N):
+    calls = _record_decider_calls(monkeypatch)
+    cert = realize_n_specker(N)
+    # the N maximal (N-1)-sets and the full set
+    assert len(calls) <= N + 1
+    assert cert.claimed.maximal == n_specker(N).maximal

@@ -187,3 +187,62 @@ def test_structure_of_matches_all_subsets_reference(n, seed, weights):
 def test_json_roundtrip():
     s = n_cycle(5)
     assert JmStructure.from_json_dict(s.to_json_dict()).maximal == s.maximal
+
+
+def _brute_minimal_non_faces(s: JmStructure) -> set:
+    """Every subset outside the structure whose one-smaller subsets are all in."""
+    n = s.n_vertices
+    return {
+        frozenset(c)
+        for r in range(2, n + 1)
+        for c in itertools.combinations(range(1, n + 1), r)
+        if not s.is_compatible(c)
+        and all(s.is_compatible(set(c) - {v}) for v in c)
+    }
+
+
+def _random_structure(n: int, rng: random.Random) -> JmStructure:
+    sets = [
+        rng.sample(range(1, n + 1), rng.randint(2, n))
+        for _ in range(rng.randint(0, 2 * n))
+    ]
+    return JmStructure.from_sets(n, sets)
+
+
+def _assert_border(s: JmStructure) -> tuple:
+    border = s.minimal_non_faces()
+    assert all(list(c) == sorted(c) for c in border)
+    assert list(border) == sorted(border, key=lambda c: (len(c), c))  # the walk's order
+    assert len(set(border)) == len(border)
+    assert set(map(frozenset, border)) == _brute_minimal_non_faces(s)
+    return border
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_minimal_non_faces_of_all_small_structures(n):
+    for s in enumerate_structures(n):
+        _assert_border(s)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_minimal_non_faces_of_random_structures(n):
+    rng = random.Random(n)
+    for _ in range(40):
+        _assert_border(_random_structure(n, rng))
+
+
+def test_minimal_non_faces_of_named_families():
+    for N in range(4, 10):
+        adjacent = {frozenset({k, k % N + 1}) for k in range(1, N + 1)}
+        assert set(map(frozenset, _assert_border(n_cycle(N)))) == {
+            frozenset(p) for p in itertools.combinations(range(1, N + 1), 2)
+        } - adjacent
+    assert _assert_border(n_cycle(3)) == ((1, 2, 3),)
+    for N in range(2, 9):
+        assert _assert_border(n_specker(N)) == (tuple(range(1, N + 1)),)
+    assert _assert_border(nm_compatible(5, 3)) == tuple(
+        itertools.combinations(range(1, 6), 4)
+    )
+    assert _assert_border(JmStructure.from_sets(4, [])) == tuple(
+        itertools.combinations(range(1, 5), 2)
+    )
