@@ -42,7 +42,7 @@ class JmStructure:
         sets = {frozenset(s) for s in compatible_sets}
         sets |= {frozenset([v]) for v in range(1, n + 1)}
         for s in sets:
-            if not s or min(s) < 1 or max(s) > n:
+            if not s or not all(1 <= v <= n for v in s):
                 raise ValueError("subset out of vertex range")
         return cls(n, _maximal_only(sets), frozenset(frozenset(u) for u in undecided))
 
@@ -88,7 +88,12 @@ class JmStructure:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "JmStructure":
-        return cls.from_sets(int(d["n"]), [frozenset(s) for s in d["maximal"]])
+        """ValueError on a maximal set holding a vertex that is not an int."""
+        sets = [frozenset(s) for s in d["maximal"]]
+        for s in sets:
+            if not all(type(v) is int for v in s):
+                raise ValueError(f"maximal set {sorted(s, key=repr)} holds a non-integer vertex")
+        return cls.from_sets(int(d["n"]), sets)
 
 
 def n_cycle(N: int) -> JmStructure:

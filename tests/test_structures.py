@@ -189,6 +189,17 @@ def test_json_roundtrip():
     assert JmStructure.from_json_dict(s.to_json_dict()).maximal == s.maximal
 
 
+@pytest.mark.parametrize("vertex", [float("nan"), 2.0, True, "2"])
+def test_json_rejects_non_integer_vertices(vertex):
+    with pytest.raises(ValueError):
+        JmStructure.from_json_dict({"n": 3, "maximal": [[vertex, 3]]})
+
+
+def test_from_sets_rejects_nan_vertex():
+    with pytest.raises(ValueError):
+        JmStructure.from_sets(3, [[1, float("nan")]])
+
+
 def _brute_minimal_non_faces(s: JmStructure) -> set:
     """Every subset outside the structure whose one-smaller subsets are all in."""
     n = s.n_vertices
