@@ -7,7 +7,7 @@ closed-form pair criterion, then cross-checked with the feasibility oracle.
 
 import numpy as np
 
-from jmqubit import BinaryQubitPovm, OracleParams, decide, pair_general
+from jmqubit import BinaryQubitPovm, decide, pair_general
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -33,7 +33,6 @@ def critical_eta(bias, steps=60):
 
 def main():
     print("bias   critical purity   oracle check")
-    params = OracleParams()
     for bias in np.linspace(0.0, 0.6, 7):
         eta = critical_eta(bias)
         if eta is None:
@@ -41,14 +40,10 @@ def main():
             continue
         below = decide(
             [BinaryQubitPovm(bias, (eta - 0.02) * EX),
-             BinaryQubitPovm(bias, (eta - 0.02) * EY)],
-            params,
+             BinaryQubitPovm(bias, (eta - 0.02) * EY)]
         )
         hi = min(eta + 0.02, 1.0 - bias)
-        above = decide(
-            [BinaryQubitPovm(bias, hi * EX), BinaryQubitPovm(bias, hi * EY)],
-            params,
-        )
+        above = decide([BinaryQubitPovm(bias, hi * EX), BinaryQubitPovm(bias, hi * EY)])
         print(f"{bias:.2f}   {eta:.6f}          {below.status}/{above.status}")
     print()
     print("unbiased reference value 1/sqrt(2) =", 1 / np.sqrt(2))

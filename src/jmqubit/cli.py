@@ -56,16 +56,21 @@ class CliError(Exception):
 
 
 def parse_angle(text: str) -> float:
-    """Angle with unit suffix: '30deg', '0.5236rad', bare value = radians."""
+    """Angle with unit suffix: '30deg', '0.5236rad', bare value = radians.
+    The angle must be finite."""
     t = text.strip().lower()
     try:
         if t.endswith("deg"):
-            return math.radians(float(t[:-3]))
-        if t.endswith("rad"):
-            return float(t[:-3])
-        return float(t)
+            phi = math.radians(float(t[:-3]))
+        elif t.endswith("rad"):
+            phi = float(t[:-3])
+        else:
+            phi = float(t)
     except ValueError:
         raise CliError(EXIT_PRECONDITION, f"cannot parse angle {text!r}") from None
+    if not math.isfinite(phi):
+        raise CliError(EXIT_PRECONDITION, f"angle {text!r} is not finite")
+    return phi
 
 
 def _load_json(path: str) -> dict:
@@ -242,7 +247,10 @@ def cmd_atlas(args) -> int:
 def _parse_n_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        rng = range(int(lo), int(hi) + 1)
+        if not rng:
+            raise CliError(EXIT_PRECONDITION, f"empty range {text!r}")
+        return rng
     n = int(text)
     return range(n, n + 1)
 

@@ -421,13 +421,13 @@ def n_necessary_sufficient(eta: float, ns) -> tuple:
 
 
 def planar_nwise_bound(N: int) -> float:
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     return 1.0 / (N * math.sin(math.pi / (2 * N)))
 
 
 def planar_symmetric_nwise(N: int, eta: float) -> Verdict:
     """Full planar symmetric family: compatible iff eta <= 1/(N sin pi/2N)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     return _verdict(planar_nwise_bound(N) - eta, IFF, "planar-symmetric-nwise")
 
 

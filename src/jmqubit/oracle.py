@@ -10,15 +10,16 @@ joint POVM) or leaves a gap. Both answers carry a witness checkable in a
 few lines:
 
 - Feasible carries the joint POVM (`verify_witness`).
-- LikelyInfeasible carries a Farkas dual Y of shape (N+1) x 4 when one is
-  found (`verify_dual`): every row of M^T Y lies in the Lorentz cone and
+- LikelyInfeasible carries a Farkas dual Y of shape (N+1) x 4
+  (`verify_dual`): every row of M^T Y lies in the Lorentz cone and
   <T, Y> < 0. For any feasible V, <T, Y> = <M V, Y> = <V, M^T Y> >= 0,
   because the cone is self-dual, so no feasible V exists. Every
   DUAL_EVERY iterations the gap gives a candidate, and the run returns at
-  the first one that checks. Without a dual the plateau rule still ends
-  the run, and the answer is evidence only. The status string stays
-  "likely-infeasible" either way, so callers that key on the three status
-  strings keep working; a proof is told apart by its `dual`.
+  the first one that checks. The status keeps the string
+  "likely-infeasible", which callers key on, although every such answer
+  is proven by its `dual`.
+
+A run that finds neither by max_iter is Inconclusive.
 
 Dykstra is dual ascent. Each step maps z = x + p_corr to z - r, so
 z = x0 + M^T Y for the warm start x0 and an (N+1) x 4 multiplier
@@ -98,9 +99,6 @@ NEWTON_RIDGE = 1e-12
 class OracleParams:
     max_iter: int = 50000
     eps_feasible: float = 1e-9
-    eps_infeasible: float = 1e-7
-    plateau: int = 500
-    plateau_rel_improvement: float = 1e-3
     witness_tol: float = 1e-8
 
 
@@ -113,10 +111,6 @@ class FeasibilityVerdict:
     params: OracleParams = field(default_factory=OracleParams)
     # Farkas dual proving infeasibility; left out of ==, which an array breaks
     dual: Optional[np.ndarray] = field(default=None, compare=False)
-
-    @property
-    def is_feasible(self) -> bool:
-        return self.status == FEASIBLE
 
 
 def _project_psd(V: np.ndarray) -> np.ndarray:
@@ -221,7 +215,9 @@ class _AffineProjector:
 
 
 def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
-    """Run the alternating-projection feasibility search."""
+    """Run the alternating-projection feasibility search. It ends at a
+    checked witness (FEASIBLE), a checked Farkas dual (LIKELY_INFEASIBLE),
+    or after max_iter iterations (INCONCLUSIVE)."""
     N = len(povms)
     if not 1 <= N <= ORACLE_N_CAP:
         raise ValueError(f"oracle takes 1..{ORACLE_N_CAP} POVMs, got {N}")
@@ -236,8 +232,6 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
     p_corr = np.zeros_like(x)
     best = np.inf
     best_V = x
-    check_best = np.inf
-    next_check = params.plateau
     for it in range(1, params.max_iter + 1):
         z = x + p_corr
         y = _project_psd(z)
@@ -261,16 +255,6 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
             if polished is not None:
                 rows, residual = polished
                 return FeasibilityVerdict(FEASIBLE, residual, it, _witness_from(rows, N), params)
-        if it >= next_check:
-            # plateau: no meaningful improvement over a whole window while
-            # the gap sits above the infeasibility threshold
-            if (
-                best > params.eps_infeasible
-                and best > check_best * (1.0 - params.plateau_rel_improvement)
-            ):
-                return FeasibilityVerdict(LIKELY_INFEASIBLE, best, it, None, params)
-            check_best = best
-            next_check = it + params.plateau
     return FeasibilityVerdict(INCONCLUSIVE, best, params.max_iter, None, params)
 
 
@@ -308,8 +292,8 @@ def verify_dual(dual, povms) -> bool:
 def checked_decision(res: FeasibilityVerdict, povms) -> Optional[str]:
     """What an oracle answer proves about povms: COMPATIBLE when it carries
     a joint POVM that passes verify_witness, INCOMPATIBLE when it carries a
-    Farkas dual that passes verify_dual, None otherwise (a plateau without
-    a dual, or an inconclusive run)."""
+    Farkas dual that passes verify_dual, None otherwise (an inconclusive
+    run, or an answer whose witness or dual fails its check)."""
     if res.status == FEASIBLE and verify_witness(res.witness, povms, res.params.witness_tol):
         return COMPATIBLE
     if res.dual is not None and verify_dual(res.dual, povms):
@@ -324,7 +308,7 @@ class SweepMismatch:
     oracle_status: str
 
 
-def agreement_sweep(generator, etas, delta: float = 5e-3, params: OracleParams = OracleParams()) -> list:
+def agreement_sweep(generator, etas, delta: float = 5e-3) -> list:
     """Compare the oracle against an Iff criterion across a purity grid.
 
     generator(eta) must return (povms, verdict) with verdict from an Iff
@@ -340,7 +324,7 @@ def agreement_sweep(generator, etas, delta: float = 5e-3, params: OracleParams =
             raise ValueError("agreement sweep needs an Iff criterion")
         if abs(verdict.margin) < delta:
             continue  # too close to the boundary to trust either side
-        res = decide(povms, params)
+        res = decide(povms)
         if checked_decision(res, povms) != verdict.decision:
             mismatches.append(SweepMismatch(float(eta), verdict.decision, res.status))
     return mismatches

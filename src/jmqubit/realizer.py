@@ -197,7 +197,7 @@ def closed_form_decider(povms):
     return decide
 
 
-def oracle_decider(povms, params: oracle_mod.OracleParams = oracle_mod.OracleParams()):
+def oracle_decider(povms):
     """Decision procedure backed by the feasibility oracle: what
     `oracle.checked_decision` proves (a checked joint POVM or Farkas dual),
     Unknown when it proves nothing. The oracle tests the exact feasibility
@@ -206,7 +206,7 @@ def oracle_decider(povms, params: oracle_mod.OracleParams = oracle_mod.OraclePar
 
     def decide(combo) -> Verdict:
         sub = [povms[i - 1] for i in combo]
-        res = oracle_mod.decide(sub, params)
+        res = oracle_mod.decide(sub)
         decision = oracle_mod.checked_decision(res, sub) or UNKNOWN
         return Verdict(decision, IFF, -res.residual, "oracle")
 
@@ -670,34 +670,36 @@ def atlas_certificates() -> dict:
 
 def atlas_manifest(certs: Optional[dict] = None) -> dict:
     """Windows and structures of all 20 four-vertex entries (no heavy joints),
-    read from atlas_certificates(), which is called when certs is not given."""
+    read from the certificates of atlas_certificates(), which is called when
+    certs is not given."""
     if certs is None:
         certs = atlas_certificates()
     entries = []
     for i in ATLAS_IDS:
         if i == 6:
+            mixed = certs["four-vertex-6-mixed-purity"]
+            non_coplanar = certs["four-vertex-6-non-coplanar"]
             entries.append(
                 {
                     "id": 6,
                     "kind": "special",
                     "variants": {
-                        "mixed-purity": {"eta": SQ23, "window": list(mixed_purity_window())},
-                        "non-coplanar": {"window": list(non_coplanar_window())},
+                        "mixed-purity": {"eta": mixed.eta, "window": list(mixed.eta_window)},
+                        "non-coplanar": {"window": list(non_coplanar.eta_window)},
                     },
-                    "structure": _STAR_STRUCTURE().to_json_dict(),
-                    "notes": [ID6_NOGO_NOTE],
+                    "structure": mixed.claimed.to_json_dict(),
+                    "notes": list(mixed.notes),
                 }
             )
             continue
-        N, subset, lo, hi = FOUR_VERTEX_CATALOG[i]
         cert = certs[f"four-vertex-{i}"]
         entries.append(
             {
                 "id": i,
                 "kind": "planar-symmetric-subset",
-                "n": N,
-                "subset": list(subset),
-                "window": [lo(), hi()],
+                "n": cert.recipe["n"],
+                "subset": list(cert.recipe["subset"]),
+                "window": list(cert.eta_window),
                 "eta": cert.eta,
                 "structure": cert.claimed.to_json_dict(),
                 "notes": list(cert.notes),
@@ -720,11 +722,7 @@ class VerificationReport:
     inconclusive: tuple = ()
 
 
-def verify_certificate(
-    cert: RealizationCertificate,
-    mode: str = "closed-form",
-    oracle_params: oracle_mod.OracleParams = oracle_mod.OracleParams(),
-) -> VerificationReport:
+def verify_certificate(cert: RealizationCertificate, mode: str = "closed-form") -> VerificationReport:
     """Re-derive every evidence entry. mode: closed-form | oracle | both.
 
     The closed-form check proves the claimed structure from its border and
@@ -777,7 +775,7 @@ def verify_certificate(
         checks += [(e, INCOMPATIBLE, "incompatibility") for e in cert.incompatible]
         for e, expected, claim in checks:
             sub = [povms[i - 1] for i in e.subset]
-            res = oracle_mod.decide(sub, oracle_params)
+            res = oracle_mod.decide(sub)
             found = oracle_mod.checked_decision(res, sub)
             if found is None:
                 inconclusive.append(f"oracle {res.status} without a witness on {list(e.subset)}")

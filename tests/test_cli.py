@@ -63,6 +63,22 @@ def test_bounds_pair_angle(capsys):
     assert value == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "planar-symmetric", "--n", "0"],
+        ["--family", "planar-symmetric", "--n=-1"],
+        ["--family", "n-cycle", "--n", "9..3"],
+        ["--family", "pair-angle", "--angle", "nan"],
+    ],
+    ids=["n-zero", "n-negative", "n-empty-range", "angle-nan"],
+)
+def test_bounds_rejects_bad_input_exits_65(capsys, args):
+    code, out, err = run(capsys, "bounds", *args)
+    assert code == 65
+    assert out == "" and err.startswith("error: ")
+
+
 def test_main_dispatches_by_name_at_call_time(tmp_path, capsys, monkeypatch):
     path = write_povms(tmp_path, [{"bias": 0.0, "bloch": [0.5, 0, 0]}])
     assert run(capsys, "check", path)[0] == 0  # the parser now exists
@@ -222,15 +238,19 @@ def test_verify_oracle_mode_without_duals_is_inconclusive(tmp_path, capsys, monk
     assert code == 0
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(out)
-    # no Farkas dual can be found: every incompatible pair ends on a plateau
-    monkeypatch.setattr(oracle, "DUAL_EVERY", OracleParams().max_iter + 1)
+    # no Farkas dual can be found: every incompatible pair runs to max_iter,
+    # bounded here to keep the test short
+    params = OracleParams(max_iter=1000)
+    decide = oracle.decide
+    monkeypatch.setattr(oracle, "DUAL_EVERY", params.max_iter + 1)
+    monkeypatch.setattr(oracle, "decide", lambda povms: decide(povms, params))
     code, out, _ = run(capsys, "verify", str(cert_path), "--mode", "oracle")
     assert code == 3
     report = json.loads(out)
     assert report["ok"] is True and report["issues"] == []
     cert = RealizationCertificate.from_json_dict(json.loads(cert_path.read_text()))
     assert report["inconclusive"] == [
-        f"oracle likely-infeasible without a witness on {list(e.subset)}" for e in cert.incompatible
+        f"oracle inconclusive without a witness on {list(e.subset)}" for e in cert.incompatible
     ]
 
 
