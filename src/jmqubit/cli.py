@@ -160,7 +160,10 @@ def cmd_joint(args) -> int:
                 f"oracle status {res.status} (residual {res.residual:.3e})",
             )
         joint = res.witness
-        summary = f"joint: oracle witness after {res.iterations} iterations"
+        summary = (
+            f"joint: oracle witness after {res.newton_steps} Newton step(s) "
+            f"and {res.iterations - res.newton_steps} Dykstra iteration(s)"
+        )
     _emit(joint.to_json_dict(), args.out, summary)
     return EXIT_OK
 

@@ -3,61 +3,48 @@
 Joint measurability of N binary qubit POVMs is a convex feasibility problem:
 find 2^N PSD effects (each a 2x2 Hermitian, stored as an (alpha, bloch)
 4-vector, PSD iff alpha >= |bloch|) with M V = T, where row 0 of M is
-completeness and row k the x_k = +1 marginal indicator. Dykstra-corrected
-alternating projection between the product PSD cone and that affine
-subspace either converges into the intersection (Feasible, with a witness
-joint POVM) or leaves a gap. Both answers carry a witness checkable in a
-few lines:
+completeness and row k the x_k = +1 marginal indicator. Both answers carry a
+witness checkable in a few lines:
 
 - Feasible carries the joint POVM (`verify_witness`).
 - LikelyInfeasible carries a Farkas dual Y of shape (N+1) x 4
   (`verify_dual`): every row of M^T Y lies in the Lorentz cone and
   <T, Y> < 0. For any feasible V, <T, Y> = <M V, Y> = <V, M^T Y> >= 0,
-  because the cone is self-dual, so no feasible V exists. Every
-  DUAL_EVERY iterations the gap gives a candidate, and the run returns at
-  the first one that checks. The status keeps the string
-  "likely-infeasible", which callers key on, although every such answer
-  is proven by its `dual`.
+  because the cone is self-dual, so no feasible V exists. The status keeps
+  the string "likely-infeasible", which callers key on, although every such
+  answer is proven by its `dual`.
 
-A run that finds neither by max_iter is Inconclusive.
+A run that finds neither by max_iter is Inconclusive. Both phases ascend the
+smooth concave dual of projecting the warm start x0 onto the feasible set (P
+the row-wise PSD projection, Y an (N+1) x 4 multiplier):
 
-Dykstra is dual ascent. Each step maps z = x + p_corr to z - r, so
-z = x0 + M^T Y for the warm start x0 and an (N+1) x 4 multiplier
-Y = K M (z - x0), K = (M M^T)^-1, and the cone point is y = P(z), P the
-row-wise PSD projection. The step is Y <- Y + K grad, the preconditioned
-gradient ascent on the smooth concave dual
+    theta(Y) = <T, Y> - |P(x0 + M^T Y)|^2 / 2,  grad = T - M P(x0 + M^T Y).
 
-    theta(Y) = <T, Y> - |P(x0 + M^T Y)|^2 / 2,  grad = T - M P(x0 + M^T Y),
-
-whose maximiser gives the joint nearest x0. Gradient ascent crawls near
-the boundary, where the feasible set is thin, so at every DUAL_EVERY
-checkpoint that finds no dual the oracle also tries a Newton polish
-(semismooth Newton, as for the nearest correlation matrix: Qi and Sun,
-SIMAX 28, 2006; Malick, SIMAX 26, 2004). From the Dykstra multiplier it
-takes up to NEWTON_STEPS steps Y <- Y + H^-1 grad with
-H = sum_i m_i m_i^T (x) J_i, m_i the i-th column of M and J_i the 4 x 4
-Jacobian of P at row i (`_psd_jacobian`), only 4(N+1) unknowns. After each
-step the cone point P(x0 + M^T Y) is projected onto M V = T, and the run
-returns Feasible at the first such joint that meets verify_witness's
-tolerances. A failed polish leaves the Dykstra state untouched, so the
-iterates that follow are the ones the loop alone would make.
+1. Newton first: from Y = 0, up to NEWTON_STEPS undamped semismooth Newton
+   steps Y <- Y + H^-1 grad (as for the nearest correlation matrix: Qi and
+   Sun, SIMAX 28, 2006), H = sum_i m_i m_i^T (x) J_i, m_i the i-th column of
+   M and J_i the Jacobian of P at row i: only 4(N+1) unknowns. After each
+   step the polish tests two candidates.
+   - The cone point P(x0 + M^T Y), projected onto M V = T, is a witness once
+     it meets verify_witness's tolerances. One more step, if the budget
+     allows, usually takes it to rounding level, so that the joint also
+     reloads at EPS_MARG; the better of the two is kept.
+   - On an infeasible problem theta is unbounded above and the steps run off
+     along a ray (|Y| near 1e10) on which -Y is a Farkas direction. -Y,
+     scaled to sum_i (M^T (-Y))_i0 = 1 and lifted into the cone, is accepted
+     only through verify_dual.
+2. Dykstra only when that settles nothing. It is preconditioned gradient
+   ascent on theta: each step maps z = x + p_corr to z - r, so z = x0 + M^T Y
+   with Y = K M (z - x0), K = (M M^T)^-1. Every DUAL_EVERY iterations the gap
+   r = M^T Y' with Y' = K (M y - T) gives a lifted Farkas candidate, and the
+   polish runs again from the Dykstra multiplier, as it does at the
+   eps_feasible exit, whose joint is PSD only to eps_feasible. A polish that
+   settles nothing leaves the Dykstra state untouched.
 
 The problems are small (2^N <= 4096 rows, mostly 8 to 64), so a step costs
-what its numpy calls cost, and both projections keep that count low:
-
-- PSD side: each row's two eigenvalues are clipped at zero in one
-  branchless pass (no masks, no fancy-index writes); rows with |bloch| = 0
-  are safe without a branch.
-- Affine side: (M M^T)^-1 is folded once into G = M^T (M M^T)^-1 and
-  c = G T, so a projection is two thin products, V - G (M V) + c. The dense
-  2^N x 2^N projector I - G M is never formed: at N = 12 it would take
-  128 MB and a 4096 x 4096 product per step.
-- Dual side: the displacement r = G (M y) - c equals M^T Y for
-  Y = (M M^T)^-1 (M y - T), so with M y kept from the affine step a
-  candidate costs one (N+1) x (N+1) product.
-- Newton side: H is one ((N+1)^2, 2^N) @ (2^N, 16) product of the fixed
-  column outer products m_i m_i^T with the Jacobians, and a step is one
-  4(N+1) solve.
+what its numpy calls cost: the PSD projection is one branchless pass, the
+affine one two thin products (the 2^N x 2^N projector would take 128 MB at
+N = 12), and H one ((N+1)^2, 2^N) @ (2^N, 16) product, batched by 64 rows.
 """
 
 from __future__ import annotations
@@ -68,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .criteria import COMPATIBLE, INCOMPATIBLE, IFF
-from .povm import JointPovm, _marginal_system
+from .povm import EPS_MARG, JointPovm, _marginal_system
 
 ORACLE_N_CAP = 12
 
@@ -77,21 +64,23 @@ LIKELY_INFEASIBLE = "likely-infeasible"
 INCONCLUSIVE = "inconclusive"
 
 _TINY = np.finfo(float).tiny
+_EYE = np.eye(4)
 
-# Farkas duals: a candidate is formed every DUAL_EVERY iterations. A dual is
-# accepted only when <T, Y> < -DUAL_SLACK * |T| * |Y| (Frobenius norms), so
-# rounding in M^T Y and <T, Y>, each of relative size N * 1e-16, can never
-# carry a wrong proof. The oracle lifts a candidate's cone rows by the same
-# relative slack so that the exact float cone test in verify_dual passes.
+# Farkas duals: a candidate is formed after every Newton step and every
+# DUAL_EVERY Dykstra iterations. A dual is accepted only when
+# <T, Y> < -DUAL_SLACK * |T| * |Y| (Frobenius norms), so rounding in M^T Y and
+# <T, Y>, each of relative size N * 1e-16, can never carry a wrong proof. The
+# oracle lifts a candidate's cone rows by the same relative slack so that the
+# exact float cone test in verify_dual passes.
 DUAL_EVERY = 50
 DUAL_SLACK = 1e-12
 
-# Newton polish at each DUAL_EVERY checkpoint: at most NEWTON_STEPS undamped
-# steps. NEWTON_RIDGE keeps the solve defined where H is singular (too many
-# rows in the polar cone, as when a polish runs off on an infeasible
-# problem); a step it spoils only yields a joint that fails the witness
-# tolerance.
-NEWTON_STEPS = 6
+# Newton polish: at most NEWTON_STEPS undamped steps from the warm start and
+# from each DUAL_EVERY checkpoint. Of the golden pool's 1,773 oracle problems
+# 173 fall back to Dykstra at 8 steps, 6 at 12 and 1 at 14, where no witness
+# lacks its extra step to EPS_MARG. NEWTON_RIDGE keeps the solve defined where
+# H is singular (rows in the polar cone, as when the steps run off).
+NEWTON_STEPS = 14
 NEWTON_RIDGE = 1e-12
 
 
@@ -106,11 +95,12 @@ class OracleParams:
 class FeasibilityVerdict:
     status: str
     residual: float
-    iterations: int
+    iterations: int  # Newton steps and Dykstra iterations alike
     witness: Optional[JointPovm] = None
     params: OracleParams = field(default_factory=OracleParams)
     # Farkas dual proving infeasibility; left out of ==, which an array breaks
     dual: Optional[np.ndarray] = field(default=None, compare=False)
+    newton_steps: int = 0  # the Newton share of iterations
 
 
 def _project_psd(V: np.ndarray) -> np.ndarray:
@@ -145,17 +135,25 @@ def _psd_jacobian(V: np.ndarray) -> np.ndarray:
     J[:, 0, 0] = 0.5
     J[:, 0, 1:] = J[:, 1:, 0] = 0.5 * u
     J[:, 1:, 1:] = (-0.5 * s)[:, None, None] * (u[:, :, None] * u[:, None, :])
-    J[:, 1:, 1:] += (0.5 * (1.0 + s))[:, None, None] * np.eye(3)
-    J[nb <= alpha] = np.eye(4)
+    J[:, 1:, 1:] += (0.5 * (1.0 + s))[:, None, None] * _EYE[1:, 1:]
+    J[nb <= alpha] = _EYE
     J[nb <= -alpha] = 0.0
     return J
 
 
-class _AffineProjector:
-    """Orthogonal projector onto { V : M V = T }.
+def _lift(Y: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Raise Y[0,0] in place by the worst cone violation among the rows of
+    W = M^T Y, plus a rounding slack, and return Y. Row 0 of M is all ones,
+    so the lift moves every row of M^T Y into the cone and adds 2 * lift to
+    <T, Y>."""
+    nb = np.sqrt(np.einsum("ij,ij->i", W[:, 1:], W[:, 1:]))
+    Y[0, 0] += max(float(np.max(nb - W[:, 0])), 0.0) + DUAL_SLACK * float(np.linalg.norm(Y))
+    return Y
 
-    With K = (M M^T)^-1 folded into G = M^T K and c = G T once, the
-    projection V - M^T K (M V - T) is V - G (M V) + c."""
+
+class _AffineProjector:
+    """Orthogonal projector V - M^T K (M V - T) = V - G (M V) + c onto
+    { V : M V = T }, and the Newton polish."""
 
     def __init__(self, povms):
         N = len(povms)
@@ -163,21 +161,17 @@ class _AffineProjector:
         self.K = np.linalg.inv(self.M @ self.M.T)
         self.G = self.M.T @ self.K
         self.c = self.G @ self.T
-        self._mm = None  # column outer products m_i m_i^T, built at first polish
+        # m_i m_i^T as columns, in blocks of 64: BLAS runs each block's product
+        # for H on one thread, while a threaded one stalls on a busy core
+        Mb = self.M.reshape(len(self.M), -1, min(64, 1 << N))
+        self._mm = np.einsum("kbj,lbj->bklj", Mb, Mb).reshape(Mb.shape[1], -1, Mb.shape[2])
+        self.steps = 0  # Newton steps taken
 
     def __call__(self, V: np.ndarray) -> np.ndarray:
         return V - (self.G @ (self.M @ V) - self.c)
 
-    def dual(self, MV: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Farkas candidate from a step's M V and displacement r = M^T Y:
-        Y = K (M V - T), with Y[0,0] raised by the worst cone violation of
-        r's rows plus a rounding slack. Row 0 of M is all ones, so the lift
-        moves every row of M^T Y into the cone and adds 2 * lift to <T, Y>."""
-        Y = self.K @ (MV - self.T)
-        nb = np.sqrt(np.einsum("ij,ij->i", r[:, 1:], r[:, 1:]))
-        eps = max(float(np.max(nb - r[:, 0])), 0.0)
-        Y[0, 0] += eps + DUAL_SLACK * float(np.linalg.norm(Y))
-        return Y
+    def verdict(self, status, residual, it, params, witness=None, dual=None) -> FeasibilityVerdict:
+        return FeasibilityVerdict(status, residual, it + self.steps, witness, params, dual, self.steps)
 
     def witness_residual(self, V: np.ndarray) -> float:
         """What verify_witness measures on _witness_from(V): the worst of
@@ -187,75 +181,85 @@ class _AffineProjector:
         nb = np.sqrt(np.einsum("ij,ij->i", x[:, 1:], x[:, 1:]))
         return max(float(np.max(np.abs(self.M @ x - self.T))), float(np.max(0.5 * (nb - x[:, 0]))))
 
-    def polish(self, x0: np.ndarray, z: np.ndarray, tol: float):
-        """Newton polish of the dual from the Dykstra point z = x0 + M^T Y.
-        After each step the cone point V = P(x0 + M^T Y) is projected onto
-        M V = T; returns (joint rows, witness residual) for the first joint
-        whose residual is at most tol, else None."""
+    def polish(self, x0, z, povms, params, it) -> Optional[FeasibilityVerdict]:
+        """Newton steps on theta from z = x0 + M^T Y, testing a witness and a
+        Farkas dual after each (see the module docstring). Returns the verdict,
+        after `it` Dykstra iterations, or None when NEWTON_STEPS settle nothing."""
         n1 = len(self.M)
-        if self._mm is None:
-            Mt = self.M.T
-            self._mm = (Mt[:, :, None] * Mt[:, None, :]).reshape(len(Mt), n1 * n1)
-        Y = self.G.T @ (z - x0)
-        W = z
-        grad = self.T - self.M @ _project_psd(W)
+        Y, W, found = self.G.T @ (z - x0), z, None
+        grad = self.T - self.M @ _project_psd(z)
         for _ in range(NEWTON_STEPS):
-            H = (self._mm.T @ _psd_jacobian(W).reshape(-1, 16)).reshape(n1, n1, 4, 4)
+            J = _psd_jacobian(W).reshape(len(self._mm), -1, 16)
+            H = (self._mm @ J).sum(axis=0).reshape(n1, n1, 4, 4)
             H = H.transpose(0, 2, 1, 3).reshape(4 * n1, 4 * n1)
-            H[np.diag_indices_from(H)] += NEWTON_RIDGE
+            H.flat[:: 4 * n1 + 1] += NEWTON_RIDGE
             Y = Y + np.linalg.solve(H, grad.reshape(-1)).reshape(n1, 4)
-            W = x0 + self.M.T @ Y
+            self.steps += 1
+            MtY = self.M.T @ Y
+            W = x0 + MtY
             V = _project_psd(W)
             grad = self.T - self.M @ V
             x = V + self.G @ grad  # the projection of V onto M V = T
             residual = self.witness_residual(x)
-            if residual <= tol:
-                return x, residual
-        return None
+            if found is not None:  # one step past the tolerance: keep the better
+                found = min(found, (residual, x), key=lambda f: f[0])
+                break
+            if residual <= params.witness_tol:
+                found = (residual, x)
+                if residual <= EPS_MARG:
+                    break
+                continue
+            scale = -float(MtY[:, 0].sum())  # sum_i (M^T (-Y))_i0
+            if scale <= 0.0 or np.vdot(self.T, Y) <= 0.0:
+                continue  # the lift only raises <T, D>: -Y cannot be a dual
+            D = _lift(Y / -scale, MtY / -scale)
+            if np.vdot(self.T, D) < 0.0 and verify_dual(D, povms):
+                return self.verdict(LIKELY_INFEASIBLE, float(np.abs(grad).max()), it, params, dual=D)
+        if found is None:
+            return None
+        return self.verdict(FEASIBLE, found[0], it, params, _witness_from(found[1], len(povms)))
 
 
 def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
-    """Run the alternating-projection feasibility search. It ends at a
-    checked witness (FEASIBLE), a checked Farkas dual (LIKELY_INFEASIBLE),
-    or after max_iter iterations (INCONCLUSIVE)."""
+    """Newton polish from the warm start, then, if it settles nothing,
+    Dykstra with a polish at each checkpoint. Ends at a checked witness
+    (FEASIBLE), a checked Farkas dual (LIKELY_INFEASIBLE), or after max_iter
+    Dykstra iterations (INCONCLUSIVE). `iterations` counts Newton steps too."""
     N = len(povms)
     if not 1 <= N <= ORACLE_N_CAP:
         raise ValueError(f"oracle takes 1..{ORACLE_N_CAP} POVMs, got {N}")
     proj = _AffineProjector(povms)
 
-    # warm start: the maximally mixed product joint, least-squares adjusted
-    # onto the marginal subspace
+    # warm start: the maximally mixed product joint, projected onto M V = T
     V = np.zeros((1 << N, 4))
     V[:, 0] = 2.0 / (1 << N)
     x0 = x = proj(V)
+    settled = proj.polish(x0, x0, povms, params, 0)
+    if settled is not None:
+        return settled
 
-    p_corr = np.zeros_like(x)
-    best = np.inf
-    best_V = x
+    p_corr, best = np.zeros_like(x), np.inf
     for it in range(1, params.max_iter + 1):
         z = x + p_corr
         y = _project_psd(z)
         p_corr = z - y
         # affine: Dykstra correction unnecessary on this side
         My = proj.M @ y
-        r = proj.G @ My - proj.c
+        r = proj.G @ My - proj.c  # = M^T K (M y - T)
         x = y - r
         gap = float(np.abs(r).max())
-        if gap < best:
-            best = gap
-            best_V = x
-        if best <= params.eps_feasible:
-            witness = _witness_from(best_V, N)
-            return FeasibilityVerdict(FEASIBLE, best, it, witness, params)
+        best = min(best, gap)
+        if gap <= params.eps_feasible:  # the first gap this small is the best
+            settled = proj.polish(x0, x + p_corr, povms, params, it)
+            return settled or proj.verdict(FEASIBLE, gap, it, params, _witness_from(x, N))
         if it % DUAL_EVERY == 0:
-            Y = proj.dual(My, r)
+            Y = _lift(proj.K @ (My - proj.T), r)
             if np.vdot(proj.T, Y) < 0.0 and verify_dual(Y, povms):
-                return FeasibilityVerdict(LIKELY_INFEASIBLE, best, it, None, params, Y)
-            polished = proj.polish(x0, x + p_corr, params.witness_tol)
-            if polished is not None:
-                rows, residual = polished
-                return FeasibilityVerdict(FEASIBLE, residual, it, _witness_from(rows, N), params)
-    return FeasibilityVerdict(INCONCLUSIVE, best, params.max_iter, None, params)
+                return proj.verdict(LIKELY_INFEASIBLE, best, it, params, dual=Y)
+            settled = proj.polish(x0, x + p_corr, povms, params, it)
+            if settled is not None:
+                return settled
+    return proj.verdict(INCONCLUSIVE, best, params.max_iter, params)
 
 
 def _support(V: np.ndarray) -> np.ndarray:

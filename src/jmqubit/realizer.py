@@ -202,7 +202,8 @@ def oracle_decider(povms):
     `oracle.checked_decision` proves (a checked joint POVM or Farkas dual),
     Unknown when it proves nothing. The oracle tests the exact feasibility
     problem (strength iff, up to its tolerances); the Verdict's margin is
-    minus its final residual."""
+    minus its residual, which is finite for every settled run, as the JSON
+    that `check` prints requires."""
 
     def decide(combo) -> Verdict:
         sub = [povms[i - 1] for i in combo]
@@ -778,7 +779,12 @@ def verify_certificate(cert: RealizationCertificate, mode: str = "closed-form") 
             res = oracle_mod.decide(sub)
             found = oracle_mod.checked_decision(res, sub)
             if found is None:
-                inconclusive.append(f"oracle {res.status} without a witness on {list(e.subset)}")
+                proof = "joint POVM" if expected == COMPATIBLE else "Farkas dual"
+                inconclusive.append(
+                    f"oracle {res.status} on {list(e.subset)}: no checked {proof} after "
+                    f"{res.iterations - res.newton_steps} of max_iter = {res.params.max_iter} "
+                    f"Dykstra iterations and {res.newton_steps} Newton steps"
+                )
             elif found != expected:
                 issues.append(f"oracle contradicts {claim} of {list(e.subset)}")
 

@@ -156,6 +156,23 @@ def test_check_unknown_exits_3(tmp_path, capsys):
     assert json.loads(out)["undecided"] == [[1, 2, 3, 4]]
 
 
+def test_check_both_settles_golden_set_with_finite_margins(tmp_path, capsys):
+    # mixed-purity-6-06 left {1, 3, 4, 5} to an oracle run that ended at
+    # max_iter; a Newton-settled verdict must not print an infinite margin,
+    # which is not JSON
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "decide_golden.json"
+    entry = next(s for s in json.loads(golden.read_text())["sets"] if s["id"] == "mixed-purity-6-06")
+    path = write_povms(tmp_path, entry["povms"])
+    code, out, _ = run(capsys, "check", path, "--mode", "both")
+
+    def no_constant(name):
+        raise ValueError(f"non-finite number {name} in check output")
+
+    payload = json.loads(out, parse_constant=no_constant)
+    assert code == 0 and payload["undecided"] == []
+    assert [1, 3, 4, 5] in [e["subset"] for e in payload["incompatible"] if e["criterion"] == "oracle"]
+
+
 def test_check_oracle_mode_resolves_unknown(tmp_path, capsys):
     dirs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
     path = write_povms(
@@ -209,6 +226,22 @@ def test_joint_chain_roundtrip(tmp_path, capsys):
         assert np.max(np.abs(m.bloch - p.bloch)) < 1e-12
 
 
+def test_joint_oracle_witness_reloads(tmp_path, capsys):
+    # the pair CI runs: the joint written with --out loads back through
+    # JointPovm.from_json_dict at its default tolerance, EPS_MARG
+    path = write_povms(
+        tmp_path,
+        [{"bias": 0.0, "bloch": [0.6, 0, 0]}, {"bias": 0.0, "bloch": [0, 0.6, 0]}],
+    )
+    out_path = tmp_path / "joint.json"
+    code, _, err = run(capsys, "joint", path, "--constructor", "oracle", "--out", str(out_path))
+    assert code == 0
+    assert "Newton step(s)" in err and "after 0 iterations" not in err
+    joint = JointPovm.from_json_dict(json.loads(out_path.read_text()))
+    povms = povms_from_json_dict(json.loads((tmp_path / "povms.json").read_text()))
+    assert joint.marginal_error(povms) < 1e-12
+
+
 def test_joint_chain_violation_exits_65(tmp_path, capsys):
     path = write_povms(
         tmp_path,
@@ -238,10 +271,12 @@ def test_verify_oracle_mode_without_duals_is_inconclusive(tmp_path, capsys, monk
     assert code == 0
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(out)
-    # no Farkas dual can be found: every incompatible pair runs to max_iter,
-    # bounded here to keep the test short
+    # no Farkas dual can be found: with the Newton polish and the checkpoints
+    # off, every incompatible pair runs to max_iter, bounded here to keep the
+    # test short
     params = OracleParams(max_iter=1000)
     decide = oracle.decide
+    monkeypatch.setattr(oracle._AffineProjector, "polish", lambda *args: None)
     monkeypatch.setattr(oracle, "DUAL_EVERY", params.max_iter + 1)
     monkeypatch.setattr(oracle, "decide", lambda povms: decide(povms, params))
     code, out, _ = run(capsys, "verify", str(cert_path), "--mode", "oracle")
@@ -250,7 +285,9 @@ def test_verify_oracle_mode_without_duals_is_inconclusive(tmp_path, capsys, monk
     assert report["ok"] is True and report["issues"] == []
     cert = RealizationCertificate.from_json_dict(json.loads(cert_path.read_text()))
     assert report["inconclusive"] == [
-        f"oracle inconclusive without a witness on {list(e.subset)}" for e in cert.incompatible
+        f"oracle inconclusive on {list(e.subset)}: no checked Farkas dual after "
+        "1000 of max_iter = 1000 Dykstra iterations and 0 Newton steps"
+        for e in cert.incompatible
     ]
 
 

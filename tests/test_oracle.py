@@ -1,5 +1,7 @@
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +21,20 @@ from jmqubit import (
     verify_witness,
 )
 from jmqubit import oracle
-from jmqubit.oracle import ORACLE_N_CAP, _project_psd, _psd_jacobian, decide
-from jmqubit.povm import _marginal_system
+from jmqubit.oracle import ORACLE_N_CAP, _project_psd, _psd_jacobian, checked_decision, decide
+from jmqubit.povm import JointPovm, _marginal_system
 from conftest import random_unit
 
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "decide_golden.json"
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def no_newton(monkeypatch):
+    """Leave decide to Dykstra and its checkpoint duals: the polish, at the
+    warm start and at every checkpoint, settles nothing."""
+    monkeypatch.setattr(oracle._AffineProjector, "polish", lambda *args: None)
 
 
 def reference_project_psd(V):
@@ -171,7 +180,9 @@ def reference_runs():
 
 
 def test_iteration_matches_reference_loop(reference_runs, monkeypatch):
-    # with the dual check out of reach the loop is the reference loop
+    # with the polish off and the dual check out of reach the loop is the
+    # reference loop
+    no_newton(monkeypatch)
     monkeypatch.setattr(oracle, "DUAL_EVERY", REFERENCE_PARAMS.max_iter + 1)
     statuses = set()
     for povms, _, (status, iterations, residual) in reference_runs:
@@ -184,11 +195,11 @@ def test_iteration_matches_reference_loop(reference_runs, monkeypatch):
 
 
 def test_dual_exit_against_reference_loop(reference_runs):
-    # default settings: feasible runs may end early at a Newton-polished
-    # witness, infeasible runs at a Farkas dual
-    for povms, compatible, (_, iterations, _) in reference_runs:
+    # default settings: every run ends at the warm start's Newton polish, at a
+    # witness or a Farkas dual, before any Dykstra iteration
+    for povms, compatible, _ in reference_runs:
         res = decide(povms)
-        assert res.iterations <= iterations
+        assert res.iterations == res.newton_steps and 1 <= res.newton_steps <= oracle.NEWTON_STEPS
         if compatible:
             assert res.status == FEASIBLE
             assert verify_witness(res.witness, povms, res.params.witness_tol)
@@ -199,14 +210,15 @@ def test_dual_exit_against_reference_loop(reference_runs):
 
 
 def test_failed_polish_leaves_the_loop_unchanged(reference_runs, monkeypatch):
-    # the polish still runs at every checkpoint, but its joints are thrown
-    # away: the Dykstra iterates must be the reference loop's
+    # the polish still runs, from the warm start and at every checkpoint, but
+    # its answers are thrown away: the Dykstra iterates must be the
+    # reference loop's
     polish = oracle._AffineProjector.polish
     monkeypatch.setattr(oracle._AffineProjector, "polish", lambda *args: polish(*args) and None)
     for povms, compatible, (status, iterations, residual) in reference_runs:
         res = decide(povms, REFERENCE_PARAMS)
         if compatible:
-            assert (res.status, res.iterations) == (status, iterations)
+            assert (res.status, res.iterations - res.newton_steps) == (status, iterations)
             assert abs(res.residual - residual) <= 1e-12
         else:  # the dual is tried before the polish
             assert res.status == LIKELY_INFEASIBLE and verify_dual(res.dual, povms)
@@ -230,9 +242,10 @@ def test_infeasible_answer_carries_a_checked_dual(reference_runs, monkeypatch, d
             assert res.dual is None
 
 
-def test_dual_for_a_subset_that_stalls():
-    # POVMs 2, 3, 4 and 6 of the golden-pool set biased-6-04: the gap stalls
-    # for thousands of iterations before a checkpoint's dual checks
+def test_dual_for_a_subset_that_stalls(monkeypatch):
+    # POVMs 2, 3, 4 and 6 of the golden-pool set biased-6-04: the Newton
+    # polish proves it infeasible at the warm start, while Dykstra's gap
+    # stalls for thousands of iterations before a checkpoint's dual checks
     povms = [
         BinaryQubitPovm(-0.27988786387693304, [0.4000776855528253, 0.04657500876588716, -0.432205164020495]),
         BinaryQubitPovm(0.11566298719722184, [0.471032631614286, -0.3202163753742009, 0.19737122761690384]),
@@ -240,8 +253,38 @@ def test_dual_for_a_subset_that_stalls():
         BinaryQubitPovm(0.16013474309424225, [-0.05642599097952158, -0.4892736461828743, 0.1519694971947038]),
     ]
     res = decide(povms)
+    assert res.status == LIKELY_INFEASIBLE and res.iterations == res.newton_steps
+    assert verify_dual(res.dual, povms) and math.isfinite(res.residual)
+    no_newton(monkeypatch)
+    res = decide(povms)
     assert res.status == LIKELY_INFEASIBLE and res.iterations > 2500
     assert verify_dual(res.dual, povms)
+
+
+# Golden-pool subsets that Dykstra, with a polish at each checkpoint, left
+# inconclusive at 50,000 iterations
+FORMERLY_INCONCLUSIVE = {
+    "mixed-purity-6-06": [(1, 3, 4, 5)],
+    "mixed-purity-7-04": [(1, 2, 4, 6, 7)],
+    "same-purity-3d-6-10": [(1, 4, 5, 6), (2, 3, 4, 5)],
+    "same-purity-3d-7-05": [(1, 3, 4, 6, 7)],
+    "same-purity-3d-7-10": [(1, 2, 4, 7)],
+    "coplanar-same-purity-7-00": [(1, 2, 3, 4, 5, 6), (1, 3, 4, 5, 6)],
+    "biased-7-06": [(1, 2, 3), (1, 2, 3, 5)],
+    "biased-7-17": [(1, 4, 7)],
+}
+
+
+def test_formerly_inconclusive_golden_subsets_settle():
+    sets = {s["id"]: s["povms"] for s in json.loads(GOLDEN.read_text())["sets"]}
+    for name, subsets in FORMERLY_INCONCLUSIVE.items():
+        povms = [BinaryQubitPovm(p["bias"], p["bloch"]) for p in sets[name]]
+        for subset in subsets:
+            sub = [povms[i - 1] for i in subset]
+            res = decide(sub)
+            assert res.iterations - res.newton_steps <= 2 * oracle.DUAL_EVERY, (name, subset)
+            assert checked_decision(res, sub) is not None, (name, subset)
+            assert math.isfinite(res.residual)
 
 
 def test_polish_witnesses_near_boundaries():
@@ -255,15 +298,12 @@ def test_polish_witnesses_near_boundaries():
         status, iterations, _ = reference_decide(povms)
         res = decide(povms)
         assert status == res.status == FEASIBLE
-        assert res.iterations <= iterations
+        assert res.iterations - res.newton_steps <= iterations
         assert verify_witness(res.witness, povms, res.params.witness_tol)
         assert res.residual <= res.params.witness_tol
 
 
-def test_verify_dual_rejects_bad_duals():
-    # biased, so no two rows of M^T Y tie on their cone slack
-    bad = biased_pair(0.75)
-    Y = decide(bad).dual
+def check_rejects_bad_duals(Y, bad, leaving_rows):
     assert verify_dual(Y, bad)
     assert not verify_dual(-Y, bad)
     # lower Y[0,0] until the tightest row of M^T Y leaves the cone;
@@ -274,12 +314,59 @@ def test_verify_dual_rejects_bad_duals():
     out = Y.copy()
     out[0, 0] -= np.min(slack) + 1e-9
     W_out = M.T @ out
-    assert np.sum(W_out[:, 0] < np.linalg.norm(W_out[:, 1:], axis=1)) == 1
+    assert np.sum(W_out[:, 0] < np.linalg.norm(W_out[:, 1:], axis=1)) == leaving_rows
     assert np.vdot(T, out) < np.vdot(T, Y) < 0
     assert not verify_dual(out, bad)
     # a valid dual proves nothing about a feasible problem
     assert not verify_dual(Y, biased_pair(0.65))
     assert not verify_dual(Y[:-1], bad)
+
+
+def test_verify_dual_rejects_bad_duals():
+    # the Newton dual of the warm start lies on the cone boundary in every
+    # row of M^T Y, so all four leave it together
+    bad = biased_pair(0.75)
+    check_rejects_bad_duals(decide(bad).dual, bad, leaving_rows=4)
+
+
+def test_verify_dual_rejects_bad_checkpoint_duals(monkeypatch):
+    # biased, so no two rows of the Dykstra checkpoint's M^T Y tie on their
+    # cone slack
+    no_newton(monkeypatch)
+    bad = biased_pair(0.75)
+    check_rejects_bad_duals(decide(bad).dual, bad, leaving_rows=1)
+
+
+def test_witnesses_reload_at_eps_marg(rng):
+    # what `joint --constructor oracle` writes must load back through
+    # JointPovm.from_json_dict at its default tolerance, EPS_MARG
+    problems = [
+        [unbiased_povm(0.3, random_unit(rng)) for _ in range(ORACLE_N_CAP)],  # test_feasible_at_n_cap's
+        [unbiased_povm(0.6, EX), unbiased_povm(0.6, EY)],  # the pair CI runs
+    ]
+    problems += [PlanarSymmetricFamily(8, f * planar_nwise_bound(8)).povms() for f in (0.9, 0.98, 0.995)]
+    for povms in problems:
+        res = decide(povms)
+        assert res.status == FEASIBLE
+        joint = JointPovm.from_json_dict(json.loads(json.dumps(res.witness.to_json_dict())))
+        assert joint.marginal_error(povms) <= res.params.witness_tol
+
+
+def test_dykstra_exit_witness_reloads_at_eps_marg(monkeypatch):
+    # the polish is off at the warm start and no checkpoint comes, so the run
+    # ends at Dykstra's eps_feasible exit, whose joint is PSD only to about
+    # 1e-9 until the exit's own polish takes it to rounding level
+    polish = oracle._AffineProjector.polish
+    monkeypatch.setattr(
+        oracle._AffineProjector, "polish", lambda *args: polish(*args) if args[-1] > 0 else None
+    )
+    monkeypatch.setattr(oracle, "DUAL_EVERY", OracleParams().max_iter + 1)
+    for N in (3, 4):
+        povms = PlanarSymmetricFamily(N, 0.9 * planar_nwise_bound(N)).povms()
+        res = decide(povms)
+        assert res.status == FEASIBLE and res.iterations > res.newton_steps > 0
+        joint = JointPovm.from_json_dict(res.witness.to_json_dict())
+        assert joint.marginal_error(povms) <= res.params.witness_tol
 
 
 def test_feasible_at_n_cap(rng):
@@ -326,18 +413,27 @@ def test_boundary_commuting_pair():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_polish_with_singular_hessian():
-    # an infeasible triple whose dual needs four checkpoints: the failed
-    # polishes run Newton steps into an H with zero eigenvalues (rows in
-    # the polar cone), which NEWTON_RIDGE keeps solvable and quiet
+def test_polish_with_singular_hessian(monkeypatch):
+    # an infeasible triple (its Dykstra dual needs four checkpoints): the
+    # Newton steps from the warm start run into an H with zero eigenvalues
+    # (rows in the polar cone), which NEWTON_RIDGE keeps solvable and quiet
     dirs = [
         [-0.5107937436299098, 0.8528742729182628, 0.10814446847937462],
         [-0.82950496324043, -0.040081410318072545, -0.5570592396742082],
         [-0.5886162667637395, -0.456465279681728, -0.667210865428764],
     ]
     povms = [unbiased_povm(0.6909, d) for d in dirs]
+    smallest = []
+    solve = np.linalg.solve
+
+    def recording_solve(H, g):
+        smallest.append(np.linalg.eigvalsh(H)[0])
+        return solve(H, g)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
     res = decide(povms)
-    assert res.status == LIKELY_INFEASIBLE and res.iterations > oracle.DUAL_EVERY
+    assert min(smallest) <= 2 * oracle.NEWTON_RIDGE
+    assert res.status == LIKELY_INFEASIBLE and res.iterations == res.newton_steps
     assert verify_dual(res.dual, povms)
 
 
@@ -368,10 +464,11 @@ def test_decide_rejects_empty_input():
         decide([])
 
 
-def test_max_iter_inconclusive():
+def test_max_iter_inconclusive(monkeypatch):
     povms = [unbiased_povm(0.9, EX), unbiased_povm(0.9, EY)]
+    no_newton(monkeypatch)
     res = decide(povms, OracleParams(max_iter=3))
-    assert res.status == INCONCLUSIVE
+    assert res.status == INCONCLUSIVE and res.iterations == 3
 
 
 def test_witness_verification_rejects_wrong_marginals():
@@ -398,6 +495,7 @@ def test_agreement_sweep_needs_a_dual(monkeypatch):
         return povms, pair_unbiased(eta, EX, eta, EY)
 
     etas = [0.6, 0.8, 0.9]  # 1/sqrt(2) is the boundary
+    no_newton(monkeypatch)
     monkeypatch.setattr(oracle, "DUAL_EVERY", REFERENCE_PARAMS.max_iter + 1)
     monkeypatch.setattr(oracle, "decide", lambda povms: decide(povms, REFERENCE_PARAMS))
     assert [(m.eta, m.oracle_status) for m in agreement_sweep(gen, etas)] == [
