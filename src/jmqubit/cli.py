@@ -96,8 +96,70 @@ def _load_povms(path: str):
     return povms
 
 
+# CPython's C encoder, compact and with sorted keys; json.dumps drops to the
+# pure-Python encoder whenever it is given an indent
+_ascii = json.encoder.encode_basestring_ascii
+_c_encode = json.encoder.c_make_encoder(None, None, _ascii, None, ": ", ",", True, False, True)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_NUMBERS = frozenset((int, float))
+
+
+def _dumps(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), byte for byte.
+
+    Dicts with str keys, lists and tuples are laid out here; every scalar,
+    and every flat list of ints and floats in one call, goes to the C
+    encoder. A number never holds a comma, so such a list is indented by
+    splitting at its commas. Anything else (a dict with a non-str key, a
+    subclass of a scalar type, an unknown type) is handed to json.dumps
+    itself and indented to its place.
+    """
+    chunks: list = []
+    _layout(payload, "\n", chunks)
+    return "".join(chunks)
+
+
+def _layout(x, newline: str, chunks: list) -> None:
+    if type(x) in _SCALARS:
+        chunks += _c_encode(x, 0)
+        return
+    inner = newline + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            chunks.append("[]")
+        elif _NUMBERS.issuperset(map(type, x)):
+            flat = "".join(_c_encode(x, 0))
+            chunks += ("[", inner, flat[1:-1].replace(",", "," + inner), newline, "]")
+        else:
+            sep = "[" + inner
+            for v in x:
+                chunks.append(sep)
+                _layout(v, inner, chunks)
+                sep = "," + inner
+            chunks += (newline, "]")
+        return
+    if isinstance(x, dict):
+        try:  # a non-str key fails to encode, and mixed keys fail to sort
+            items = [(_ascii(k), x[k]) for k in sorted(x)]
+        except TypeError:
+            pass
+        else:
+            if not items:
+                chunks.append("{}")
+                return
+            sep = "{" + inner
+            for name, v in items:
+                chunks += (sep, name, ": ")
+                _layout(v, inner, chunks)
+                sep = "," + inner
+            chunks += (newline, "}")
+            return
+    # JSON strings hold no raw newline, so every newline is layout
+    chunks.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", newline))
+
+
 def _emit(payload, out: str | None, summary: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _dumps(payload)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -241,7 +303,7 @@ def cmd_atlas(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         payloads = {"manifest": manifest, **{k: c.to_json_dict() for k, c in certs.items()}}
         for name, payload in payloads.items():
-            (out_dir / f"{name}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            (out_dir / f"{name}.json").write_text(_dumps(payload) + "\n")
         summary = f"atlas: manifest + {len(certs)} certificates written to {out_dir}"
     _emit(manifest, None, summary)
     return EXIT_OK

@@ -35,10 +35,11 @@ def bloch_vector(x: float, y: float = 0.0, z: float = 0.0) -> BlochVector:
 
 
 def _as_bloch(v) -> BlochVector:
-    a = np.asarray(v, dtype=float)
+    """v as a new float64 array of 3 finite components."""
+    a = np.array(v, dtype=float)
     if a.shape != (3,):
         raise ValueError("Bloch vector must have 3 components")
-    if not np.all(np.isfinite(a)):
+    if not all(map(math.isfinite, a.tolist())):
         raise ValueError("Bloch vector components must be finite")
     return a
 
@@ -87,7 +88,7 @@ class BinaryQubitPovm:
         object.__setattr__(self, "bias", float(self.bias))
         # a read-only copy: eta and components are computed once, so bloch
         # must never change
-        bloch = _as_bloch(self.bloch).copy()
+        bloch = _as_bloch(self.bloch)
         bloch.flags.writeable = False
         object.__setattr__(self, "bloch", bloch)
         if not math.isfinite(self.bias):
@@ -97,7 +98,7 @@ class BinaryQubitPovm:
     def eta(self) -> float:
         """Purity (Bloch norm); the usual sharpness parameter when bias = 0.
         Computed once per instance."""
-        return float(np.linalg.norm(self.bloch))
+        return math.sqrt(self.bloch.dot(self.bloch))  # np.linalg.norm's 1-D formula
 
     @functools.cached_property
     def components(self) -> tuple:
@@ -262,13 +263,19 @@ class JointPovm:
         """{mask: Effect} in storage order, built on each access."""
         return {m: Effect(r[0], r[1:]) for m, r in zip(self.masks.tolist(), self.rows)}
 
-    def validate(self, tol: float = EPS_MARG) -> ValidationReport:
+    @functools.cached_property
+    def _spectrum(self) -> tuple:
+        """(every effect's smaller eigenvalue (alpha - |bloch|)/2, the
+        completeness error), one array pass per joint: rows is read-only."""
         alpha, bloch = self.rows[:, 0], self.rows[:, 1:]
-        # every effect's smaller eigenvalue (alpha - |bloch|)/2 in one pass
         min_eig = 0.5 * (alpha - np.sqrt((bloch * bloch).sum(axis=1)))
+        comp = float(np.max(np.abs(self.rows.sum(axis=0) - (2.0, 0.0, 0.0, 0.0))))
+        return min_eig, comp
+
+    def validate(self, tol: float = EPS_MARG) -> ValidationReport:
+        min_eig, comp = self._spectrum
         bad = np.flatnonzero(min_eig < -tol)
         violations = [(f"effect[{self.masks[i]}] PSD", -float(min_eig[i])) for i in bad]
-        comp = float(np.max(np.abs(self.rows.sum(axis=0) - (2.0, 0.0, 0.0, 0.0))))
         if comp > tol:
             violations.append(("completeness", comp))
         return ValidationReport(not violations, tuple(violations))

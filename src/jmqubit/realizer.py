@@ -20,8 +20,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import oracle as oracle_mod
 from .criteria import (
     COMPATIBLE,
@@ -85,17 +83,38 @@ def _unit_rows(povms) -> list:
     return rows
 
 
-def _coplanar_line_angles(povms, tol: float = 1e-9) -> Optional[np.ndarray]:
-    """Sorted line angles in [0, pi) if the Bloch vectors are coplanar."""
-    A = np.array([p.bloch for p in povms])
-    u, s, vt = np.linalg.svd(A)
-    if len(s) > 2 and s[2] > tol * max(1.0, s[0]):
+def _coplanar_line_angles(povms, tol: float = 1e-9) -> Optional[list]:
+    """Sorted line angles in [0, pi) if the Bloch vectors are coplanar, on
+    Python floats. With e the unit longest vector and n the largest cross
+    product of e with a vector, made exactly normal to e and unit, the rows A
+    are coplanar when |A n| <= tol * max(1, longest length): never looser
+    than the SVD test s[2] <= tol * max(1, s[0]), since |A n| >= s[2].
+    Angles are measured in the frame (e, n x e)."""
+    rows = [p.components for p in povms]
+    etas = [p.eta for p in povms]
+    longest = max(etas)
+    if longest == 0.0:
+        return [0.0] * len(rows)
+    ex, ey, ez = (c / longest for c in rows[etas.index(longest)])
+    cx, cy, cz = max(
+        ((ey * z - ez * y, ez * x - ex * z, ex * y - ey * x) for x, y, z in rows),
+        key=lambda c: math.hypot(*c),
+    )
+    # on one line the cross products are all rounding, in any direction
+    along = cx * ex + cy * ey + cz * ez
+    nx, ny, nz = cx - along * ex, cy - along * ey, cz - along * ez
+    size = math.hypot(nx, ny, nz)
+    if size == 0.0:  # every vector a multiple of e
+        return [0.0] * len(rows)
+    nx, ny, nz = nx / size, ny / size, nz / size
+    if math.hypot(*(nx * x + ny * y + nz * z for x, y, z in rows)) > tol * max(1.0, longest):
         return None
-    x = A @ vt[0]
-    y = A @ vt[1] if len(vt) > 1 else np.zeros(len(A))
-    ang = np.mod(np.arctan2(y, x), np.pi)
-    ang[np.abs(ang - np.pi) < 1e-12] = 0.0
-    return np.sort(ang)
+    fx, fy, fz = ny * ez - nz * ey, nz * ex - nx * ez, nx * ey - ny * ex
+    angles = []
+    for x, y, z in rows:
+        a = math.atan2(fx * x + fy * y + fz * z, ex * x + ey * y + ez * z) % math.pi
+        angles.append(0.0 if abs(a - math.pi) < 1e-12 else a)
+    return sorted(angles)
 
 
 def _unbiased_purity(povms, tol: float = 1e-9) -> Optional[float]:
@@ -140,10 +159,11 @@ def _coplanar_same_purity(sub) -> Optional[Verdict]:
     angles = None if eta is None else _coplanar_line_angles(sub)
     if angles is None:
         return None
-    gaps = np.append(np.diff(angles), np.pi - (angles[-1] - angles[0]))  # cyclic
-    if np.max(np.abs(gaps - np.pi / len(sub))) <= 1e-9:
+    gaps = [b - a for a, b in zip(angles, angles[1:])]
+    gaps.append(math.pi - (angles[-1] - angles[0]))  # cyclic
+    if max(abs(g - math.pi / len(sub)) for g in gaps) <= 1e-9:
         return planar_symmetric_nwise(len(sub), eta)
-    bound = coplanar_chain_bound(angles[1:] - angles[0])
+    bound = coplanar_chain_bound([a - angles[0] for a in angles[1:]])
     return _verdict(bound - eta, SUFFICIENT_ONLY, "coplanar-chain")
 
 

@@ -14,10 +14,13 @@ ISO_CAP = 8  # canonicalization iterates over all vertex permutations
 
 
 def _maximal_only(sets: Iterable[frozenset]) -> frozenset:
-    fam = set(sets)
-    return frozenset(
-        s for s in fam if not any(s < t for t in fam)
-    )
+    """The sets in no other set of the family. Visited largest first, a set
+    is maximal unless it lies in a maximal set already found."""
+    maximal: list = []
+    for s in sorted(set(sets), key=len, reverse=True):
+        if not any(s < m for m in maximal):
+            maximal.append(s)
+    return frozenset(maximal)
 
 
 # verdicts of the containment test behind JmStructure.minimal_non_faces

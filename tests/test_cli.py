@@ -21,8 +21,10 @@ from jmqubit import (
     povms_to_json_dict,
     realize_n_cycle,
 )
-from jmqubit import cli
+from jmqubit import cli, realizer
 from jmqubit.cli import main, parse_angle
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -514,3 +516,91 @@ def test_loaders_survive_schema_fuzzing(tmp_path_factory, command, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([command, str(target)])
     assert code in DOCUMENTED_EXITS
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: json.dumps(indent=2, sort_keys=True), byte for byte
+
+_keys = st.one_of(st.text(max_size=4), st.sampled_from(["é", '"\n\\', " ", "\x00", "\U0001f600", ""]))
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200).map(lambda i: i * (-1) ** (i % 2)),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf]),
+    st.text(max_size=6),
+    _keys,
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_keys, kids, max_size=4),
+        # flat lists of numbers, some with a bool among them
+        st.lists(st.one_of(st.integers(), st.floats(), st.booleans()), max_size=6),
+        st.lists(st.floats(), max_size=6).map(tuple),
+        # keys json.dumps converts itself
+        st.dictionaries(st.integers(-9, 9), kids, max_size=3),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300)
+@given(_trees)
+def test_dumps_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_dumps_rejects_what_json_dumps_rejects():
+    for bad in ({"a": [object()]}, {1: 2, "a": 3}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._dumps(bad)
+
+
+@pytest.fixture
+def checked_dumps(monkeypatch):
+    """cli._dumps, checked against json.dumps on every payload it writes."""
+    texts = []
+    dumps = cli._dumps
+
+    def checked(payload):
+        text = dumps(payload)
+        assert text == json.dumps(payload, indent=2, sort_keys=True)
+        texts.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "_dumps", checked)
+    return texts
+
+
+NAMED_REALIZE = (
+    [["--structure", "n-cycle", "--n", str(n)] for n in (3, 5, 12)]
+    + [["--structure", "n-specker", "--n", str(n)] for n in (3, 5, 8)]
+    + [["--structure", f"four-vertex-{i}"] for i in realizer.ATLAS_IDS]
+    + [["--structure", "four-vertex-6", "--variant", "non-coplanar"]]
+    + [["--structure", name] for name in sorted(realizer.MISC_SCENARIOS)]
+)
+
+
+@pytest.mark.parametrize("argv", NAMED_REALIZE, ids=lambda a: "-".join(a[1::2]))
+def test_dumps_writes_realize_payloads(capsys, checked_dumps, argv):
+    code, out, _ = run(capsys, "realize", *argv)
+    assert code == 0 and checked_dumps == [out[:-1]]
+
+
+def test_dumps_writes_atlas_and_data_payloads(tmp_path, capsys, checked_dumps):
+    code, out, _ = run(capsys, "atlas", "--out", str(tmp_path))
+    assert code == 0 and len(checked_dumps) == 23  # manifest, 21 certificates, stdout
+    for path in tmp_path.iterdir():
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    for path in sorted(DATA.glob("*.json")):
+        for command in ("check", "verify"):
+            code, out, _ = run(capsys, command, str(path))
+            assert code == 0 and checked_dumps[-1] == out[:-1]
+    assert len(checked_dumps) == 23 + 2 * len(list(DATA.glob("*.json")))

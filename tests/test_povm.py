@@ -354,3 +354,32 @@ def test_bloch_is_a_read_only_copy():
     assert p.bloch[0] == 0.5 and p.eta == 0.5
     with pytest.raises(ValueError):
         p.bloch[0] = 0.9
+
+
+@given(st.lists(st.floats(-1e150, 1e150), min_size=3, max_size=3))
+def test_eta_is_numpy_norm_bit_for_bit(bloch):
+    p = BinaryQubitPovm(0.0, bloch)
+    assert p.eta == float(np.linalg.norm(np.array(bloch)))
+    assert p.components == tuple(bloch)
+
+
+@pytest.mark.parametrize(
+    "bloch", [[0.1, 0.2], [[0.1, 0.2, 0.3]], 0.5, [0.1, math.nan, 0.0], [math.inf, 0.0, 0.0], ["x", 0, 0]]
+)
+def test_povm_rejects_bad_bloch_vectors(bloch):
+    with pytest.raises(ValueError):
+        BinaryQubitPovm(0.0, bloch)
+
+
+def test_validate_measures_each_joint_once(rng):
+    rows = [(rng.uniform(0.0, 1.0), *(0.4 * rng.normal(size=3))) for _ in range(8)]
+    joint = JointPovm(3, range(8), rows)
+    assert "_spectrum" not in vars(joint)
+    loose = joint.validate(0.5)
+    spectrum = vars(joint)["_spectrum"]
+    strict = joint.validate(1e-12)
+    assert vars(joint)["_spectrum"] is spectrum  # computed once per joint
+    for report, tol in ((loose, 0.5), (strict, 1e-12)):
+        ok, violations = reference_validate(joint, tol)
+        assert report.ok == ok
+        assert [name for name, _ in report.violations] == [name for name, _ in violations]

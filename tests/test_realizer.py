@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jmqubit import (
     COMPATIBLE,
     INCOMPATIBLE,
     UNKNOWN,
+    BinaryQubitPovm,
     JmStructure,
     PlanarSymmetricFamily,
     RealizationCertificate,
@@ -36,6 +39,7 @@ from jmqubit.realizer import (
     mixed_purity_povms,
     non_coplanar_povms,
 )
+from conftest import random_orthogonal
 
 
 def test_cycle_and_specker_windows():
@@ -370,3 +374,127 @@ def test_n_specker_asks_the_border_only(monkeypatch, N):
     # the N maximal (N-1)-sets and the full set
     assert len(calls) <= N + 1
     assert cert.claimed.maximal == n_specker(N).maximal
+
+
+# ---------------------------------------------------------------------------
+# the coplanar kernel against the SVD version it replaced
+
+
+def _reference_coplanar_line_angles(povms, tol: float = 1e-9):
+    """Sorted line angles in [0, pi) if the Bloch vectors are coplanar, from
+    an SVD of the stacked Bloch vectors."""
+    A = np.array([p.bloch for p in povms])
+    u, s, vt = np.linalg.svd(A)
+    if len(s) > 2 and s[2] > tol * max(1.0, s[0]):
+        return None
+    x = A @ vt[0]
+    y = A @ vt[1] if len(vt) > 1 else np.zeros(len(A))
+    ang = np.mod(np.arctan2(y, x), np.pi)
+    ang[np.abs(ang - np.pi) < 1e-12] = 0.0
+    return np.sort(ang)
+
+
+def _reference_coplanar_same_purity(sub):
+    eta = realizer._unbiased_purity(sub)
+    angles = None if eta is None else _reference_coplanar_line_angles(sub)
+    if angles is None:
+        return None
+    gaps = np.append(np.diff(angles), np.pi - (angles[-1] - angles[0]))
+    if np.max(np.abs(gaps - np.pi / len(sub))) <= 1e-9:
+        return planar_symmetric_nwise(len(sub), eta)
+    bound = realizer.coplanar_chain_bound(angles[1:] - angles[0])
+    return realizer._verdict(bound - eta, realizer.SUFFICIENT_ONLY, "coplanar-chain")
+
+
+def _cyclic_gaps(angles) -> list:
+    angles = [float(a) for a in angles]
+    return [b - a for a, b in zip(angles, angles[1:])] + [math.pi - (angles[-1] - angles[0])]
+
+
+def _same_cycle(g, h, tol) -> bool:
+    """g equals h up to a cyclic shift and a reversal, within tol."""
+    turns = [h[k:] + h[:k] for k in range(len(h))]
+    turns += [t[::-1] for t in turns]
+    return any(max(abs(a - b) for a, b in zip(g, t)) <= tol for t in turns)
+
+
+# The float kernel may call a set non-coplanar that the SVD calls coplanar
+# only when s[2], the SVD's third singular value, lies in a band below the
+# SVD's threshold 1e-9 * max(1, s[0]): down to 1e-11 * max(1, longest
+# length). |A n| exceeds s[2] by a factor that grows with N and with how
+# close all vectors lie to the longest one's line, and s[0] can reach
+# sqrt(N) times the longest length.
+BAND_BELOW = 100.0
+
+
+def _in_coplanar_band(povms, tol=1e-9) -> bool:
+    s = np.linalg.svd(np.array([p.bloch for p in povms]), compute_uv=False)
+    longest = max(p.eta for p in povms)
+    return len(s) > 2 and tol * max(1.0, longest) / BAND_BELOW < s[2] <= tol * max(1.0, s[0])
+
+
+def _vector_sets(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    R = random_orthogonal(rng)
+    lengths = rng.uniform(0.1, 1.0, n) if rng.random() < 0.5 else np.full(n, rng.uniform(0.1, 1.0))
+    if kind == "planar-family":
+        theta = np.arange(n) * np.pi / n + rng.uniform(0, np.pi)
+        theta += np.pi * rng.integers(0, 2, n)  # antiparallel members
+        lengths = np.full(n, lengths[0])
+    else:
+        theta = rng.uniform(0, 2 * np.pi, n)
+    V = np.column_stack([lengths * np.cos(theta), lengths * np.sin(theta), np.zeros(n)])
+    if kind == "collinear":
+        V = np.outer(rng.uniform(-1.0, 1.0, n), rng.normal(size=3))
+    elif kind == "off-plane":
+        V[:, 2] = 10.0 ** rng.uniform(-14, -2) * rng.normal(size=n)
+    elif kind == "zero-vectors":
+        V[rng.random(n) < 0.5] = 0.0
+    elif kind == "antiparallel":
+        V[n // 2:] = -V[: n - n // 2][::-1] * rng.uniform(0.5, 1.0)
+    return [BinaryQubitPovm(0.0, R @ v) for v in V]
+
+
+KINDS = ["coplanar", "planar-family", "collinear", "off-plane", "zero-vectors", "antiparallel"]
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(KINDS), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_coplanar_line_angles_match_svd_reference(kind, n, seed):
+    povms = _vector_sets(kind, n, seed)
+    got = realizer._coplanar_line_angles(povms)
+    ref = _reference_coplanar_line_angles(povms)
+    if ref is None:
+        assert got is None  # the float test is never looser
+        return
+    if _in_coplanar_band(povms):
+        return
+    assert got is not None
+    assert got == sorted(got) and all(0.0 <= a < math.pi for a in got)
+    if kind == "zero-vectors":
+        # a zero vector has no line: each kernel puts it at angle 0 of its
+        # own frame, so only the other vectors' gaps can be compared
+        povms = [p for p in povms if p.eta > 0] or povms
+        got = realizer._coplanar_line_angles(povms)
+        ref = _reference_coplanar_line_angles(povms)
+    assert _same_cycle(_cyclic_gaps(got), _cyclic_gaps(ref), 1e-12), (got, ref.tolist())
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(KINDS), st.integers(2, 9), st.integers(0, 2**32 - 1))
+def test_coplanar_same_purity_decisions_match_svd_reference(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    eta = rng.uniform(0.3, 1.0)
+    # one purity for every vector, zero vectors kept at purity 0
+    povms = [
+        BinaryQubitPovm(0.0, p.bloch * (eta / p.eta if p.eta else 1.0))
+        for p in _vector_sets(kind, n, seed)
+    ]
+    got = realizer._coplanar_same_purity(povms)
+    ref = _reference_coplanar_same_purity(povms)
+    if _in_coplanar_band(povms):
+        return
+    assert (got is None) == (ref is None)
+    if got is not None:
+        assert (got.decision, got.criterion_id) == (ref.decision, ref.criterion_id)
+        assert abs(got.margin - ref.margin) <= 1e-12

@@ -21,6 +21,7 @@ from jmqubit import (
     nm_compatible,
     structure_of,
 )
+from jmqubit.structures import _maximal_only
 
 
 def stub(decision):
@@ -257,3 +258,11 @@ def test_minimal_non_faces_of_named_families():
     assert _assert_border(JmStructure.from_sets(4, [])) == tuple(
         itertools.combinations(range(1, 5), 2)
     )
+
+
+@given(st.lists(st.frozensets(st.integers(1, 7)), max_size=40))
+def test_maximal_only_matches_brute_force(sets):
+    family = set(sets)
+    expected = frozenset(s for s in family if not any(s < t for t in family))
+    assert _maximal_only(sets) == expected
+    assert _maximal_only(iter(sets)) == expected  # any iterable, read once
