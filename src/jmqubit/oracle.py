@@ -42,20 +42,27 @@ the row-wise PSD projection, Y an (N+1) x 4 multiplier):
    settles nothing leaves the Dykstra state untouched.
 
 The problems are small (2^N <= 4096 rows, mostly 8 to 64), so a step costs
-what its numpy calls cost: the PSD projection is one branchless pass, the
-affine one two thin products (the 2^N x 2^N projector would take 128 MB at
-N = 12), and H one ((N+1)^2, 2^N) @ (2^N, 16) product, batched by 64 rows.
+what its numpy calls cost, and a call pays only for its own POVMs: what
+depends on N alone (M, K, G, the m_i m_i^T products for H, the ridge and the
+warm start less G T) is built once per N and kept read-only (`_system`), and
+a call builds T and c = G T. A Newton step is one branchless pass over the
+rows that returns the PSD projection and its Jacobian as flat per-row
+coefficients, H as one ((N+1)^2, 64) @ (64, 16) product per block of 64
+rows, and one solve. The affine projection is two thin products (the
+2^N x 2^N projector would take 128 MB at N = 12). The full witness test runs
+only once the projected joint is PSD to within witness_tol.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .criteria import COMPATIBLE, INCOMPATIBLE, IFF
-from .povm import EPS_MARG, JointPovm, _marginal_system
+from .povm import EPS_MARG, JointPovm, _marginal_system, _marginal_targets
 
 ORACLE_N_CAP = 12
 
@@ -64,7 +71,8 @@ LIKELY_INFEASIBLE = "likely-infeasible"
 INCONCLUSIVE = "inconclusive"
 
 _TINY = np.finfo(float).tiny
-_EYE = np.eye(4)
+# B of _project_psd's Jacobian, flat: 1 on the alpha and the bloch block
+_B = np.equal.outer(np.arange(4) > 0, np.arange(4) > 0).ravel().astype(float)
 
 # Farkas duals: a candidate is formed after every Newton step and every
 # DUAL_EVERY Dykstra iterations. A dual is accepted only when
@@ -103,41 +111,42 @@ class FeasibilityVerdict:
     newton_steps: int = 0  # the Newton share of iterations
 
 
-def _project_psd(V: np.ndarray) -> np.ndarray:
-    """Nearest-PSD projection of each (alpha, bloch) row: the eigenvalues
-    (alpha +- |bloch|)/2 are clipped at zero in one pass, keeping the
-    eigenbasis. With lp, lm the clipped alpha +- |bloch|, the row becomes
-    ((lp + lm)/2, bloch (lp - lm)/(2 |bloch|))."""
+def _project_psd(V: np.ndarray, jacobian: bool = False):
+    """Nearest-PSD projection of each (alpha, bloch) row in one branchless
+    pass: the eigenvalues (alpha +- |bloch|)/2 are clipped at zero, keeping
+    the eigenbasis. With lp the clipped alpha + |bloch| and
+    r = lp / max(2 |bloch|, lp), the row becomes (lp - r |bloch|, r bloch):
+    r is 1 inside the cone and 0 in the polar cone.
+
+    With jacobian, also the Jacobian of the projection at each row as flat
+    coefficients (r, x): J = r I + (x x^T) * (1/2 - r B), * entrywise, where
+    x = (1, u), u = bloch / |bloch|, strictly between the cones and 0
+    elsewhere, and B is 1 on the alpha and the bloch block and 0 off them.
+    That is I inside the cone (alpha >= |bloch|, also at bloch = 0), 0 in the
+    polar cone (alpha <= -|bloch|) and, between them, with s = alpha / |bloch|
+    and so r = (1 + s)/2, (1/2) [[1, u^T], [u, (1 + s) I - s u u^T]]."""
     alpha = V[:, 0]
-    bloch = V[:, 1:]
-    nb = np.sqrt(np.einsum("ij,ij->i", bloch, bloch))
+    nb = np.hypot(np.hypot(V[:, 1], V[:, 2]), V[:, 3])
     lp = np.maximum(alpha + nb, 0.0)
-    lm = np.maximum(alpha - nb, 0.0)
-    out = np.empty_like(V)
-    out[:, 0] = 0.5 * (lp + lm)
-    # lp - lm = 0 when |bloch| = 0, so any positive divisor is safe there
-    out[:, 1:] = bloch * ((0.5 * (lp - lm)) / np.maximum(nb, _TINY))[:, None]
-    return out
+    r = lp / (np.maximum(nb + nb, lp) + _TINY)  # lp = 0 = |bloch| gives 0
+    out = V * r[:, None]
+    out[:, 0] = lp - r * nb
+    if not jacobian:
+        return out
+    between = (r > 0.0) & (r < 1.0)
+    x = np.empty_like(V)
+    x[:, 0] = between
+    np.multiply(V[:, 1:], (between / np.maximum(nb, _TINY))[:, None], out=x[:, 1:])
+    return out, (r, x)
 
 
-def _psd_jacobian(V: np.ndarray) -> np.ndarray:
-    """(rows, 4, 4) Jacobians of _project_psd at each row (alpha, bloch):
-    I inside the cone (alpha >= |bloch|), 0 in the polar cone
-    (alpha <= -|bloch|), and between them
-    (1/2) [[1, u^T], [u, (1 + s) I - s u u^T]], u = bloch / |bloch|,
-    s = alpha / |bloch|."""
-    alpha = V[:, 0]
-    nb = np.sqrt(np.einsum("ij,ij->i", V[:, 1:], V[:, 1:]))
-    safe = np.where(nb > 0.0, nb, 1.0)  # |bloch| = 0 is never between
-    u = V[:, 1:] / safe[:, None]
-    s = alpha / safe
-    J = np.empty((len(V), 4, 4))
-    J[:, 0, 0] = 0.5
-    J[:, 0, 1:] = J[:, 1:, 0] = 0.5 * u
-    J[:, 1:, 1:] = (-0.5 * s)[:, None, None] * (u[:, :, None] * u[:, None, :])
-    J[:, 1:, 1:] += (0.5 * (1.0 + s))[:, None, None] * _EYE[1:, 1:]
-    J[nb <= alpha] = _EYE
-    J[nb <= -alpha] = 0.0
+def _flat_jacobian(jac) -> np.ndarray:
+    """(rows, 16): each row's Jacobian as a flat 4 x 4, from the coefficients
+    (r, x) that _project_psd returns."""
+    r, x = jac
+    J = (x[:, :, None] * x[:, None, :]).reshape(-1, 16)
+    J *= 0.5 - r[:, None] * _B
+    J[:, ::5] += r[:, None]
     return J
 
 
@@ -147,28 +156,41 @@ def _lift(Y: np.ndarray, W: np.ndarray) -> np.ndarray:
     so the lift moves every row of M^T Y into the cone and adds 2 * lift to
     <T, Y>."""
     nb = np.sqrt(np.einsum("ij,ij->i", W[:, 1:], W[:, 1:]))
-    Y[0, 0] += max(float(np.max(nb - W[:, 0])), 0.0) + DUAL_SLACK * float(np.linalg.norm(Y))
+    Y[0, 0] += max(float(np.maximum.reduce(nb - W[:, 0])), 0.0) + DUAL_SLACK * float(np.linalg.norm(Y))
     return Y
 
 
+@functools.lru_cache(maxsize=ORACLE_N_CAP)
+def _system(N: int) -> tuple:
+    """What the oracle needs of N alone, built once per N and read-only:
+    M, K = (M M^T)^-1, G = M^T K, the m_i m_i^T products for H as columns in
+    blocks of 64 rows (BLAS runs each block's product on one thread, while a
+    threaded one stalls on a busy core), H's ridge, and the warm start less
+    its per-call part G T. The N = 12 entry holds 6.5 MB, 5.5 MB of it the
+    products, and all twelve 11.4 MB."""
+    M, _ = _marginal_system(N, np.arange(1 << N))
+    K = np.linalg.inv(M @ M.T)
+    G = M.T @ K
+    Mb = M.reshape(N + 1, -1, min(64, 1 << N))
+    mm = np.einsum("kbj,lbj->bklj", Mb, Mb).reshape(Mb.shape[1], -1, Mb.shape[2])
+    V = np.tile((2.0 / (1 << N), 0.0, 0.0, 0.0), (1 << N, 1))  # the maximally mixed product joint
+    ridge = NEWTON_RIDGE * np.eye(4 * (N + 1)).reshape(N + 1, 4, N + 1, 4)
+    arrays = M, K, G, mm, ridge, V - G @ (M @ V)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 class _AffineProjector:
-    """Orthogonal projector V - M^T K (M V - T) = V - G (M V) + c onto
-    { V : M V = T }, and the Newton polish."""
+    """The orthogonal projector V - M^T K (M V - T) = V - G (M V) + c onto
+    { V : M V = T }, from the cached system of N, and the Newton polish."""
 
     def __init__(self, povms):
-        N = len(povms)
-        self.M, self.T = _marginal_system(N, np.arange(1 << N), povms)
-        self.K = np.linalg.inv(self.M @ self.M.T)
-        self.G = self.M.T @ self.K
+        self.M, self.K, self.G, self._mm, self._ridge, x0 = _system(len(povms))
+        self.T = _marginal_targets(len(povms), povms)
         self.c = self.G @ self.T
-        # m_i m_i^T as columns, in blocks of 64: BLAS runs each block's product
-        # for H on one thread, while a threaded one stalls on a busy core
-        Mb = self.M.reshape(len(self.M), -1, min(64, 1 << N))
-        self._mm = np.einsum("kbj,lbj->bklj", Mb, Mb).reshape(Mb.shape[1], -1, Mb.shape[2])
+        self.x0 = x0 + self.c  # the warm start
         self.steps = 0  # Newton steps taken
-
-    def __call__(self, V: np.ndarray) -> np.ndarray:
-        return V - (self.G @ (self.M @ V) - self.c)
 
     def verdict(self, status, residual, it, params, witness=None, dual=None) -> FeasibilityVerdict:
         return FeasibilityVerdict(status, residual, it + self.steps, witness, params, dual, self.steps)
@@ -181,34 +203,42 @@ class _AffineProjector:
         nb = np.sqrt(np.einsum("ij,ij->i", x[:, 1:], x[:, 1:]))
         return max(float(np.max(np.abs(self.M @ x - self.T))), float(np.max(0.5 * (nb - x[:, 0]))))
 
+    def hessian(self, jac) -> np.ndarray:
+        """H = sum_i m_i m_i^T (x) J_i from _project_psd's coefficients, plus
+        the ridge, as a (4(N+1))^2 matrix."""
+        n1 = len(self.M)
+        H = np.add.reduce(self._mm @ _flat_jacobian(jac).reshape(len(self._mm), -1, 16))
+        return (H.reshape(n1, n1, 4, 4).transpose(0, 2, 1, 3) + self._ridge).reshape(4 * n1, 4 * n1)
+
     def polish(self, x0, z, povms, params, it) -> Optional[FeasibilityVerdict]:
         """Newton steps on theta from z = x0 + M^T Y, testing a witness and a
         Farkas dual after each (see the module docstring). Returns the verdict,
         after `it` Dykstra iterations, or None when NEWTON_STEPS settle nothing."""
         n1 = len(self.M)
-        Y, W, found = self.G.T @ (z - x0), z, None
-        grad = self.T - self.M @ _project_psd(z)
+        Y, found = self.G.T @ (z - x0), None
+        V, jac = _project_psd(z, True)
+        grad = self.T - self.M @ V
         for _ in range(NEWTON_STEPS):
-            J = _psd_jacobian(W).reshape(len(self._mm), -1, 16)
-            H = (self._mm @ J).sum(axis=0).reshape(n1, n1, 4, 4)
-            H = H.transpose(0, 2, 1, 3).reshape(4 * n1, 4 * n1)
-            H.flat[:: 4 * n1 + 1] += NEWTON_RIDGE
-            Y = Y + np.linalg.solve(H, grad.reshape(-1)).reshape(n1, 4)
+            Y = Y + np.linalg.solve(self.hessian(jac), grad.reshape(-1)).reshape(n1, 4)
             self.steps += 1
             MtY = self.M.T @ Y
-            W = x0 + MtY
-            V = _project_psd(W)
+            V, jac = _project_psd(x0 + MtY, True)
             grad = self.T - self.M @ V
             x = V + self.G @ grad  # the projection of V onto M V = T
-            residual = self.witness_residual(x)
-            if found is not None:  # one step past the tolerance: keep the better
-                found = min(found, (residual, x), key=lambda f: f[0])
-                break
-            if residual <= params.witness_tol:
-                found = (residual, x)
-                if residual <= EPS_MARG:
+            # a row with |bloch| - |alpha| > 2 max(witness_tol, 1e-13) is one
+            # _support keeps, with an eigenvalue below -witness_tol: no witness
+            nb = np.hypot(np.hypot(x[:, 1], x[:, 2]), x[:, 3])
+            gap = np.maximum.reduce(nb - np.abs(x[:, 0]))
+            if found is not None or gap <= 2.0 * max(params.witness_tol, 1e-13):
+                residual = self.witness_residual(x)
+                if found is not None:  # one step past the tolerance: keep the better
+                    found = min(found, (residual, x), key=lambda f: f[0])
                     break
-                continue
+                if residual <= params.witness_tol:
+                    found = (residual, x)
+                    if residual <= EPS_MARG:
+                        break
+                    continue
             scale = -float(MtY[:, 0].sum())  # sum_i (M^T (-Y))_i0
             if scale <= 0.0 or np.vdot(self.T, Y) <= 0.0:
                 continue  # the lift only raises <T, D>: -Y cannot be a dual
@@ -229,11 +259,7 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
     if not 1 <= N <= ORACLE_N_CAP:
         raise ValueError(f"oracle takes 1..{ORACLE_N_CAP} POVMs, got {N}")
     proj = _AffineProjector(povms)
-
-    # warm start: the maximally mixed product joint, projected onto M V = T
-    V = np.zeros((1 << N, 4))
-    V[:, 0] = 2.0 / (1 << N)
-    x0 = x = proj(V)
+    x0 = x = proj.x0
     settled = proj.polish(x0, x0, povms, params, 0)
     if settled is not None:
         return settled
@@ -281,14 +307,17 @@ def verify_witness(witness: JointPovm, povms, tol: float = 1e-8) -> bool:
 def verify_dual(dual, povms) -> bool:
     """Farkas check that no joint POVM has these marginals: every row of
     M^T Y lies in the Lorentz cone (alpha >= |bloch|) and
-    <T, Y> < -DUAL_SLACK |T| |Y|."""
+    <T, Y> < -DUAL_SLACK |T| |Y|. False past ORACLE_N_CAP POVMs, where no
+    oracle run gives a dual."""
     N = len(povms)
-    M, T = _marginal_system(N, np.arange(1 << N), povms)
-    Y = np.asarray(dual, dtype=float)
-    if Y.shape != T.shape or not np.all(np.isfinite(Y)):
+    if not 1 <= N <= ORACLE_N_CAP:
         return False
-    W = M.T @ Y
-    if np.any(W[:, 0] < np.sqrt(np.einsum("ij,ij->i", W[:, 1:], W[:, 1:]))):
+    T = _marginal_targets(N, povms)
+    Y = np.asarray(dual, dtype=float)
+    if Y.shape != T.shape or not np.isfinite(Y).all():
+        return False
+    W = _system(N)[0].T @ Y
+    if (W[:, 0] < np.sqrt(np.einsum("ij,ij->i", W[:, 1:], W[:, 1:]))).any():
         return False
     return float(np.vdot(T, Y)) < -DUAL_SLACK * float(np.linalg.norm(T) * np.linalg.norm(Y))
 

@@ -98,6 +98,9 @@ class BinaryQubitPovm:
     def eta(self) -> float:
         """Purity (Bloch norm); the usual sharpness parameter when bias = 0.
         Computed once per instance."""
+        x, y, z = self.components
+        if x * x + y * y + z * z > 1e300:  # float squares overflow quietly, numpy's warn
+            return math.hypot(x, y, z)  # inf past the largest float
         return math.sqrt(self.bloch.dot(self.bloch))  # np.linalg.norm's 1-D formula
 
     @functools.cached_property
@@ -225,11 +228,16 @@ def _marginal_system(n: int, masks: np.ndarray, povms=()) -> tuple:
     povms[k-1]; zero past the given POVMs)."""
     M = np.ones((n + 1, len(masks)))
     M[1:] = (masks >> np.arange(n)[:, None]) & 1
+    return M, _marginal_targets(n, povms)
+
+
+def _marginal_targets(n: int, povms) -> np.ndarray:
+    """T of _marginal_system alone."""
     T = np.zeros((n + 1, 4))
     T[0, 0] = 2.0
     for k, p in enumerate(povms, 1):
-        T[k] = (1.0 + p.bias, *p.bloch)
-    return M, T
+        T[k] = (1.0 + p.bias, *p.components)
+    return T
 
 
 class JointPovm:
@@ -266,10 +274,14 @@ class JointPovm:
     @functools.cached_property
     def _spectrum(self) -> tuple:
         """(every effect's smaller eigenvalue (alpha - |bloch|)/2, the
-        completeness error), one array pass per joint: rows is read-only."""
+        completeness error), one array pass per joint: rows is read-only.
+        Entries past about 1e154 overflow to an infinite eigenvalue or error,
+        which validate rejects, as it should: a valid effect has entries in
+        [-2, 2]."""
         alpha, bloch = self.rows[:, 0], self.rows[:, 1:]
-        min_eig = 0.5 * (alpha - np.sqrt((bloch * bloch).sum(axis=1)))
-        comp = float(np.max(np.abs(self.rows.sum(axis=0) - (2.0, 0.0, 0.0, 0.0))))
+        with np.errstate(over="ignore"):
+            min_eig = 0.5 * (alpha - np.sqrt((bloch * bloch).sum(axis=1)))
+            comp = float(np.max(np.abs(self.rows.sum(axis=0) - (2.0, 0.0, 0.0, 0.0))))
         return min_eig, comp
 
     def validate(self, tol: float = EPS_MARG) -> ValidationReport:

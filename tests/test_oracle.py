@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from jmqubit import (
     verify_witness,
 )
 from jmqubit import oracle
-from jmqubit.oracle import ORACLE_N_CAP, _project_psd, _psd_jacobian, checked_decision, decide
+from jmqubit.oracle import ORACLE_N_CAP, _flat_jacobian, _project_psd, checked_decision, decide
 from jmqubit.povm import JointPovm, _marginal_system
 from conftest import random_unit
 
@@ -115,25 +118,91 @@ def test_psd_projection_properties(rng):
     np.testing.assert_allclose(_project_psd(V2), V2, atol=1e-12)
 
 
+# Rows on which the projection or its Jacobian has a case of its own:
+# |bloch| = 0 with alpha of either sign and zero, alpha = +-|bloch| exactly,
+# strictly polar, and between the cones
+EDGE_ROWS = np.array([
+    [1.3, 0.0, 0.0, 0.0],
+    [-0.7, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0],
+    [1.25, 0.75, 0.0, -1.0],
+    [-1.25, 0.0, -1.0, 0.75],
+    [0.5, 0.0, 0.0, 0.5],
+    [-0.5, 0.5, 0.0, 0.0],
+    [-2.0, 0.3, -0.4, 0.5],
+    [0.1, 0.3, -0.4, 0.5],
+    [-0.1, 0.3, -0.4, 0.5],
+    [0.0, 0.0, 1.0, 0.0],
+])
+
+
+def scaled_rows(rng):
+    """Random and edge rows at scale 1, near 1e-150 and near 1e150: the
+    powers of two keep alpha = +-|bloch| exact."""
+    rows = np.vstack([rng.normal(size=(300, 4)), EDGE_ROWS])
+    return [rows, 2.0**-500 * rows, 2.0**500 * rows]
+
+
 def test_psd_projection_matches_eigh_reference(rng):
     V = rng.normal(size=(200, 4))
-    edge = np.array([
-        [1.3, 0.0, 0.0, 0.0],  # |bloch| = 0, alpha of either sign
-        [-0.7, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [1.25, 0.75, 0.0, -1.0],  # alpha = +|bloch| exactly
-        [-1.25, 0.0, -1.0, 0.75],  # alpha = -|bloch| exactly
-        [0.5, 0.0, 0.0, 0.5],
-        [-0.5, 0.5, 0.0, 0.0],
-        [-2.0, 0.3, -0.4, 0.5],  # alpha < -|bloch|
-        [1e-300, 0.0, 0.0, 1e-300],
-    ])
-    for rows in (V, edge, 1e-6 * V):
+    for rows in (V, EDGE_ROWS, 1e-6 * V, np.array([[1e-300, 0.0, 0.0, 1e-300]])):
         np.testing.assert_allclose(_project_psd(rows), reference_project_psd(rows), rtol=0, atol=1e-12)
-    assert np.all(_project_psd(edge)[[1, 2, 4, 6, 7]] == 0.0)
+    for rows in scaled_rows(rng):
+        scale = np.max(np.abs(rows))
+        np.testing.assert_allclose(_project_psd(rows) / scale, reference_project_psd(rows / scale), rtol=0, atol=1e-12)
+    assert np.all(_project_psd(EDGE_ROWS)[[1, 2, 4, 6, 7]] == 0.0)
+
+
+def reference_psd_jacobian(V):
+    """(rows, 4, 4) Jacobians of the PSD projection at each row (alpha, bloch),
+    built with masks: I inside the cone (alpha >= |bloch|), 0 in the polar
+    cone (alpha <= -|bloch|), and between them
+    (1/2) [[1, u^T], [u, (1 + s) I - s u u^T]], u = bloch / |bloch|,
+    s = alpha / |bloch|."""
+    alpha = V[:, 0]
+    nb = np.sqrt(np.einsum("ij,ij->i", V[:, 1:], V[:, 1:]))
+    safe = np.where(nb > 0.0, nb, 1.0)  # |bloch| = 0 is never between
+    u = V[:, 1:] / safe[:, None]
+    s = alpha / safe
+    J = np.empty((len(V), 4, 4))
+    J[:, 0, 0] = 0.5
+    J[:, 0, 1:] = J[:, 1:, 0] = 0.5 * u
+    J[:, 1:, 1:] = (-0.5 * s)[:, None, None] * (u[:, :, None] * u[:, None, :])
+    J[:, 1:, 1:] += (0.5 * (1.0 + s))[:, None, None] * np.eye(3)
+    J[nb <= alpha] = np.eye(4)
+    J[nb <= -alpha] = 0.0
+    return J
+
+
+def kernel_jacobian(V):
+    return _flat_jacobian(_project_psd(V, True)[1]).reshape(-1, 4, 4)
+
+
+def test_fused_kernel_matches_references(rng):
+    # its projection is _project_psd's, and its Jacobian the masked
+    # reference's, which does not change when a row is scaled
+    for rows in scaled_rows(rng):
+        np.testing.assert_array_equal(_project_psd(rows, True)[0], _project_psd(rows))
+        np.testing.assert_allclose(kernel_jacobian(rows), reference_psd_jacobian(rows), rtol=0, atol=1e-12)
+    J = kernel_jacobian(EDGE_ROWS)
+    np.testing.assert_array_equal(J[[0, 3, 5]], np.broadcast_to(np.eye(4), (3, 4, 4)))
+    assert np.all(J[[1, 2, 4, 6, 7]] == 0.0)
+
+
+@pytest.mark.parametrize("N", [3, 7])
+def test_hessian_matches_the_reference_jacobian(rng, N):
+    # N = 7 has 128 rows: H sums two 64-row blocks
+    proj = oracle._AffineProjector([unbiased_povm(0.5, random_unit(rng)) for _ in range(N)])
+    edge = EDGE_ROWS[rng.integers(len(EDGE_ROWS), size=(1 << N) // 2)]
+    W = rng.permutation(np.vstack([rng.normal(size=(len(edge), 4)), edge]))
+    J = reference_psd_jacobian(W)
+    H = sum(np.kron(np.outer(m, m), J_i) for m, J_i in zip(proj.M.T, J))
+    H += oracle.NEWTON_RIDGE * np.eye(len(H))
+    np.testing.assert_allclose(proj.hessian(_project_psd(W, True)[1]), H, rtol=0, atol=1e-12)
 
 
 def test_psd_jacobian_matches_finite_differences(rng):
+    # the fused kernel's Jacobian, not the masked reference
     rows = rng.normal(size=(300, 4))
     nb = np.linalg.norm(rows[:, 1:], axis=1)
     # keep clear of the two cone boundaries, where the projection has a kink
@@ -142,7 +211,7 @@ def test_psd_jacobian_matches_finite_differences(rng):
     # 2 inside the cone, 0 between, -2 in the polar cone
     regions = np.sign(rows[:, 0] - nb) + np.sign(rows[:, 0] + nb)
     assert set(regions) == {-2.0, 0.0, 2.0}
-    J = _psd_jacobian(rows)
+    J = kernel_jacobian(rows)
     h = 1e-6
     for q in range(4):
         dq = np.zeros(4)
@@ -151,6 +220,42 @@ def test_psd_jacobian_matches_finite_differences(rng):
         np.testing.assert_allclose(J[:, :, q], fd, rtol=0, atol=1e-7)
     np.testing.assert_array_equal(J[regions == 2.0], np.broadcast_to(np.eye(4), (np.sum(regions == 2.0), 4, 4)))
     assert np.all(J[regions == -2.0] == 0.0)
+
+
+def test_system_cache_is_read_only():
+    for N in (1, 3, 7):
+        arrays = oracle._system(N)
+        assert arrays is oracle._system(N)
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
+    proj = oracle._AffineProjector(PlanarSymmetricFamily(3, 0.5).povms())
+    assert proj.M is oracle._system(3)[0] and proj.x0 is not oracle._system(3)[-1]
+
+
+def summary(res):
+    """What an answer holds, with floats exact."""
+    witness = None if res.witness is None else [res.witness.masks.tolist(), res.witness.rows.tolist()]
+    dual = None if res.dual is None else res.dual.tolist()
+    return [res.status, res.iterations, res.newton_steps, repr(res.residual), witness, dual]
+
+
+def test_cached_system_gives_a_fresh_process_answer():
+    # one feasible and one infeasible set of the same N, decided one after the
+    # other on one cached system, and each in a process of its own
+    problems = [PlanarSymmetricFamily(4, f * planar_nwise_bound(4)) for f in (0.95, 1.05)]
+    here = [summary(decide(fam.povms())) for fam in problems]
+    assert [s[0] for s in here] == [FEASIBLE, LIKELY_INFEASIBLE]
+    paths = [str(Path(oracle.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    for fam, answer in zip(problems, here):
+        code = (
+            "import json; from test_oracle import summary; from jmqubit import PlanarSymmetricFamily, decide;"
+            f"print(json.dumps(summary(decide(PlanarSymmetricFamily(4, {fam.eta!r}).povms()))))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == answer
 
 
 def biased_pair(eta):

@@ -1,23 +1,35 @@
 """Guards for the benchmark's fixed inputs and its tracer.
 
 perfbench/decide_golden.json holds the closed-form answers of the decide
-pool, and perfbench/spans.py patches named attributes of jmqubit's modules.
-Both are read here, never changed.
+pool, perfbench/workloads.py builds the oracle problems, and
+perfbench/spans.py patches named attributes of jmqubit's modules. All are
+read here, never changed.
 """
 
 import importlib.util
 import itertools
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jmqubit
 from jmqubit import closed_form_decider, povms_from_json_dict, structure_of, triple_unbiased
 from jmqubit import cli, criteria, oracle, povm, realizer, structures, surgery
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ORACLE_RUNS = Path(__file__).resolve().parent / "data" / "oracle_runs.json"
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +66,27 @@ def test_triple_ft_margins_match_the_array_input_bit_for_bit(golden):
     assert count == 3900
 
 
+def test_oracle_workload_answers_unchanged():
+    # statuses and Newton steps on the oracle workload's seeds 1-3 as stored;
+    # every answer checks, and the steps may only fall
+    stored = json.loads(ORACLE_RUNS.read_text())["seeds"]
+    workloads = _perfbench_module("workloads")
+    steps = stored_steps = 0
+    for seed, runs in stored.items():
+        problems = workloads.oracle_problems(jmqubit, int(seed))
+        assert [label for label, _, _ in problems] == [label for label, _, _ in runs]
+        for (label, povms, _), (_, status, newton_steps) in zip(problems, runs):
+            res = oracle.decide(povms)
+            assert res.status == status, (seed, label)
+            assert oracle.checked_decision(res, povms) is not None, (seed, label)
+            steps += res.newton_steps
+            stored_steps += newton_steps
+    assert sum(map(len, stored.values())) == 168
+    assert steps <= stored_steps
+
+
 def test_tracer_targets_exist():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _perfbench_module("spans")
     owners = {
         "cli": cli,
         "criteria": criteria,
