@@ -42,9 +42,7 @@ from .criteria import (
     planar_nwise_bound,
     planar_pair_bound,
     planar_subset_bound,
-    planar_subset_sufficient,
     planar_symmetric_nwise,
-    triple_coplanar_unbiased,
     triple_unbiased,
 )
 from .surgery import (
@@ -72,9 +70,7 @@ from .symmetry import (
     SymmetryElement,
     act_on_index,
     act_on_indices,
-    are_equivalent,
     compose,
-    element_name,
     group_elements,
     inverse,
     rotation_matrix,

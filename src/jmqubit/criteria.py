@@ -370,33 +370,6 @@ def triple_unbiased(etas, ns) -> Verdict:
     return _verdict(4.0 - _total_distance(pts, y.tolist()), IFF, "triple-ft")
 
 
-def triple_coplanar_unbiased(a1, a2, a3) -> Verdict:
-    """Coplanar unbiased triple with a2 the angular middle vector.
-
-    If a2 is (sub)convex in {a1, a3} the pair condition on (a1, a3) applies;
-    otherwise compatible iff |a1+a3| + |a2-a1| + |a3-a2| <= 2.
-    """
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    a3 = np.asarray(a3, dtype=float)
-    A = np.stack([a1, a2, a3])
-    svals = np.linalg.svd(A, compute_uv=False)
-    if svals[-1] > 1e-10 * max(1.0, svals[0]):
-        raise ValueError("vectors are not coplanar within 1e-10")
-    M = np.stack([a1, a3], axis=1)
-    coef, *_ = np.linalg.lstsq(M, a2, rcond=None)
-    if np.linalg.norm(M @ coef - a2) > 1e-10:
-        raise ValueError("middle vector not in the span of the outer vectors")
-    lam, mu = float(coef[0]), float(coef[1])
-    if lam < -1e-12 or mu < -1e-12:
-        raise ValueError("middle-vector ordering violated: a2 must lie between a1 and a3")
-    if lam + mu <= 1.0 + 1e-12:
-        s = np.linalg.norm(a1 + a3) + np.linalg.norm(a3 - a1)
-    else:
-        s = np.linalg.norm(a1 + a3) + np.linalg.norm(a2 - a1) + np.linalg.norm(a3 - a2)
-    return _verdict(2.0 - s, IFF, "triple-coplanar")
-
-
 # ---------------------------------------------------------------------------
 # N-POVM bounds, common purity
 
@@ -444,18 +417,6 @@ def planar_subset_bound(N: int, subset) -> float:
         sum(math.sin(g * math.pi / (2 * N)) for g in gaps)
         + math.cos(span * math.pi / (2 * N))
     )
-
-
-def planar_subset_sufficient(N: int, subset, eta: float) -> Verdict:
-    """Subset of a planar symmetric family; sufficient bound, iff for M in {2,3,N}."""
-    ks = sorted(set(subset))
-    if list(subset) != ks:
-        raise ValueError("subset must be strictly increasing")
-    if not ks or ks[0] < 1 or ks[-1] > N:
-        raise ValueError("subset out of range")
-    M = len(ks)
-    strength = IFF if M in (1, 2, 3) or M == N else SUFFICIENT_ONLY
-    return _verdict(planar_subset_bound(N, ks) - eta, strength, "planar-subset")
 
 
 def coplanar_chain_bound(angles) -> float:

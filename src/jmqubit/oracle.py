@@ -43,14 +43,17 @@ the row-wise PSD projection, Y an (N+1) x 4 multiplier):
 
 The problems are small (2^N <= 4096 rows, mostly 8 to 64), so a step costs
 what its numpy calls cost, and a call pays only for its own POVMs: what
-depends on N alone (M, K, G, the m_i m_i^T products for H, the ridge and the
-warm start less G T) is built once per N and kept read-only (`_system`), and
-a call builds T and c = G T. A Newton step is one branchless pass over the
-rows that returns the PSD projection and its Jacobian as flat per-row
-coefficients, H as one ((N+1)^2, 64) @ (64, 16) product per block of 64
-rows, and one solve. The affine projection is two thin products (the
-2^N x 2^N projector would take 128 MB at N = 12). The full witness test runs
-only once the projected joint is PSD to within witness_tol.
+depends on N alone (M, K, G, the m_i m_i^T products for H and the warm start
+less G T) is built once per N and kept read-only (`_system`), and a call
+builds T and c = G T. A Newton step is one branchless pass over the rows that
+returns the PSD projection and its Jacobian as flat per-row coefficients, H
+as one ((N+1)^2, 64) @ (64, 16) product per block of 64 rows (a single
+product up to N = 6), and one solve. The affine projection is two thin
+products (the 2^N x 2^N projector would take 128 MB at N = 12). Each answer
+is checked once: the witness test runs once the projected joint is PSD to
+within witness_tol, and the joint is built from the arrays it passed; a
+Farkas candidate is lifted only when a scalar pre-test allows, and checked
+by verify_dual's test against the projector's own M and T.
 """
 
 from __future__ import annotations
@@ -160,12 +163,21 @@ def _lift(Y: np.ndarray, W: np.ndarray) -> np.ndarray:
     return Y
 
 
+def _lift_can_pass(MtY: np.ndarray, tY: float) -> bool:
+    """Whether -Y / scale (scale > 0) can pass once lifted, from MtY = M^T Y
+    and tY = <T, Y>: the lift adds 2 max(0, max_i(|(M^T Y)_i,bloch| +
+    (M^T Y)_i0)) / scale to <T, D> = -tY / scale. A dual that passes clears
+    this by DUAL_SLACK |D|, far above the rounding; 1 + 1e-9 guards it too."""
+    nb = np.hypot(np.hypot(MtY[:, 1], MtY[:, 2]), MtY[:, 3])
+    return 2.0 * max(float(np.maximum.reduce(nb + MtY[:, 0])), 0.0) < tY * (1.0 + 1e-9)
+
+
 @functools.lru_cache(maxsize=ORACLE_N_CAP)
 def _system(N: int) -> tuple:
     """What the oracle needs of N alone, built once per N and read-only:
     M, K = (M M^T)^-1, G = M^T K, the m_i m_i^T products for H as columns in
     blocks of 64 rows (BLAS runs each block's product on one thread, while a
-    threaded one stalls on a busy core), H's ridge, and the warm start less
+    threaded one stalls on a busy core), and the warm start less
     its per-call part G T. The N = 12 entry holds 6.5 MB, 5.5 MB of it the
     products, and all twelve 11.4 MB."""
     M, _ = _marginal_system(N, np.arange(1 << N))
@@ -174,8 +186,7 @@ def _system(N: int) -> tuple:
     Mb = M.reshape(N + 1, -1, min(64, 1 << N))
     mm = np.einsum("kbj,lbj->bklj", Mb, Mb).reshape(Mb.shape[1], -1, Mb.shape[2])
     V = np.tile((2.0 / (1 << N), 0.0, 0.0, 0.0), (1 << N, 1))  # the maximally mixed product joint
-    ridge = NEWTON_RIDGE * np.eye(4 * (N + 1)).reshape(N + 1, 4, N + 1, 4)
-    arrays = M, K, G, mm, ridge, V - G @ (M @ V)
+    arrays = M, K, G, mm, V - G @ (M @ V)
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -186,7 +197,7 @@ class _AffineProjector:
     { V : M V = T }, from the cached system of N, and the Newton polish."""
 
     def __init__(self, povms):
-        self.M, self.K, self.G, self._mm, self._ridge, x0 = _system(len(povms))
+        self.M, self.K, self.G, self._mm, x0 = _system(len(povms))
         self.T = _marginal_targets(len(povms), povms)
         self.c = self.G @ self.T
         self.x0 = x0 + self.c  # the warm start
@@ -201,21 +212,24 @@ class _AffineProjector:
         eigenvalue (negated), over the rows the witness keeps."""
         x = V * _support(V)[:, None]
         nb = np.sqrt(np.einsum("ij,ij->i", x[:, 1:], x[:, 1:]))
-        return max(float(np.max(np.abs(self.M @ x - self.T))), float(np.max(0.5 * (nb - x[:, 0]))))
+        err = np.abs(self.M @ x - self.T)
+        return max(float(np.maximum.reduce(err, axis=None)), float(np.maximum.reduce(0.5 * (nb - x[:, 0]))))
 
     def hessian(self, jac) -> np.ndarray:
         """H = sum_i m_i m_i^T (x) J_i from _project_psd's coefficients, plus
-        the ridge, as a (4(N+1))^2 matrix."""
-        n1 = len(self.M)
-        H = np.add.reduce(self._mm @ _flat_jacobian(jac).reshape(len(self._mm), -1, 16))
-        return (H.reshape(n1, n1, 4, 4).transpose(0, 2, 1, 3) + self._ridge).reshape(4 * n1, 4 * n1)
+        NEWTON_RIDGE on the diagonal, as a (4(N+1))^2 matrix."""
+        n1, mm, J = len(self.M), self._mm, _flat_jacobian(jac)
+        H = mm[0] @ J if len(mm) == 1 else np.add.reduce(mm @ J.reshape(len(mm), -1, 16))
+        H = H.reshape(n1, n1, 4, 4).transpose(0, 2, 1, 3).reshape(4 * n1, 4 * n1)
+        H.reshape(-1)[:: 4 * n1 + 1] += NEWTON_RIDGE
+        return H
 
-    def polish(self, x0, z, povms, params, it) -> Optional[FeasibilityVerdict]:
+    def polish(self, x0, z, params, it) -> Optional[FeasibilityVerdict]:
         """Newton steps on theta from z = x0 + M^T Y, testing a witness and a
         Farkas dual after each (see the module docstring). Returns the verdict,
         after `it` Dykstra iterations, or None when NEWTON_STEPS settle nothing."""
         n1 = len(self.M)
-        Y, found = self.G.T @ (z - x0), None
+        Y, found = (np.zeros((n1, 4)) if z is x0 else self.G.T @ (z - x0)), None
         V, jac = _project_psd(z, True)
         grad = self.T - self.M @ V
         for _ in range(NEWTON_STEPS):
@@ -240,14 +254,14 @@ class _AffineProjector:
                         break
                     continue
             scale = -float(MtY[:, 0].sum())  # sum_i (M^T (-Y))_i0
-            if scale <= 0.0 or np.vdot(self.T, Y) <= 0.0:
-                continue  # the lift only raises <T, D>: -Y cannot be a dual
+            if scale <= 0.0 or not _lift_can_pass(MtY, float(np.vdot(self.T, Y))):
+                continue
             D = _lift(Y / -scale, MtY / -scale)
-            if np.vdot(self.T, D) < 0.0 and verify_dual(D, povms):
+            if np.vdot(self.T, D) < 0.0 and _dual_holds(D, self.M, self.T):
                 return self.verdict(LIKELY_INFEASIBLE, float(np.abs(grad).max()), it, params, dual=D)
         if found is None:
             return None
-        return self.verdict(FEASIBLE, found[0], it, params, _witness_from(found[1], len(povms)))
+        return self.verdict(FEASIBLE, found[0], it, params, _witness_from(found[1], n1 - 1))
 
 
 def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
@@ -260,7 +274,7 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
         raise ValueError(f"oracle takes 1..{ORACLE_N_CAP} POVMs, got {N}")
     proj = _AffineProjector(povms)
     x0 = x = proj.x0
-    settled = proj.polish(x0, x0, povms, params, 0)
+    settled = proj.polish(x0, x0, params, 0)
     if settled is not None:
         return settled
 
@@ -276,13 +290,13 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
         gap = float(np.abs(r).max())
         best = min(best, gap)
         if gap <= params.eps_feasible:  # the first gap this small is the best
-            settled = proj.polish(x0, x + p_corr, povms, params, it)
+            settled = proj.polish(x0, x + p_corr, params, it)
             return settled or proj.verdict(FEASIBLE, gap, it, params, _witness_from(x, N))
         if it % DUAL_EVERY == 0:
             Y = _lift(proj.K @ (My - proj.T), r)
-            if np.vdot(proj.T, Y) < 0.0 and verify_dual(Y, povms):
+            if np.vdot(proj.T, Y) < 0.0 and _dual_holds(Y, proj.M, proj.T):
                 return proj.verdict(LIKELY_INFEASIBLE, best, it, params, dual=Y)
-            settled = proj.polish(x0, x + p_corr, povms, params, it)
+            settled = proj.polish(x0, x + p_corr, params, it)
             if settled is not None:
                 return settled
     return proj.verdict(INCONCLUSIVE, best, params.max_iter, params)
@@ -291,12 +305,14 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
 def _support(V: np.ndarray) -> np.ndarray:
     """Rows a witness keeps: all but those whose alpha and every |Bloch
     component| are at most 1e-13."""
-    return (V[:, 0] > 1e-13) | (np.max(np.abs(V[:, 1:]), axis=1) > 1e-13)
+    return (V[:, 0] > 1e-13) | (np.maximum.reduce(np.abs(V[:, 1:]), axis=1) > 1e-13)
 
 
 def _witness_from(V: np.ndarray, n: int) -> JointPovm:
+    """V's supported rows as a joint. They are finite (witness_residual and
+    Dykstra's gap test fail on NaN and inf), and so left unchecked."""
     keep = _support(V)
-    return JointPovm(n, np.flatnonzero(keep), V[keep])
+    return JointPovm._from_checked(n, np.flatnonzero(keep), V[keep])
 
 
 def verify_witness(witness: JointPovm, povms, tol: float = 1e-8) -> bool:
@@ -316,7 +332,12 @@ def verify_dual(dual, povms) -> bool:
     Y = np.asarray(dual, dtype=float)
     if Y.shape != T.shape or not np.isfinite(Y).all():
         return False
-    W = _system(N)[0].T @ Y
+    return _dual_holds(Y, _system(N)[0], T)
+
+
+def _dual_holds(Y: np.ndarray, M: np.ndarray, T: np.ndarray) -> bool:
+    """verify_dual's test of Y against M and T; False on a non-finite Y."""
+    W = M.T @ Y
     if (W[:, 0] < np.sqrt(np.einsum("ij,ij->i", W[:, 1:], W[:, 1:]))).any():
         return False
     return float(np.vdot(T, Y)) < -DUAL_SLACK * float(np.linalg.norm(T) * np.linalg.norm(Y))

@@ -99,7 +99,10 @@ class BinaryQubitPovm:
         """Purity (Bloch norm); the usual sharpness parameter when bias = 0.
         Computed once per instance."""
         x, y, z = self.components
-        if x * x + y * y + z * z > 1e300:  # float squares overflow quietly, numpy's warn
+        # float squares overflow quietly, numpy's warn; below 1e308, a factor
+        # 1.8 under the largest float, numpy's dot cannot overflow, and hypot
+        # would round differently from np.linalg.norm
+        if x * x + y * y + z * z > 1e308:
             return math.hypot(x, y, z)  # inf past the largest float
         return math.sqrt(self.bloch.dot(self.bloch))  # np.linalg.norm's 1-D formula
 
@@ -265,6 +268,16 @@ class JointPovm:
         if not np.all(np.isfinite(rows)):
             raise ValueError("effect entries must be finite")
         self.n, self.masks, self.rows = int(n), masks, rows
+
+    @classmethod
+    def _from_checked(cls, n: int, masks: np.ndarray, rows: np.ndarray) -> "JointPovm":
+        """A joint that takes ownership of arrays the caller has made and
+        checked, without __init__'s copies and scans: distinct, in-range
+        int64 masks and finite float (k, 4) rows. Both are made read-only."""
+        masks.flags.writeable = rows.flags.writeable = False
+        joint = cls.__new__(cls)
+        joint.n, joint.masks, joint.rows = n, masks, rows
+        return joint
 
     @property
     def effects(self) -> dict:

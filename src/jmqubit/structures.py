@@ -188,11 +188,25 @@ def structure_of(povms, decider: Callable) -> JmStructure:
     minimal incompatible sets, kept in visiting order as ``incompatible``.
     Unknown answers make the result partial (undecided subsets listed,
     treated as not compatible for maximality).
+
+    The walk marks the sets that lie in a larger compatible set as covered:
+    each compatible set covers its subsets one smaller, and an undecided set,
+    once covered, is compatible by closure and covers its own in turn. The
+    maximal sets are the compatible sets (singletons included) that nothing
+    covered, and the undecided sets listed are those nothing covered.
     """
     n = len(povms)
-    compatible = {frozenset([k]) for k in range(1, n + 1)}
+    compatible = [(k,) for k in range(1, n + 1)]
     incompatible = []
     undecided: set = set()
+    covered: set = set()
+
+    def cover(subsets) -> None:
+        fresh = undecided.intersection(subsets).difference(covered) if undecided else ()
+        covered.update(subsets)
+        for u in fresh:
+            cover([u[:j] + u[j + 1:] for j in range(len(u))])
+
     level = [(k,) for k in range(1, n + 1)]  # visited, not incompatible; sorted
     while level:
         alive = set(level)
@@ -200,21 +214,22 @@ def structure_of(povms, decider: Callable) -> JmStructure:
         level = []
         for c in candidates:
             # c without its last element is s, already alive
-            if not all(c[:j] + c[j + 1:] in alive for j in range(len(c) - 1)):
+            subsets = [c[:j] + c[j + 1:] for j in range(len(c) - 1)]
+            if not alive.issuperset(subsets):
                 continue
             v = decider(c)
             if v.decision == INCOMPATIBLE:
                 incompatible.append((c, v))
                 continue
             if v.decision == COMPATIBLE:
-                compatible.add(frozenset(c))
+                compatible.append(c)
+                subsets.append(c[:-1])
+                cover(subsets)
             elif v.decision == UNKNOWN:
-                undecided.add(frozenset(c))
+                undecided.add(c)
             else:
                 raise ValueError(f"decider returned {v!r}")
             level.append(c)
-    # closure: an undecided subset of a decided-compatible set is compatible;
-    # every compatible set lies in a maximal one, so those are the only tests
-    maximal = _maximal_only(compatible)
-    undecided = frozenset(u for u in undecided if not any(u <= m for m in maximal))
+    maximal = frozenset(frozenset(c) for c in compatible if c not in covered)
+    undecided = frozenset(frozenset(u) for u in undecided if u not in covered)
     return JmStructure(n, maximal, undecided, tuple(incompatible))

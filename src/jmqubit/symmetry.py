@@ -10,7 +10,7 @@ orthogonal and only the rotations act faithfully, so reflections are excluded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,28 +94,3 @@ def act_on_indices(g: SymmetryElement, subset: Sequence[int], N: int) -> tuple:
         images.append(j)
         flips.append(f)
     return tuple(sorted(images)), tuple(flips)
-
-
-def are_equivalent(subset_a: Sequence[int], subset_b: Sequence[int], N: int) -> Optional[SymmetryElement]:
-    """A witnessing element g with g(subset_a) = subset_b, or None.
-
-    Exhaustive over all 2N elements (Definition of geometric equivalence for
-    planar symmetric subsets).
-    """
-    if len(set(subset_a)) != len(set(subset_b)):
-        return None
-    target = tuple(sorted(set(subset_b)))
-    for g in group_elements(N):
-        images, _ = act_on_indices(g, sorted(set(subset_a)), N)
-        if images == target:
-            return g
-    return None
-
-
-def element_name(g: SymmetryElement, N: int) -> str:
-    """Human-readable name matching the 2N-gon notation (C_2N^r, sigma_{r*pi/2N})."""
-    if not g.reflection:
-        return "id" if g.rotation_steps == 0 else f"C_{2*N}^{g.rotation_steps}"
-    if g.rotation_steps == 0:
-        return "sigma_x"
-    return f"sigma_{g.rotation_steps}pi/{2*N}"

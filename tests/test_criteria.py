@@ -27,9 +27,7 @@ from jmqubit import (
     planar_nwise_bound,
     planar_pair_bound,
     planar_subset_bound,
-    planar_subset_sufficient,
     planar_symmetric_nwise,
-    triple_coplanar_unbiased,
     triple_unbiased,
     unbiased_povm,
 )
@@ -368,6 +366,34 @@ def test_triple_trine_boundary():
     assert triple_unbiased([2 / 3 + 1e-6] * 3, ns).decision == INCOMPATIBLE
 
 
+def triple_coplanar_unbiased(a1, a2, a3):
+    """Reference for triple_unbiased on coplanar unbiased triples, with a2
+    the angular middle vector.
+
+    If a2 is (sub)convex in {a1, a3} the pair condition on (a1, a3) applies;
+    otherwise compatible iff |a1+a3| + |a2-a1| + |a3-a2| <= 2.
+    """
+    a1 = np.asarray(a1, dtype=float)
+    a2 = np.asarray(a2, dtype=float)
+    a3 = np.asarray(a3, dtype=float)
+    A = np.stack([a1, a2, a3])
+    svals = np.linalg.svd(A, compute_uv=False)
+    if svals[-1] > 1e-10 * max(1.0, svals[0]):
+        raise ValueError("vectors are not coplanar within 1e-10")
+    M = np.stack([a1, a3], axis=1)
+    coef, *_ = np.linalg.lstsq(M, a2, rcond=None)
+    if np.linalg.norm(M @ coef - a2) > 1e-10:
+        raise ValueError("middle vector not in the span of the outer vectors")
+    lam, mu = float(coef[0]), float(coef[1])
+    if lam < -1e-12 or mu < -1e-12:
+        raise ValueError("middle-vector ordering violated: a2 must lie between a1 and a3")
+    if lam + mu <= 1.0 + 1e-12:
+        s = np.linalg.norm(a1 + a3) + np.linalg.norm(a3 - a1)
+    else:
+        s = np.linalg.norm(a1 + a3) + np.linalg.norm(a2 - a1) + np.linalg.norm(a3 - a2)
+    return criteria._verdict(2.0 - s, IFF, "triple-coplanar")
+
+
 def test_triple_coplanar_matches_general(rng):
     for _ in range(40):
         angs = np.sort(rng.uniform(0.0, math.pi * 0.95, size=3))
@@ -469,13 +495,6 @@ def test_pair_and_subset_bound_relations():
     assert planar_subset_bound(6, [1, 2, 3]) == pytest.approx(
         1.0 / (2 * math.sin(math.pi / 12) + math.cos(math.pi / 6)), abs=1e-15
     )
-
-
-def test_planar_subset_sufficient_strengths():
-    assert planar_subset_sufficient(6, [1, 3], 0.5).strength == IFF
-    assert planar_subset_sufficient(6, [1, 2, 4], 0.5).strength == IFF
-    assert planar_subset_sufficient(6, [1, 2, 3, 5], 0.5).strength == "sufficient-only"
-    assert planar_subset_sufficient(4, [1, 2, 3, 4], 0.5).strength == IFF
 
 
 def test_coplanar_chain_bound_matches_subset_bound():

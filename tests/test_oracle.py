@@ -12,6 +12,7 @@ import pytest
 from jmqubit import (
     BinaryQubitPovm,
     FEASIBLE,
+    INCOMPATIBLE,
     INCONCLUSIVE,
     LIKELY_INFEASIBLE,
     OracleParams,
@@ -390,6 +391,19 @@ def test_formerly_inconclusive_golden_subsets_settle():
             assert res.iterations - res.newton_steps <= 2 * oracle.DUAL_EVERY, (name, subset)
             assert checked_decision(res, sub) is not None, (name, subset)
             assert math.isfinite(res.residual)
+
+
+def test_dykstra_fallback_on_a_golden_subset():
+    # POVMs 4, 5 and 7 of biased-7-12, the one golden-pool subset that the
+    # warm start's NEWTON_STEPS leave open: Dykstra runs to its first
+    # checkpoint, whose polish starts from the Dykstra multiplier and finds
+    # the dual in 2 more steps
+    sets = {s["id"]: s["povms"] for s in json.loads(GOLDEN.read_text())["sets"]}
+    povms = [BinaryQubitPovm(p["bias"], p["bloch"]) for p in sets["biased-7-12"]]
+    sub = [povms[i - 1] for i in (4, 5, 7)]
+    res = decide(sub)
+    assert (res.status, res.iterations, res.newton_steps) == (LIKELY_INFEASIBLE, 66, 16)
+    assert checked_decision(res, sub) == INCOMPATIBLE
 
 
 def test_polish_witnesses_near_boundaries():

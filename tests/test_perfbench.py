@@ -85,6 +85,72 @@ def test_oracle_workload_answers_unchanged():
     assert steps <= stored_steps
 
 
+def _oracle_workload():
+    """The POVMs of the oracle workload's seeds 1-3."""
+    workloads = _perfbench_module("workloads")
+    return [povms for seed in (1, 2, 3) for _, povms, _ in workloads.oracle_problems(jmqubit, seed)]
+
+
+def test_lift_pretest_skips_only_candidates_that_fail(monkeypatch):
+    # the pre-test is made to let every Farkas candidate through to the full
+    # lift, so the runs are those without it; each candidate it would have
+    # skipped must fail verify_dual once lifted
+    pretest, lift = oracle._lift_can_pass, oracle._lift
+    pending, candidates = [], []
+
+    def recording_pretest(MtY, tY):
+        pending.append(pretest(MtY, tY))
+        return True
+
+    def recording_lift(Y, W):
+        D = lift(Y, W)
+        if pending:  # Dykstra's checkpoint lifts without a pre-test
+            candidates.append((pending.pop(), D))
+        return D
+
+    problems = _oracle_workload()
+    answers = [oracle.decide(povms) for povms in problems]
+    monkeypatch.setattr(oracle, "_lift_can_pass", recording_pretest)
+    monkeypatch.setattr(oracle, "_lift", recording_lift)
+    skipped = passed = 0
+    for povms, answer in zip(problems, answers):
+        del candidates[:]
+        res = oracle.decide(povms)
+        assert (res.status, res.iterations, res.residual) == (answer.status, answer.iterations, answer.residual)
+        for ok, D in candidates:
+            if ok:
+                passed += oracle.verify_dual(D, povms)
+            else:
+                skipped += 1
+                assert not oracle.verify_dual(D, povms)
+    assert skipped > 0 and passed == sum(res.status == oracle.LIKELY_INFEASIBLE for res in answers)
+
+
+def test_oracle_witnesses_match_the_checked_constructor(monkeypatch):
+    # each feasible answer's joint is built without JointPovm.__init__'s
+    # copies and scans; it must hold what __init__ would have made of the
+    # same arrays, read-only, and pass verify_witness
+    witness_from, made = oracle._witness_from, []
+    monkeypatch.setattr(oracle, "_witness_from", lambda V, n: made.append((V, n, witness_from(V, n))) or made[-1][2])
+    feasible = 0
+    for povms in _oracle_workload():
+        del made[:]
+        res = oracle.decide(povms)
+        if res.status != oracle.FEASIBLE:
+            assert not made
+            continue
+        ((V, n, joint),) = made
+        keep = oracle._support(V)
+        ref = povm.JointPovm(n, np.flatnonzero(keep), V[keep])
+        assert res.witness is joint and joint.n == ref.n
+        for got, want in ((joint.masks, ref.masks), (joint.rows, ref.rows)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            assert not got.flags.writeable
+        assert oracle.verify_witness(joint, povms, res.params.witness_tol)
+        feasible += 1
+    assert feasible == 84
+
+
 def test_tracer_targets_exist():
     spans = _perfbench_module("spans")
     owners = {

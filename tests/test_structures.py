@@ -128,6 +128,18 @@ def test_structure_of_partial_and_closure():
     assert out.is_compatible({1, 2})
 
 
+def test_structure_of_covers_through_undecided_sets():
+    # {1, 2} is compatible and both triples over it are Unknown, but the
+    # quadruple is compatible: {1, 2} lies in it only through undecided sets,
+    # so it is not maximal, and no Unknown set stays undecided
+    def decider(combo):
+        return stub(UNKNOWN if len(combo) == 3 and combo[:2] == (1, 2) else COMPATIBLE)
+
+    out = structure_of([None] * 4, decider)
+    assert out.maximal == frozenset({frozenset({1, 2, 3, 4})})
+    assert not out.is_partial
+
+
 def test_structure_of_keeps_genuine_unknown():
     def decider(combo):
         return stub(UNKNOWN if len(combo) == 3 else (

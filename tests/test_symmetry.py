@@ -6,9 +6,7 @@ from jmqubit import (
     SymmetryElement,
     act_on_index,
     act_on_indices,
-    are_equivalent,
     compose,
-    element_name,
     group_elements,
     inverse,
     rotation_matrix,
@@ -85,19 +83,3 @@ def test_act_on_indices_sorts_images():
     images, flips = act_on_indices(SymmetryElement(1, False), [1, 4], 4)
     assert images == (1, 2)
     assert len(flips) == 2
-
-
-def test_are_equivalent_examples():
-    assert are_equivalent([1, 2], [2, 3], 4) is not None
-    assert are_equivalent([1, 2], [3, 4], 4) is not None
-    assert are_equivalent([1, 2], [1, 3], 4) is None  # gap 1 vs gap 2
-    assert are_equivalent([1, 2], [1, 2, 3], 4) is None
-    # gap-1 pair vs gap-2 pair are inequivalent
-    assert are_equivalent([1, 2], [1, 3], 6) is None
-
-
-def test_element_names():
-    assert element_name(IDENTITY, 4) == "id"
-    assert element_name(SymmetryElement(2, False), 4) == "C_8^2"
-    assert element_name(SymmetryElement(0, True), 4) == "sigma_x"
-    assert element_name(SymmetryElement(3, True), 4) == "sigma_3pi/8"
