@@ -222,10 +222,7 @@ def cmd_joint(args) -> int:
                 f"oracle status {res.status} (residual {res.residual:.3e})",
             )
         joint = res.witness
-        summary = (
-            f"joint: oracle witness after {res.newton_steps} Newton step(s) "
-            f"and {res.iterations - res.newton_steps} Dykstra iteration(s)"
-        )
+        summary = f"joint: oracle witness after {res.iterations} Newton step(s)"
     _emit(joint.to_json_dict(), args.out, summary)
     return EXIT_OK
 

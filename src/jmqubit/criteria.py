@@ -206,13 +206,6 @@ def _float_rows(rows):
         return None
 
 
-def total_distance(points, y) -> float:
-    """The Fermat-Torricelli objective f(y) = sum_i |y - p_i|."""
-    return _total_distance(
-        np.asarray(points, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()
-    )
-
-
 def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     """Minimizer of the total Euclidean distance f(y) = sum |y - p_i|.
 

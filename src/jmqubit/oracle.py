@@ -14,43 +14,40 @@ witness checkable in a few lines:
   the string "likely-infeasible", which callers key on, although every such
   answer is proven by its `dual`.
 
-A run that finds neither by max_iter is Inconclusive. Both phases ascend the
-smooth concave dual of projecting the warm start x0 onto the feasible set (P
-the row-wise PSD projection, Y an (N+1) x 4 multiplier):
+A run that finds neither in max_iter Newton steps is Inconclusive. The steps
+ascend the smooth concave dual of projecting the warm start x0 onto the
+feasible set (P the row-wise PSD projection, Y an (N+1) x 4 multiplier):
 
     theta(Y) = <T, Y> - |P(x0 + M^T Y)|^2 / 2,  grad = T - M P(x0 + M^T Y).
 
-1. Newton first: from Y = 0, up to NEWTON_STEPS undamped semismooth Newton
-   steps Y <- Y + H^-1 grad (as for the nearest correlation matrix: Qi and
-   Sun, SIMAX 28, 2006), H = sum_i m_i m_i^T (x) J_i, m_i the i-th column of
-   M and J_i the Jacobian of P at row i: only 4(N+1) unknowns. After each
-   step the polish tests two candidates.
-   - The cone point P(x0 + M^T Y), projected onto M V = T, is a witness once
-     it meets verify_witness's tolerances. One more step, if the budget
-     allows, usually takes it to rounding level, so that the joint also
-     reloads at EPS_MARG; the better of the two is kept.
-   - On an infeasible problem theta is unbounded above and the steps run off
-     along a ray (|Y| near 1e10) on which -Y is a Farkas direction. -Y,
-     scaled to sum_i (M^T (-Y))_i0 = 1 and lifted into the cone, is accepted
-     only through verify_dual.
-2. Dykstra only when that settles nothing. It is preconditioned gradient
-   ascent on theta: each step maps z = x + p_corr to z - r, so z = x0 + M^T Y
-   with Y = K M (z - x0), K = (M M^T)^-1. Every DUAL_EVERY iterations the gap
-   r = M^T Y' with Y' = K (M y - T) gives a lifted Farkas candidate, and the
-   polish runs again from the Dykstra multiplier, as it does at the
-   eps_feasible exit, whose joint is PSD only to eps_feasible. A polish that
-   settles nothing leaves the Dykstra state untouched.
+From Y = 0 each step is semismooth Newton (as for the nearest correlation
+matrix: Qi and Sun, SIMAX 28, 2006), d = H^-1 grad with H = sum_i m_i m_i^T
+(x) J_i (m_i the i-th column of M, J_i the Jacobian of P at row i), on
+4(N+1) unknowns, damped by Armijo backtracking: Y <- Y + t d, t halved from 1
+until theta rises by ARMIJO t <grad, d> (ARMIJO states the stop rule). Each
+step ends with two tests:
+
+- The cone point P(x0 + M^T Y), projected onto M V = T, is a witness once it
+  meets verify_witness's tolerances; one more step, if the budget allows,
+  and the better of the two is kept. Where the feasible set has an interior
+  that step takes it to rounding level, and the joint also reloads at
+  EPS_MARG. On extremal input (a POVM with |b| + |a| = 1, an effect with a
+  zero eigenvalue) there is no interior: the joint is proven within
+  witness_tol only (residuals of 1e-9 to 1e-8) and reloads at that tolerance.
+- On an infeasible problem theta is unbounded above and the steps run off
+  along a ray (|Y| near 1e10) on which -Y is a Farkas direction. -Y, scaled
+  to sum_i (M^T (-Y))_i0 = 1 and lifted into the cone, is accepted only
+  through verify_dual.
 
 The problems are small (2^N <= 4096 rows, mostly 8 to 64), so a step costs
-what its numpy calls cost, and a call pays only for its own POVMs: what
-depends on N alone (M, K, G, the m_i m_i^T products for H and the warm start
-less G T) is built once per N and kept read-only (`_system`), and a call
-builds T and c = G T. A Newton step is one branchless pass over the rows that
-returns the PSD projection and its Jacobian as flat per-row coefficients, H
-as one ((N+1)^2, 64) @ (64, 16) product per block of 64 rows (a single
-product up to N = 6), and one solve. The affine projection is two thin
-products (the 2^N x 2^N projector would take 128 MB at N = 12). Each answer
-is checked once: the witness test runs once the projected joint is PSD to
+what its numpy calls cost. What depends on N alone (M, G, the m_i m_i^T
+products for H and the warm start less G T) is built once per N and kept
+read-only (`_system`). A step is one branchless pass over the rows for the
+PSD projection and its Jacobian as flat per-row coefficients, H as one
+((N+1)^2, 64) @ (64, 16) product per 64-row block (one product up to N = 6),
+one solve, and theta, whose <T, Y> the dual pre-test reuses. The affine
+projection is two thin products, not the 2^N x 2^N projector. Each answer is
+checked once: the witness test runs once the projected joint is PSD to
 within witness_tol, and the joint is built from the arrays it passed; a
 Farkas candidate is lifted only when a scalar pre-test allows, and checked
 by verify_dual's test against the projector's own M and T.
@@ -77,28 +74,25 @@ _TINY = np.finfo(float).tiny
 # B of _project_psd's Jacobian, flat: 1 on the alpha and the bloch block
 _B = np.equal.outer(np.arange(4) > 0, np.arange(4) > 0).ravel().astype(float)
 
-# Farkas duals: a candidate is formed after every Newton step and every
-# DUAL_EVERY Dykstra iterations. A dual is accepted only when
-# <T, Y> < -DUAL_SLACK * |T| * |Y| (Frobenius norms), so rounding in M^T Y and
-# <T, Y>, each of relative size N * 1e-16, can never carry a wrong proof. The
-# oracle lifts a candidate's cone rows by the same relative slack so that the
-# exact float cone test in verify_dual passes.
-DUAL_EVERY = 50
+# Farkas duals: a candidate is formed after every Newton step. A dual is
+# accepted only when <T, Y> < -DUAL_SLACK * |T| * |Y| (Frobenius norms), so
+# rounding in M^T Y and <T, Y>, each of relative size N * 1e-16, can never
+# carry a wrong proof. The oracle lifts a candidate's cone rows by the same
+# relative slack so that the exact float cone test in verify_dual passes.
 DUAL_SLACK = 1e-12
 
-# Newton polish: at most NEWTON_STEPS undamped steps from the warm start and
-# from each DUAL_EVERY checkpoint. Of the golden pool's 1,773 oracle problems
-# 173 fall back to Dykstra at 8 steps, 6 at 12 and 1 at 14, where no witness
-# lacks its extra step to EPS_MARG. NEWTON_RIDGE keeps the solve defined where
-# H is singular (rows in the polar cone, as when the steps run off).
-NEWTON_STEPS = 14
+# NEWTON_RIDGE keeps the Newton solve defined where H is singular (rows in the
+# polar cone, as when the steps run off). The line search asks for a rise of
+# ARMIJO t <grad, d> and stops once that is at most 1e-16 |theta|, below
+# theta's rounding: at t = 1 the full step is taken untested (near a solution
+# rounding alone fails the test), at t < 1 the run ends Inconclusive.
 NEWTON_RIDGE = 1e-12
+ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
 class OracleParams:
-    max_iter: int = 50000
-    eps_feasible: float = 1e-9
+    max_iter: int = 200  # Newton steps
     witness_tol: float = 1e-8
 
 
@@ -106,12 +100,11 @@ class OracleParams:
 class FeasibilityVerdict:
     status: str
     residual: float
-    iterations: int  # Newton steps and Dykstra iterations alike
+    iterations: int  # Newton steps
     witness: Optional[JointPovm] = None
     params: OracleParams = field(default_factory=OracleParams)
     # Farkas dual proving infeasibility; left out of ==, which an array breaks
     dual: Optional[np.ndarray] = field(default=None, compare=False)
-    newton_steps: int = 0  # the Newton share of iterations
 
 
 def _project_psd(V: np.ndarray, jacobian: bool = False):
@@ -175,36 +168,37 @@ def _lift_can_pass(MtY: np.ndarray, tY: float) -> bool:
 @functools.lru_cache(maxsize=ORACLE_N_CAP)
 def _system(N: int) -> tuple:
     """What the oracle needs of N alone, built once per N and read-only:
-    M, K = (M M^T)^-1, G = M^T K, the m_i m_i^T products for H as columns in
+    M, G = M^T (M M^T)^-1, the m_i m_i^T products for H as columns in
     blocks of 64 rows (BLAS runs each block's product on one thread, while a
     threaded one stalls on a busy core), and the warm start less
     its per-call part G T. The N = 12 entry holds 6.5 MB, 5.5 MB of it the
     products, and all twelve 11.4 MB."""
     M, _ = _marginal_system(N, np.arange(1 << N))
-    K = np.linalg.inv(M @ M.T)
-    G = M.T @ K
+    G = M.T @ np.linalg.inv(M @ M.T)
     Mb = M.reshape(N + 1, -1, min(64, 1 << N))
     mm = np.einsum("kbj,lbj->bklj", Mb, Mb).reshape(Mb.shape[1], -1, Mb.shape[2])
     V = np.tile((2.0 / (1 << N), 0.0, 0.0, 0.0), (1 << N, 1))  # the maximally mixed product joint
-    arrays = M, K, G, mm, V - G @ (M @ V)
+    arrays = M, G, mm, V - G @ (M @ V)
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
 class _AffineProjector:
-    """The orthogonal projector V - M^T K (M V - T) = V - G (M V) + c onto
-    { V : M V = T }, from the cached system of N, and the Newton polish."""
+    """The orthogonal projector V - G (M V - T) onto { V : M V = T }, the warm
+    start and H, from the cached system of N."""
 
     def __init__(self, povms):
-        self.M, self.K, self.G, self._mm, x0 = _system(len(povms))
+        self.M, self.G, self._mm, x0 = _system(len(povms))
         self.T = _marginal_targets(len(povms), povms)
-        self.c = self.G @ self.T
-        self.x0 = x0 + self.c  # the warm start
-        self.steps = 0  # Newton steps taken
+        self.x0 = x0 + self.G @ self.T  # the warm start
 
-    def verdict(self, status, residual, it, params, witness=None, dual=None) -> FeasibilityVerdict:
-        return FeasibilityVerdict(status, residual, it + self.steps, witness, params, dual, self.steps)
+    def point(self, Y: np.ndarray) -> tuple:
+        """M^T Y, P(x0 + M^T Y) and its Jacobian, <T, Y> and theta(Y)."""
+        MtY = self.M.T @ Y
+        V, jac = _project_psd(self.x0 + MtY, True)
+        tY = float(np.vdot(self.T, Y))
+        return MtY, V, jac, tY, tY - 0.5 * float(np.vdot(V, V))
 
     def witness_residual(self, V: np.ndarray) -> float:
         """What verify_witness measures on _witness_from(V): the worst of
@@ -224,82 +218,55 @@ class _AffineProjector:
         H.reshape(-1)[:: 4 * n1 + 1] += NEWTON_RIDGE
         return H
 
-    def polish(self, x0, z, params, it) -> Optional[FeasibilityVerdict]:
-        """Newton steps on theta from z = x0 + M^T Y, testing a witness and a
-        Farkas dual after each (see the module docstring). Returns the verdict,
-        after `it` Dykstra iterations, or None when NEWTON_STEPS settle nothing."""
-        n1 = len(self.M)
-        Y, found = (np.zeros((n1, 4)) if z is x0 else self.G.T @ (z - x0)), None
-        V, jac = _project_psd(z, True)
-        grad = self.T - self.M @ V
-        for _ in range(NEWTON_STEPS):
-            Y = Y + np.linalg.solve(self.hessian(jac), grad.reshape(-1)).reshape(n1, 4)
-            self.steps += 1
-            MtY = self.M.T @ Y
-            V, jac = _project_psd(x0 + MtY, True)
-            grad = self.T - self.M @ V
-            x = V + self.G @ grad  # the projection of V onto M V = T
-            # a row with |bloch| - |alpha| > 2 max(witness_tol, 1e-13) is one
-            # _support keeps, with an eigenvalue below -witness_tol: no witness
-            nb = np.hypot(np.hypot(x[:, 1], x[:, 2]), x[:, 3])
-            gap = np.maximum.reduce(nb - np.abs(x[:, 0]))
-            if found is not None or gap <= 2.0 * max(params.witness_tol, 1e-13):
-                residual = self.witness_residual(x)
-                if found is not None:  # one step past the tolerance: keep the better
-                    found = min(found, (residual, x), key=lambda f: f[0])
-                    break
-                if residual <= params.witness_tol:
-                    found = (residual, x)
-                    if residual <= EPS_MARG:
-                        break
-                    continue
-            scale = -float(MtY[:, 0].sum())  # sum_i (M^T (-Y))_i0
-            if scale <= 0.0 or not _lift_can_pass(MtY, float(np.vdot(self.T, Y))):
-                continue
-            D = _lift(Y / -scale, MtY / -scale)
-            if np.vdot(self.T, D) < 0.0 and _dual_holds(D, self.M, self.T):
-                return self.verdict(LIKELY_INFEASIBLE, float(np.abs(grad).max()), it, params, dual=D)
-        if found is None:
-            return None
-        return self.verdict(FEASIBLE, found[0], it, params, _witness_from(found[1], n1 - 1))
-
 
 def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
-    """Newton polish from the warm start, then, if it settles nothing,
-    Dykstra with a polish at each checkpoint. Ends at a checked witness
-    (FEASIBLE), a checked Farkas dual (LIKELY_INFEASIBLE), or after max_iter
-    Dykstra iterations (INCONCLUSIVE). `iterations` counts Newton steps too."""
+    """Damped Newton steps on theta from Y = 0, each followed by a witness
+    and a Farkas dual test (see the module docstring). Ends at a checked
+    witness (FEASIBLE), a checked dual (LIKELY_INFEASIBLE), or INCONCLUSIVE
+    after max_iter steps or a stopped line search; `iterations` counts steps."""
     N = len(povms)
     if not 1 <= N <= ORACLE_N_CAP:
         raise ValueError(f"oracle takes 1..{ORACLE_N_CAP} POVMs, got {N}")
     proj = _AffineProjector(povms)
-    x0 = x = proj.x0
-    settled = proj.polish(x0, x0, params, 0)
-    if settled is not None:
-        return settled
-
-    p_corr, best = np.zeros_like(x), np.inf
-    for it in range(1, params.max_iter + 1):
-        z = x + p_corr
-        y = _project_psd(z)
-        p_corr = z - y
-        # affine: Dykstra correction unnecessary on this side
-        My = proj.M @ y
-        r = proj.G @ My - proj.c  # = M^T K (M y - T)
-        x = y - r
-        gap = float(np.abs(r).max())
-        best = min(best, gap)
-        if gap <= params.eps_feasible:  # the first gap this small is the best
-            settled = proj.polish(x0, x + p_corr, params, it)
-            return settled or proj.verdict(FEASIBLE, gap, it, params, _witness_from(x, N))
-        if it % DUAL_EVERY == 0:
-            Y = _lift(proj.K @ (My - proj.T), r)
-            if np.vdot(proj.T, Y) < 0.0 and _dual_holds(Y, proj.M, proj.T):
-                return proj.verdict(LIKELY_INFEASIBLE, best, it, params, dual=Y)
-            settled = proj.polish(x0, x + p_corr, params, it)
-            if settled is not None:
-                return settled
-    return proj.verdict(INCONCLUSIVE, best, params.max_iter, params)
+    M, G, T = proj.M, proj.G, proj.T
+    Y, found, step = np.zeros((N + 1, 4)), None, 0
+    _, V, jac, _, theta = proj.point(Y)
+    grad = T - M @ V
+    for step in range(1, params.max_iter + 1):
+        d = np.linalg.solve(proj.hessian(jac), grad.reshape(-1)).reshape(N + 1, 4)
+        rise, rounding, t, Yt = ARMIJO * float(np.vdot(grad, d)), 1e-16 * abs(theta), 1.0, Y + d
+        MtY, Vt, jac, tY, theta_t = proj.point(Yt)
+        while t * rise > rounding and theta_t < theta + t * rise:
+            t *= 0.5
+            Yt = Y + t * d
+            MtY, Vt, jac, tY, theta_t = proj.point(Yt)
+        if t < 1.0 and t * rise <= rounding:
+            break  # d shows no rise above theta's rounding
+        Y, V, theta, grad = Yt, Vt, theta_t, T - M @ Vt
+        x = V + G @ grad  # the projection of V onto M V = T
+        # a row with |bloch| - |alpha| > 2 max(witness_tol, 1e-13) is one
+        # _support keeps, with an eigenvalue below -witness_tol: no witness
+        nb = np.hypot(np.hypot(x[:, 1], x[:, 2]), x[:, 3])
+        gap = np.maximum.reduce(nb - np.abs(x[:, 0]))
+        if found is not None or gap <= 2.0 * max(params.witness_tol, 1e-13):
+            residual = proj.witness_residual(x)
+            if found is not None:  # one step past the tolerance: keep the better
+                found = min(found, (residual, x), key=lambda f: f[0])
+                break
+            if residual <= params.witness_tol:
+                found = (residual, x)
+                if residual <= EPS_MARG:
+                    break
+                continue
+        scale = -float(MtY[:, 0].sum())  # sum_i (M^T (-Y))_i0
+        if scale <= 0.0 or not _lift_can_pass(MtY, tY):
+            continue
+        D = _lift(Y / -scale, MtY / -scale)
+        if np.vdot(T, D) < 0.0 and _dual_holds(D, M, T):
+            return FeasibilityVerdict(LIKELY_INFEASIBLE, float(np.abs(grad).max()), step, None, params, D)
+    if found is None:
+        return FeasibilityVerdict(INCONCLUSIVE, float(np.abs(grad).max()), step, None, params)
+    return FeasibilityVerdict(FEASIBLE, found[0], step, _witness_from(found[1], N), params)
 
 
 def _support(V: np.ndarray) -> np.ndarray:
@@ -309,8 +276,7 @@ def _support(V: np.ndarray) -> np.ndarray:
 
 
 def _witness_from(V: np.ndarray, n: int) -> JointPovm:
-    """V's supported rows as a joint. They are finite (witness_residual and
-    Dykstra's gap test fail on NaN and inf), and so left unchecked."""
+    """V's supported rows as a joint, unchecked: witness_residual fails on NaN and inf."""
     keep = _support(V)
     return JointPovm._from_checked(n, np.flatnonzero(keep), V[keep])
 

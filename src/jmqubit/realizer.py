@@ -802,8 +802,7 @@ def verify_certificate(cert: RealizationCertificate, mode: str = "closed-form") 
                 proof = "joint POVM" if expected == COMPATIBLE else "Farkas dual"
                 inconclusive.append(
                     f"oracle {res.status} on {list(e.subset)}: no checked {proof} after "
-                    f"{res.iterations - res.newton_steps} of max_iter = {res.params.max_iter} "
-                    f"Dykstra iterations and {res.newton_steps} Newton steps"
+                    f"{res.iterations} of max_iter = {res.params.max_iter} Newton steps"
                 )
             elif found != expected:
                 issues.append(f"oracle contradicts {claim} of {list(e.subset)}")

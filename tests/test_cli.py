@@ -271,17 +271,14 @@ def test_realize_verify_pipeline(tmp_path, capsys):
 def test_verify_oracle_mode_without_duals_is_inconclusive(tmp_path, capsys, monkeypatch):
     from jmqubit import OracleParams, oracle
 
-    code, out, _ = run(capsys, "realize", "--structure", "n-cycle", "--n", "4")
+    code, out, _ = run(capsys, "realize", "--structure", "n-cycle", "--n", "5")
     assert code == 0
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(out)
-    # no Farkas dual can be found: with the Newton polish and the checkpoints
-    # off, every incompatible pair runs to max_iter, bounded here to keep the
-    # test short
-    params = OracleParams(max_iter=1000)
+    # one Newton step proves every compatible pair of the 5-cycle, while each
+    # incompatible pair needs a second step for its Farkas dual
+    params = OracleParams(max_iter=1)
     decide = oracle.decide
-    monkeypatch.setattr(oracle._AffineProjector, "polish", lambda *args: None)
-    monkeypatch.setattr(oracle, "DUAL_EVERY", params.max_iter + 1)
     monkeypatch.setattr(oracle, "decide", lambda povms: decide(povms, params))
     code, out, _ = run(capsys, "verify", str(cert_path), "--mode", "oracle")
     assert code == 3
@@ -290,7 +287,7 @@ def test_verify_oracle_mode_without_duals_is_inconclusive(tmp_path, capsys, monk
     cert = RealizationCertificate.from_json_dict(json.loads(cert_path.read_text()))
     assert report["inconclusive"] == [
         f"oracle inconclusive on {list(e.subset)}: no checked Farkas dual after "
-        "1000 of max_iter = 1000 Dykstra iterations and 0 Newton steps"
+        "1 of max_iter = 1 Newton steps"
         for e in cert.incompatible
     ]
 

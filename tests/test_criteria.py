@@ -32,7 +32,7 @@ from jmqubit import (
     unbiased_povm,
 )
 from jmqubit import criteria
-from jmqubit.criteria import FtConvergenceError, total_distance
+from jmqubit.criteria import FtConvergenceError
 from conftest import random_orthogonal, random_unit
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -103,7 +103,7 @@ def test_ft_square_diagonal_intersection():
     pts = np.array([[1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]], dtype=float)
     y = fermat_torricelli(pts)
     np.testing.assert_allclose(y, 0.0, atol=1e-8)
-    assert total_distance(pts, y) == pytest.approx(4 * math.sqrt(2), abs=1e-8)
+    assert criteria._total_distance(pts.tolist(), y.tolist()) == pytest.approx(4 * math.sqrt(2), abs=1e-8)
 
 
 def test_ft_duplicate_points():
@@ -115,10 +115,10 @@ def test_ft_beats_random_candidates(rng):
     for _ in range(20):
         pts = rng.normal(size=(4, 3))
         y = fermat_torricelli(pts)
-        base = total_distance(pts, y)
+        base = criteria._total_distance(pts.tolist(), y.tolist())
         for _ in range(30):
             z = y + rng.normal(size=3) * 0.1
-            assert base <= total_distance(pts, z) + 1e-7
+            assert base <= criteria._total_distance(pts.tolist(), z.tolist()) + 1e-7
 
 
 def _optimal_anchor(pts) -> bool:
@@ -154,10 +154,10 @@ def test_ft_converges_next_to_barely_suboptimal_anchor(rng):
         y = fermat_torricelli(pts)
         d = np.linalg.norm(y - pts, axis=1)
         assert np.linalg.norm(((y - pts) / d[:, None]).sum(axis=0)) <= 1e-9
-        base = total_distance(pts, y)
+        base = criteria._total_distance(pts.tolist(), y.tolist())
         for step in (1e-2, 1e-4, 1e-6):
             for z in y + step * rng.normal(size=(10, 3)):
-                assert base <= total_distance(pts, z) + 1e-14
+                assert base <= criteria._total_distance(pts.tolist(), z.tolist()) + 1e-14
 
 
 def test_ft_non_convergence_raises_and_triple_is_unknown(monkeypatch, caplog):
@@ -334,7 +334,7 @@ def test_ft_float_loop_matches_numpy_reference():
             continue
         kinds.add((kind, "newton"))
         f_ref, f = _numpy_objective(pts, ref), _numpy_objective(pts, y)
-        assert f == total_distance(pts, y)  # the float objective, bit for bit
+        assert f == criteria._total_distance(pts.tolist(), y.tolist())  # the float objective, bit for bit
         assert abs(f - f_ref) <= 1e-14 * max(1.0, f_ref), (kind, f, f_ref)
         diff = y - pts
         grad = (diff / np.linalg.norm(diff, axis=1)[:, None]).sum(axis=0)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -10,7 +11,10 @@ import numpy as np
 import pytest
 
 from jmqubit import (
+    COMPATIBLE,
+    UNKNOWN,
     BinaryQubitPovm,
+    closed_form_decider,
     FEASIBLE,
     INCOMPATIBLE,
     INCONCLUSIVE,
@@ -18,6 +22,7 @@ from jmqubit import (
     OracleParams,
     PlanarSymmetricFamily,
     agreement_sweep,
+    pair_general,
     pair_unbiased,
     planar_nwise_bound,
     unbiased_povm,
@@ -35,12 +40,6 @@ EY = np.array([0.0, 1.0, 0.0])
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def no_newton(monkeypatch):
-    """Leave decide to Dykstra and its checkpoint duals: the polish, at the
-    warm start and at every checkpoint, settles nothing."""
-    monkeypatch.setattr(oracle._AffineProjector, "polish", lambda *args: None)
-
-
 def reference_project_psd(V):
     """Row by row: clip the eigenvalues of (alpha I + bloch . sigma)/2 at
     zero and read (alpha, bloch) back off the rebuilt matrix."""
@@ -53,10 +52,11 @@ def reference_project_psd(V):
     return out
 
 
-def reference_decide(povms, params=OracleParams()):
-    """The Dykstra loop as written before the branchless PSD clipping and the
-    folded affine projector: masked clipping, and (M M^T)^-1 applied to the
-    marginal residual at every step. Returns (status, iterations, residual)."""
+def reference_decide(povms, max_iter=50000, tol=1e-9):
+    """An independent reference: Dykstra's alternating projections with
+    masked PSD clipping and (M M^T)^-1 applied to the marginal residual at
+    every step, run until the gap between the two projections is at most tol.
+    Returns (status, iterations, residual)."""
 
     def project_psd(V):
         alpha, bloch = V[:, 0], V[:, 1:]
@@ -96,14 +96,14 @@ def reference_decide(povms, params=OracleParams()):
     x = proj(V)
     p_corr = np.zeros_like(x)
     best = np.inf
-    for it in range(1, params.max_iter + 1):
+    for it in range(1, max_iter + 1):
         y = project_psd(x + p_corr)
         p_corr = x + p_corr - y
         x = proj(y)
         best = min(best, float(np.max(np.abs(y - x))))
-        if best <= params.eps_feasible:
+        if best <= tol:
             return FEASIBLE, it, best
-    return INCONCLUSIVE, params.max_iter, best
+    return INCONCLUSIVE, max_iter, best
 
 
 def test_psd_projection_properties(rng):
@@ -239,7 +239,7 @@ def summary(res):
     """What an answer holds, with floats exact."""
     witness = None if res.witness is None else [res.witness.masks.tolist(), res.witness.rows.tolist()]
     dual = None if res.dual is None else res.dual.tolist()
-    return [res.status, res.iterations, res.newton_steps, repr(res.residual), witness, dual]
+    return [res.status, res.iterations, repr(res.residual), witness, dual]
 
 
 def test_cached_system_gives_a_fresh_process_answer():
@@ -263,17 +263,10 @@ def biased_pair(eta):
     return [BinaryQubitPovm(0.15, [0.0, 0.0, eta]), BinaryQubitPovm(-0.1, [eta, 0.0, 0.0])]
 
 
-# Reference runs are bounded: without a dual or a polish an infeasible run
-# goes on to max_iter, and so do the feasible ones at 0.98 x bound for
-# N = 5 and N = 6, which need 1,578 and 5,016 Dykstra iterations.
-REFERENCE_PARAMS = OracleParams(max_iter=1000)
-
-
 @pytest.fixture(scope="module")
-def reference_runs():
-    """(povms, compatible, reference_decide(povms, REFERENCE_PARAMS)) on both
-    sides of several boundaries. compatible is the problem's true side, known
-    from its closed-form bound."""
+def boundary_problems():
+    """(povms, compatible) on both sides of several boundaries. compatible is
+    the problem's true side, known from its closed-form bound."""
     problems = [
         (PlanarSymmetricFamily(N, planar_nwise_bound(N) * f).povms(), f < 1.0)
         for N in (3, 4, 5, 6)
@@ -282,30 +275,15 @@ def reference_runs():
     problems += [(biased_pair(0.65), True), (biased_pair(0.75), False)]  # either side of its boundary
     rng = np.random.default_rng(8)
     problems.append(([unbiased_povm(0.4, random_unit(rng)) for _ in range(8)], True))
-    return [(povms, ok, reference_decide(povms, REFERENCE_PARAMS)) for povms, ok in problems]
+    return problems
 
 
-def test_iteration_matches_reference_loop(reference_runs, monkeypatch):
-    # with the polish off and the dual check out of reach the loop is the
-    # reference loop
-    no_newton(monkeypatch)
-    monkeypatch.setattr(oracle, "DUAL_EVERY", REFERENCE_PARAMS.max_iter + 1)
-    statuses = set()
-    for povms, _, (status, iterations, residual) in reference_runs:
-        res = decide(povms, REFERENCE_PARAMS)
-        assert (res.status, res.iterations) == (status, iterations)
-        assert abs(res.residual - residual) <= 1e-12
-        assert res.dual is None
-        statuses.add(status)
-    assert statuses == {FEASIBLE, INCONCLUSIVE}
-
-
-def test_dual_exit_against_reference_loop(reference_runs):
-    # default settings: every run ends at the warm start's Newton polish, at a
-    # witness or a Farkas dual, before any Dykstra iteration
-    for povms, compatible, _ in reference_runs:
+def test_dual_exit_against_reference_loop(boundary_problems):
+    # every run ends at a checked witness or a checked Farkas dual, within
+    # the 14 steps that the undamped steps took on these problems
+    for povms, compatible in boundary_problems:
         res = decide(povms)
-        assert res.iterations == res.newton_steps and 1 <= res.newton_steps <= oracle.NEWTON_STEPS
+        assert 1 <= res.iterations <= 14
         if compatible:
             assert res.status == FEASIBLE
             assert verify_witness(res.witness, povms, res.params.witness_tol)
@@ -315,43 +293,19 @@ def test_dual_exit_against_reference_loop(reference_runs):
             assert res.dual is not None and verify_dual(res.dual, povms)
 
 
-def test_failed_polish_leaves_the_loop_unchanged(reference_runs, monkeypatch):
-    # the polish still runs, from the warm start and at every checkpoint, but
-    # its answers are thrown away: the Dykstra iterates must be the
-    # reference loop's
-    polish = oracle._AffineProjector.polish
-    monkeypatch.setattr(oracle._AffineProjector, "polish", lambda *args: polish(*args) and None)
-    for povms, compatible, (status, iterations, residual) in reference_runs:
-        res = decide(povms, REFERENCE_PARAMS)
-        if compatible:
-            assert (res.status, res.iterations - res.newton_steps) == (status, iterations)
-            assert abs(res.residual - residual) <= 1e-12
-        else:  # the dual is tried before the polish
-            assert res.status == LIKELY_INFEASIBLE and verify_dual(res.dual, povms)
-
-
-@pytest.mark.parametrize(
-    "dual_every, params",
-    [
-        (oracle.DUAL_EVERY, OracleParams()),
-        (REFERENCE_PARAMS.max_iter + 1, REFERENCE_PARAMS),
-    ],
-    ids=["default", "no-checkpoint"],
-)
-def test_infeasible_answer_carries_a_checked_dual(reference_runs, monkeypatch, dual_every, params):
-    monkeypatch.setattr(oracle, "DUAL_EVERY", dual_every)
-    for povms, _, _ in reference_runs:
-        res = decide(povms, params)
+def test_infeasible_answer_carries_a_checked_dual(boundary_problems):
+    for povms, _ in boundary_problems:
+        res = decide(povms)
         if res.status == LIKELY_INFEASIBLE:
             assert res.dual is not None and verify_dual(res.dual, povms)
         else:
             assert res.dual is None
 
 
-def test_dual_for_a_subset_that_stalls(monkeypatch):
+def test_dual_for_a_subset_that_stalls():
     # POVMs 2, 3, 4 and 6 of the golden-pool set biased-6-04: the Newton
-    # polish proves it infeasible at the warm start, while Dykstra's gap
-    # stalls for thousands of iterations before a checkpoint's dual checks
+    # steps prove it infeasible, while a first-order method's gap stalls for
+    # thousands of iterations before its dual checks
     povms = [
         BinaryQubitPovm(-0.27988786387693304, [0.4000776855528253, 0.04657500876588716, -0.432205164020495]),
         BinaryQubitPovm(0.11566298719722184, [0.471032631614286, -0.3202163753742009, 0.19737122761690384]),
@@ -359,16 +313,13 @@ def test_dual_for_a_subset_that_stalls(monkeypatch):
         BinaryQubitPovm(0.16013474309424225, [-0.05642599097952158, -0.4892736461828743, 0.1519694971947038]),
     ]
     res = decide(povms)
-    assert res.status == LIKELY_INFEASIBLE and res.iterations == res.newton_steps
+    assert res.status == LIKELY_INFEASIBLE and res.iterations <= 14
     assert verify_dual(res.dual, povms) and math.isfinite(res.residual)
-    no_newton(monkeypatch)
-    res = decide(povms)
-    assert res.status == LIKELY_INFEASIBLE and res.iterations > 2500
-    assert verify_dual(res.dual, povms)
 
 
-# Golden-pool subsets that Dykstra, with a polish at each checkpoint, left
-# inconclusive at 50,000 iterations
+# Golden-pool subsets that a Dykstra fallback, with undamped Newton steps
+# every 50 iterations, left inconclusive at 50,000 iterations; the damped
+# steps prove each infeasible in 10 to 13 steps
 FORMERLY_INCONCLUSIVE = {
     "mixed-purity-6-06": [(1, 3, 4, 5)],
     "mixed-purity-7-04": [(1, 2, 4, 6, 7)],
@@ -388,21 +339,23 @@ def test_formerly_inconclusive_golden_subsets_settle():
         for subset in subsets:
             sub = [povms[i - 1] for i in subset]
             res = decide(sub)
-            assert res.iterations - res.newton_steps <= 2 * oracle.DUAL_EVERY, (name, subset)
+            assert res.iterations <= 14, (name, subset)
             assert checked_decision(res, sub) is not None, (name, subset)
             assert math.isfinite(res.residual)
 
 
-def test_dykstra_fallback_on_a_golden_subset():
-    # POVMs 4, 5 and 7 of biased-7-12, the one golden-pool subset that the
-    # warm start's NEWTON_STEPS leave open: Dykstra runs to its first
-    # checkpoint, whose polish starts from the Dykstra multiplier and finds
-    # the dual in 2 more steps
+@pytest.mark.parametrize(
+    "name, subset", [("biased-7-12", (4, 5, 7)), ("biased-7-19", (2, 4, 7))], ids=["biased-7-12", "biased-7-19"]
+)
+def test_damped_steps_on_golden_subsets(name, subset):
+    # the two golden-pool subsets on which full steps fail Armijo's test:
+    # undamped, {4, 5, 7} of biased-7-12 took 14 steps without an answer and
+    # {2, 4, 7} of biased-7-19 took 11 steps to its dual
     sets = {s["id"]: s["povms"] for s in json.loads(GOLDEN.read_text())["sets"]}
-    povms = [BinaryQubitPovm(p["bias"], p["bloch"]) for p in sets["biased-7-12"]]
-    sub = [povms[i - 1] for i in (4, 5, 7)]
+    povms = [BinaryQubitPovm(p["bias"], p["bloch"]) for p in sets[name]]
+    sub = [povms[i - 1] for i in subset]
     res = decide(sub)
-    assert (res.status, res.iterations, res.newton_steps) == (LIKELY_INFEASIBLE, 66, 16)
+    assert (res.status, res.iterations) == (LIKELY_INFEASIBLE, 5)
     assert checked_decision(res, sub) == INCOMPATIBLE
 
 
@@ -417,9 +370,54 @@ def test_polish_witnesses_near_boundaries():
         status, iterations, _ = reference_decide(povms)
         res = decide(povms)
         assert status == res.status == FEASIBLE
-        assert res.iterations - res.newton_steps <= iterations
+        assert res.iterations <= iterations
         assert verify_witness(res.witness, povms, res.params.witness_tol)
         assert res.residual <= res.params.witness_tol
+
+
+def extremal_family(seed):
+    """Seeded problems at N = 2..4, each holding a POVM on the boundary of
+    validity, |b| + |a| = 1, so that one effect has a zero eigenvalue and the
+    feasible set no interior. The other POVMs are noisy, but at N = 2 they
+    are extremal too half of the time, and every fourth pair holds a sharp
+    unbiased POVM (b = 0, |a| = 1). At N = 3 and 4, where a sharp POVM would
+    leave no compatible pair, a set is kept only when closed form leaves it
+    Unknown while its pairs are compatible."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for N, count in ((2, 40), (3, 15), (4, 15)):
+        while count:
+            b = 0.0 if N == 2 and count % 4 == 0 else float(rng.uniform(-0.35, 0.35))
+            povms = [BinaryQubitPovm(b, (1.0 - abs(b)) * random_unit(rng))]
+            for _ in range(N - 1):
+                b = float(rng.uniform(-0.35, 0.35))
+                a = 1.0 if N == 2 and rng.random() < 0.5 else float(rng.uniform(0.3, 0.75))
+                povms.append(BinaryQubitPovm(b, a * (1.0 - abs(b)) * random_unit(rng)))
+            decider, full = closed_form_decider(povms), tuple(range(1, N + 1))
+            pairs = itertools.combinations(full, 2)
+            if N > 2 and (decider(full).decision != UNKNOWN or any(decider(c).decision != COMPATIBLE for c in pairs)):
+                continue
+            problems.append(povms)
+            count -= 1
+    return problems
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_extremal_family_is_decided(seed):
+    sides = set()
+    for povms in extremal_family(seed):
+        start = time.perf_counter()
+        res = decide(povms)
+        seconds = time.perf_counter() - start
+        decision = checked_decision(res, povms)
+        assert decision is not None, (res.status, res.iterations, povms)
+        assert seconds < 0.05, (seconds, res.iterations)
+        if len(povms) == 2:
+            verdict = pair_general(*povms)
+            if abs(verdict.margin) > 1e-9:
+                assert decision == verdict.decision, (verdict.margin, povms)
+        sides.add((len(povms), decision))
+    assert sides == {(N, d) for N in (2, 3, 4) for d in (COMPATIBLE, INCOMPATIBLE)}
 
 
 def check_rejects_bad_duals(Y, bad, leaving_rows):
@@ -448,14 +446,6 @@ def test_verify_dual_rejects_bad_duals():
     check_rejects_bad_duals(decide(bad).dual, bad, leaving_rows=4)
 
 
-def test_verify_dual_rejects_bad_checkpoint_duals(monkeypatch):
-    # biased, so no two rows of the Dykstra checkpoint's M^T Y tie on their
-    # cone slack
-    no_newton(monkeypatch)
-    bad = biased_pair(0.75)
-    check_rejects_bad_duals(decide(bad).dual, bad, leaving_rows=1)
-
-
 def test_witnesses_reload_at_eps_marg(rng):
     # what `joint --constructor oracle` writes must load back through
     # JointPovm.from_json_dict at its default tolerance, EPS_MARG
@@ -468,23 +458,6 @@ def test_witnesses_reload_at_eps_marg(rng):
         res = decide(povms)
         assert res.status == FEASIBLE
         joint = JointPovm.from_json_dict(json.loads(json.dumps(res.witness.to_json_dict())))
-        assert joint.marginal_error(povms) <= res.params.witness_tol
-
-
-def test_dykstra_exit_witness_reloads_at_eps_marg(monkeypatch):
-    # the polish is off at the warm start and no checkpoint comes, so the run
-    # ends at Dykstra's eps_feasible exit, whose joint is PSD only to about
-    # 1e-9 until the exit's own polish takes it to rounding level
-    polish = oracle._AffineProjector.polish
-    monkeypatch.setattr(
-        oracle._AffineProjector, "polish", lambda *args: polish(*args) if args[-1] > 0 else None
-    )
-    monkeypatch.setattr(oracle, "DUAL_EVERY", OracleParams().max_iter + 1)
-    for N in (3, 4):
-        povms = PlanarSymmetricFamily(N, 0.9 * planar_nwise_bound(N)).povms()
-        res = decide(povms)
-        assert res.status == FEASIBLE and res.iterations > res.newton_steps > 0
-        joint = JointPovm.from_json_dict(res.witness.to_json_dict())
         assert joint.marginal_error(povms) <= res.params.witness_tol
 
 
@@ -533,9 +506,9 @@ def test_boundary_commuting_pair():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_polish_with_singular_hessian(monkeypatch):
-    # an infeasible triple (its Dykstra dual needs four checkpoints): the
-    # Newton steps from the warm start run into an H with zero eigenvalues
-    # (rows in the polar cone), which NEWTON_RIDGE keeps solvable and quiet
+    # an infeasible triple: the Newton steps from the warm start run into an
+    # H with zero eigenvalues (rows in the polar cone), which NEWTON_RIDGE
+    # keeps solvable and quiet
     dirs = [
         [-0.5107937436299098, 0.8528742729182628, 0.10814446847937462],
         [-0.82950496324043, -0.040081410318072545, -0.5570592396742082],
@@ -552,7 +525,7 @@ def test_polish_with_singular_hessian(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
     res = decide(povms)
     assert min(smallest) <= 2 * oracle.NEWTON_RIDGE
-    assert res.status == LIKELY_INFEASIBLE and res.iterations == res.newton_steps
+    assert res.status == LIKELY_INFEASIBLE
     assert verify_dual(res.dual, povms)
 
 
@@ -583,11 +556,27 @@ def test_decide_rejects_empty_input():
         decide([])
 
 
-def test_max_iter_inconclusive(monkeypatch):
-    povms = [unbiased_povm(0.9, EX), unbiased_povm(0.9, EY)]
-    no_newton(monkeypatch)
-    res = decide(povms, OracleParams(max_iter=3))
+def test_max_iter_inconclusive():
+    # a feasible pair that takes 5 steps, cut at 3
+    res = decide(biased_pair(0.65), OracleParams(max_iter=3))
     assert res.status == INCONCLUSIVE and res.iterations == 3
+    assert res.witness is None and res.dual is None and math.isfinite(res.residual)
+
+
+def test_stopped_line_search_is_inconclusive(monkeypatch):
+    # theta made to fall at every trial point: the halving stops once the
+    # rise it asks for is below theta's rounding, and the run ends there
+    point, calls = oracle._AffineProjector.point, []
+
+    def falling_point(self, Y):
+        calls.append(Y)
+        *rest, theta = point(self, Y)
+        return (*rest, theta - len(calls))
+
+    monkeypatch.setattr(oracle._AffineProjector, "point", falling_point)
+    res = decide(biased_pair(0.65))
+    assert res.status == INCONCLUSIVE and res.iterations == 1
+    assert 2 < len(calls) < 100
 
 
 def test_witness_verification_rejects_wrong_marginals():
@@ -608,18 +597,17 @@ def test_agreement_sweep_small_grid():
 
 def test_agreement_sweep_needs_a_dual(monkeypatch):
     # a run that ends without a Farkas dual does not agree with an
-    # incompatible verdict
+    # incompatible verdict: with 2 steps the compatible pair is proven and
+    # the two incompatible ones, which take 3, are not
     def gen(eta):
-        povms = [unbiased_povm(eta, EX), unbiased_povm(eta, EY)]
-        return povms, pair_unbiased(eta, EX, eta, EY)
+        povms = biased_pair(eta)
+        return povms, pair_general(*povms)
 
-    etas = [0.6, 0.8, 0.9]  # 1/sqrt(2) is the boundary
-    no_newton(monkeypatch)
-    monkeypatch.setattr(oracle, "DUAL_EVERY", REFERENCE_PARAMS.max_iter + 1)
-    monkeypatch.setattr(oracle, "decide", lambda povms: decide(povms, REFERENCE_PARAMS))
+    etas = [0.6, 0.7, 0.72]  # the boundary lies near 0.695
+    monkeypatch.setattr(oracle, "decide", lambda povms: decide(povms, OracleParams(max_iter=2)))
     assert [(m.eta, m.oracle_status) for m in agreement_sweep(gen, etas)] == [
-        (0.8, INCONCLUSIVE),
-        (0.9, INCONCLUSIVE),
+        (0.7, INCONCLUSIVE),
+        (0.72, INCONCLUSIVE),
     ]
 
 

@@ -75,12 +75,12 @@ def test_oracle_workload_answers_unchanged():
     for seed, runs in stored.items():
         problems = workloads.oracle_problems(jmqubit, int(seed))
         assert [label for label, _, _ in problems] == [label for label, _, _ in runs]
-        for (label, povms, _), (_, status, newton_steps) in zip(problems, runs):
+        for (label, povms, _), (_, status, iterations) in zip(problems, runs):
             res = oracle.decide(povms)
             assert res.status == status, (seed, label)
             assert oracle.checked_decision(res, povms) is not None, (seed, label)
-            steps += res.newton_steps
-            stored_steps += newton_steps
+            steps += res.iterations
+            stored_steps += iterations
     assert sum(map(len, stored.values())) == 168
     assert steps <= stored_steps
 
@@ -103,9 +103,9 @@ def test_lift_pretest_skips_only_candidates_that_fail(monkeypatch):
         return True
 
     def recording_lift(Y, W):
+        assert len(pending) == 1, "every lift follows one pre-test"
         D = lift(Y, W)
-        if pending:  # Dykstra's checkpoint lifts without a pre-test
-            candidates.append((pending.pop(), D))
+        candidates.append((pending.pop(), D))
         return D
 
     problems = _oracle_workload()
