@@ -28,7 +28,7 @@ from pathlib import Path
 from . import oracle as oracle_mod
 from . import realizer
 from .criteria import UNKNOWN, pair_same_purity_bound, planar_nwise_bound
-from .povm import povms_from_json_dict, require_valid_povms
+from .povm import EPS_MARG, povms_from_json_dict, require_valid_povms
 from .structures import structure_of
 from .surgery import build_general_binary_joint
 
@@ -222,7 +222,15 @@ def cmd_joint(args) -> int:
                 f"oracle status {res.status} (residual {res.residual:.3e})",
             )
         joint = res.witness
-        summary = f"joint: oracle witness after {res.iterations} Newton step(s)"
+        summary = (
+            f"joint: oracle witness after {res.iterations} Newton step(s), "
+            f"PSD and marginals within {res.residual:.1e}"
+        )
+        if res.residual > EPS_MARG:  # an extremal problem: no interior to reach
+            summary += (
+                f"; it reloads at witness_tol = {res.params.witness_tol:g}, "
+                f"not at EPS_MARG = {EPS_MARG:g}"
+            )
     _emit(joint.to_json_dict(), args.out, summary)
     return EXIT_OK
 

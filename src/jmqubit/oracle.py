@@ -40,17 +40,18 @@ step ends with two tests:
   through verify_dual.
 
 The problems are small (2^N <= 4096 rows, mostly 8 to 64), so a step costs
-what its numpy calls cost. What depends on N alone (M, G, the m_i m_i^T
-products for H and the warm start less G T) is built once per N and kept
-read-only (`_system`). A step is one branchless pass over the rows for the
-PSD projection and its Jacobian as flat per-row coefficients, H as one
-((N+1)^2, 64) @ (64, 16) product per 64-row block (one product up to N = 6),
-one solve, and theta, whose <T, Y> the dual pre-test reuses. The affine
-projection is two thin products, not the 2^N x 2^N projector. Each answer is
-checked once: the witness test runs once the projected joint is PSD to
-within witness_tol, and the joint is built from the arrays it passed; a
-Farkas candidate is lifted only when a scalar pre-test allows, and checked
-by verify_dual's test against the projector's own M and T.
+what its numpy calls cost. What depends on N alone is built once per N and
+kept read-only (`_system`). A trial point is one branchless pass over the
+rows for the PSD projection, which keeps |bloch| and r, and theta. Only an
+accepted point gets its Jacobian, as flat per-row coefficients, and H: one
+((N+1)^2, 64) @ (64, 16) product per 64-row block (one up to N = 6), laid
+out by one cached take, then one solve. Both answer tests read one norm pass
+over the affine projection of the point (two thin products, not the
+2^N x 2^N projector) stacked with M^T Y. Each answer is checked once: the
+witness test runs once that projection is PSD to within witness_tol, and
+the joint is built from the arrays it passed; a Farkas candidate is lifted
+by the worst row of that pass, only when a scalar pre-test on that row
+allows, and checked by verify_dual's test against the call's own M and T.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ LIKELY_INFEASIBLE = "likely-infeasible"
 INCONCLUSIVE = "inconclusive"
 
 _TINY = np.finfo(float).tiny
-# B of _project_psd's Jacobian, flat: 1 on the alpha and the bloch block
+# B and I of _jacobian, flat: B is 1 on the alpha and the bloch block
 _B = np.equal.outer(np.arange(4) > 0, np.arange(4) > 0).ravel().astype(float)
+_I = np.eye(4).ravel()
 
 # Farkas duals: a candidate is formed after every Newton step. A dual is
 # accepted only when <T, Y> < -DUAL_SLACK * |T| * |Y| (Frobenius norms), so
@@ -112,57 +114,40 @@ def _project_psd(V: np.ndarray, jacobian: bool = False):
     pass: the eigenvalues (alpha +- |bloch|)/2 are clipped at zero, keeping
     the eigenbasis. With lp the clipped alpha + |bloch| and
     r = lp / max(2 |bloch|, lp), the row becomes (lp - r |bloch|, r bloch):
-    r is 1 inside the cone and 0 in the polar cone.
-
-    With jacobian, also the Jacobian of the projection at each row as flat
-    coefficients (r, x): J = r I + (x x^T) * (1/2 - r B), * entrywise, where
-    x = (1, u), u = bloch / |bloch|, strictly between the cones and 0
-    elsewhere, and B is 1 on the alpha and the bloch block and 0 off them.
-    That is I inside the cone (alpha >= |bloch|, also at bloch = 0), 0 in the
-    polar cone (alpha <= -|bloch|) and, between them, with s = alpha / |bloch|
-    and so r = (1 + s)/2, (1/2) [[1, u^T], [u, (1 + s) I - s u u^T]]."""
+    r is 1 inside the cone and 0 in the polar cone. With jacobian, also
+    (V, |bloch|, r), from which _jacobian forms the Jacobian."""
     alpha = V[:, 0]
     nb = np.hypot(np.hypot(V[:, 1], V[:, 2]), V[:, 3])
     lp = np.maximum(alpha + nb, 0.0)
     r = lp / (np.maximum(nb + nb, lp) + _TINY)  # lp = 0 = |bloch| gives 0
     out = V * r[:, None]
-    out[:, 0] = lp - r * nb
-    if not jacobian:
-        return out
+    np.subtract(lp, r * nb, out=out[:, 0])
+    return (out, (V, nb, r)) if jacobian else out
+
+
+def _jacobian(V: np.ndarray, nb: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(rows, 16): _project_psd's Jacobian at each row of V, a flat 4 x 4
+    J = r I + (x x^T) * (1/2 - r B), * entrywise, x = (1, bloch / |bloch|)
+    strictly between the cones and 0 elsewhere, B 1 on the alpha and the bloch
+    block and 0 off them. That is I inside the cone (alpha >= |bloch|, also at
+    bloch = 0), 0 in the polar cone (alpha <= -|bloch|) and, between them, with
+    u = bloch / |bloch|, s = alpha / |bloch|, (1/2) [[1, u^T], [u, (1 + s) I - s u u^T]]."""
     between = (r > 0.0) & (r < 1.0)
-    x = np.empty_like(V)
+    x = V * (between / np.maximum(nb, _TINY))[:, None]
     x[:, 0] = between
-    np.multiply(V[:, 1:], (between / np.maximum(nb, _TINY))[:, None], out=x[:, 1:])
-    return out, (r, x)
-
-
-def _flat_jacobian(jac) -> np.ndarray:
-    """(rows, 16): each row's Jacobian as a flat 4 x 4, from the coefficients
-    (r, x) that _project_psd returns."""
-    r, x = jac
     J = (x[:, :, None] * x[:, None, :]).reshape(-1, 16)
     J *= 0.5 - r[:, None] * _B
-    J[:, ::5] += r[:, None]
+    J += r[:, None] * _I
     return J
 
 
-def _lift(Y: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Raise Y[0,0] in place by the worst cone violation among the rows of
-    W = M^T Y, plus a rounding slack, and return Y. Row 0 of M is all ones,
-    so the lift moves every row of M^T Y into the cone and adds 2 * lift to
-    <T, Y>."""
-    nb = np.sqrt(np.einsum("ij,ij->i", W[:, 1:], W[:, 1:]))
-    Y[0, 0] += max(float(np.maximum.reduce(nb - W[:, 0])), 0.0) + DUAL_SLACK * float(np.linalg.norm(Y))
-    return Y
-
-
-def _lift_can_pass(MtY: np.ndarray, tY: float) -> bool:
-    """Whether -Y / scale (scale > 0) can pass once lifted, from MtY = M^T Y
-    and tY = <T, Y>: the lift adds 2 max(0, max_i(|(M^T Y)_i,bloch| +
-    (M^T Y)_i0)) / scale to <T, D> = -tY / scale. A dual that passes clears
-    this by DUAL_SLACK |D|, far above the rounding; 1 + 1e-9 guards it too."""
-    nb = np.hypot(np.hypot(MtY[:, 1], MtY[:, 2]), MtY[:, 3])
-    return 2.0 * max(float(np.maximum.reduce(nb + MtY[:, 0])), 0.0) < tY * (1.0 + 1e-9)
+def _hessian(mm: np.ndarray, layout: np.ndarray, ridge: np.ndarray, jac: tuple) -> np.ndarray:
+    """H = sum_i m_i m_i^T (x) J_i + NEWTON_RIDGE I, (4(N+1))^2, from
+    _system's mm, layout and ridge and _project_psd's (V, |bloch|, r)."""
+    J = _jacobian(*jac)
+    H = (mm[0].dot(J) if len(mm) == 1 else np.add.reduce(mm @ J.reshape(len(mm), -1, 16))).take(layout)
+    H += ridge
+    return H
 
 
 @functools.lru_cache(maxsize=ORACLE_N_CAP)
@@ -170,53 +155,67 @@ def _system(N: int) -> tuple:
     """What the oracle needs of N alone, built once per N and read-only:
     M, G = M^T (M M^T)^-1, the m_i m_i^T products for H as columns in
     blocks of 64 rows (BLAS runs each block's product on one thread, while a
-    threaded one stalls on a busy core), and the warm start less
-    its per-call part G T. The N = 12 entry holds 6.5 MB, 5.5 MB of it the
-    products, and all twelve 11.4 MB."""
+    threaded one stalls on a busy core), the flat index that lays their
+    ((N+1)^2, 16) sum out as H, NEWTON_RIDGE I, and the warm start less its
+    per-call part G T. The N = 12 entry holds 6.6 MB, 5.5 MB of it the
+    products, and all twelve 11.6 MB."""
     M, _ = _marginal_system(N, np.arange(1 << N))
     G = M.T @ np.linalg.inv(M @ M.T)
     Mb = M.reshape(N + 1, -1, min(64, 1 << N))
     mm = np.einsum("kbj,lbj->bklj", Mb, Mb).reshape(Mb.shape[1], -1, Mb.shape[2])
+    ka = np.arange(4 * (N + 1))  # H's row (k, a) and column (l, b) hold (k (N+1) + l, 4 a + b)
+    layout = (ka[:, None] // 4 * (N + 1) + ka // 4) * 16 + ka[:, None] % 4 * 4 + ka % 4
     V = np.tile((2.0 / (1 << N), 0.0, 0.0, 0.0), (1 << N, 1))  # the maximally mixed product joint
-    arrays = M, G, mm, V - G @ (M @ V)
+    arrays = M, G, mm, layout, NEWTON_RIDGE * np.eye(len(layout)), V - G @ (M @ V)
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-class _AffineProjector:
-    """The orthogonal projector V - G (M V - T) onto { V : M V = T }, the warm
-    start and H, from the cached system of N."""
+def _point(M: np.ndarray, T: np.ndarray, x0: np.ndarray, Y: np.ndarray) -> tuple:
+    """At Y: a (2R, 4) buffer, M^T Y in its lower rows, P(x0 + M^T Y) with
+    _project_psd's Jacobian parts, <T, Y> and theta(Y)."""
+    buf = np.empty((2 * len(x0), 4))
+    V, jac = _project_psd(x0 + M.T.dot(Y, buf[len(x0):]), True)
+    tY = float(np.vdot(T, Y))
+    return buf, V, jac, tY, tY - 0.5 * float(np.vdot(V, V))
 
-    def __init__(self, povms):
-        self.M, self.G, self._mm, x0 = _system(len(povms))
-        self.T = _marginal_targets(len(povms), povms)
-        self.x0 = x0 + self.G @ self.T  # the warm start
 
-    def point(self, Y: np.ndarray) -> tuple:
-        """M^T Y, P(x0 + M^T Y) and its Jacobian, <T, Y> and theta(Y)."""
-        MtY = self.M.T @ Y
-        V, jac = _project_psd(self.x0 + MtY, True)
-        tY = float(np.vdot(self.T, Y))
-        return MtY, V, jac, tY, tY - 0.5 * float(np.vdot(V, V))
+def _cone_gaps(buf: np.ndarray) -> tuple:
+    """One norm pass for both answer tests over buf = [x; M^T Y], R rows
+    each: the witness gate max_i(|x_i,bloch| - |x_i0|) and the Farkas
+    pre-test's worst row max_i(|(M^T Y)_i,bloch| + (M^T Y)_i0)."""
+    R = len(buf) // 2
+    nb = np.hypot(np.hypot(buf[:, 1], buf[:, 2]), buf[:, 3])
+    nb[:R] -= np.abs(buf[:R, 0])
+    nb[R:] += buf[R:, 0]
+    return tuple(np.maximum.reduceat(nb, (0, R)).tolist())
 
-    def witness_residual(self, V: np.ndarray) -> float:
-        """What verify_witness measures on _witness_from(V): the worst of
-        the completeness and marginal errors and the most negative effect
-        eigenvalue (negated), over the rows the witness keeps."""
-        x = V * _support(V)[:, None]
-        nb = np.sqrt(np.einsum("ij,ij->i", x[:, 1:], x[:, 1:]))
-        err = np.abs(self.M @ x - self.T)
-        return max(float(np.maximum.reduce(err, axis=None)), float(np.maximum.reduce(0.5 * (nb - x[:, 0]))))
 
-    def hessian(self, jac) -> np.ndarray:
-        """H = sum_i m_i m_i^T (x) J_i from _project_psd's coefficients, plus
-        NEWTON_RIDGE on the diagonal, as a (4(N+1))^2 matrix."""
-        n1, mm, J = len(self.M), self._mm, _flat_jacobian(jac)
-        H = mm[0] @ J if len(mm) == 1 else np.add.reduce(mm @ J.reshape(len(mm), -1, 16))
-        H = H.reshape(n1, n1, 4, 4).transpose(0, 2, 1, 3).reshape(4 * n1, 4 * n1)
-        H.reshape(-1)[:: 4 * n1 + 1] += NEWTON_RIDGE
-        return H
+def _lift_can_pass(worst: float, tY: float) -> bool:
+    """Whether -Y / scale (scale > 0) can pass once lifted, as _lift adds
+    2 max(0, worst) / scale to <T, D> = -tY / scale (tY = <T, Y>). A dual
+    that passes clears this by DUAL_SLACK |D|; 1 + 1e-9 guards the rounding."""
+    return 2.0 * max(worst, 0.0) < tY * (1.0 + 1e-9)
+
+
+def _lift(Y: np.ndarray, scale: float, worst: float) -> np.ndarray:
+    """The Farkas candidate D = -Y / scale, D[0,0] raised by the worst cone
+    violation of M^T D's rows, max(0, worst) / scale, plus a rounding slack:
+    row 0 of M is all ones, so that moves M^T D into the cone."""
+    D = Y / -scale
+    D[0, 0] += max(worst, 0.0) / scale + DUAL_SLACK * float(np.sqrt(np.vdot(D, D)))
+    return D
+
+
+def _witness_residual(x: np.ndarray, M: np.ndarray, T: np.ndarray) -> float:
+    """What verify_witness measures on _witness_from(x): the worst of the
+    completeness and marginal errors and the most negative effect eigenvalue
+    (negated), over the rows the witness keeps."""
+    x = x * _support(x)[:, None]
+    nb = np.sqrt(np.einsum("ij,ij->i", x[:, 1:], x[:, 1:]))
+    err = np.abs(M.dot(x) - T)
+    return max(float(np.maximum.reduce(err, axis=None)), 0.5 * float(np.maximum.reduce(nb - x[:, 0])))
 
 
 def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
@@ -227,29 +226,30 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
     N = len(povms)
     if not 1 <= N <= ORACLE_N_CAP:
         raise ValueError(f"oracle takes 1..{ORACLE_N_CAP} POVMs, got {N}")
-    proj = _AffineProjector(povms)
-    M, G, T = proj.M, proj.G, proj.T
+    M, G, mm, layout, ridge, x0 = _system(N)
+    T = _marginal_targets(N, povms)
+    x0 = x0 + G.dot(T)  # the warm start
+    R, gate = len(x0), 2.0 * max(params.witness_tol, 1e-13)
     Y, found, step = np.zeros((N + 1, 4)), None, 0
-    _, V, jac, _, theta = proj.point(Y)
-    grad = T - M @ V
+    V, jac = _project_psd(x0, True)
+    theta, grad = -0.5 * float(np.vdot(V, V)), T - M.dot(V)
     for step in range(1, params.max_iter + 1):
-        d = np.linalg.solve(proj.hessian(jac), grad.reshape(-1)).reshape(N + 1, 4)
+        d = np.linalg.solve(_hessian(mm, layout, ridge, jac), grad.reshape(-1)).reshape(N + 1, 4)
         rise, rounding, t, Yt = ARMIJO * float(np.vdot(grad, d)), 1e-16 * abs(theta), 1.0, Y + d
-        MtY, Vt, jac, tY, theta_t = proj.point(Yt)
+        buf, Vt, jac_t, tY, theta_t = _point(M, T, x0, Yt)
         while t * rise > rounding and theta_t < theta + t * rise:
             t *= 0.5
             Yt = Y + t * d
-            MtY, Vt, jac, tY, theta_t = proj.point(Yt)
+            buf, Vt, jac_t, tY, theta_t = _point(M, T, x0, Yt)
         if t < 1.0 and t * rise <= rounding:
             break  # d shows no rise above theta's rounding
-        Y, V, theta, grad = Yt, Vt, theta_t, T - M @ Vt
-        x = V + G @ grad  # the projection of V onto M V = T
-        # a row with |bloch| - |alpha| > 2 max(witness_tol, 1e-13) is one
-        # _support keeps, with an eigenvalue below -witness_tol: no witness
-        nb = np.hypot(np.hypot(x[:, 1], x[:, 2]), x[:, 3])
-        gap = np.maximum.reduce(nb - np.abs(x[:, 0]))
-        if found is not None or gap <= 2.0 * max(params.witness_tol, 1e-13):
-            residual = proj.witness_residual(x)
+        Y, V, jac, theta, grad = Yt, Vt, jac_t, theta_t, T - M.dot(Vt)
+        x, MtY = buf[:R], buf[R:]
+        np.add(V, G.dot(grad, x), x)  # the projection of V onto M V = T
+        gap, worst = _cone_gaps(buf)
+        # gap > gate: a row _support keeps has an eigenvalue below -witness_tol
+        if found is not None or gap <= gate:
+            residual = _witness_residual(x, M, T)
             if found is not None:  # one step past the tolerance: keep the better
                 found = min(found, (residual, x), key=lambda f: f[0])
                 break
@@ -258,10 +258,10 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
                 if residual <= EPS_MARG:
                     break
                 continue
-        scale = -float(MtY[:, 0].sum())  # sum_i (M^T (-Y))_i0
-        if scale <= 0.0 or not _lift_can_pass(MtY, tY):
+        scale = -float(np.add.reduce(MtY[:, 0]))  # sum_i (M^T (-Y))_i0
+        if scale <= 0.0 or not _lift_can_pass(worst, tY):
             continue
-        D = _lift(Y / -scale, MtY / -scale)
+        D = _lift(Y, scale, worst)
         if np.vdot(T, D) < 0.0 and _dual_holds(D, M, T):
             return FeasibilityVerdict(LIKELY_INFEASIBLE, float(np.abs(grad).max()), step, None, params, D)
     if found is None:
@@ -270,13 +270,13 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
 
 
 def _support(V: np.ndarray) -> np.ndarray:
-    """Rows a witness keeps: all but those whose alpha and every |Bloch
-    component| are at most 1e-13."""
-    return (V[:, 0] > 1e-13) | (np.maximum.reduce(np.abs(V[:, 1:]), axis=1) > 1e-13)
+    """Rows a witness keeps: all but those with alpha and each |bloch_k| <= 1e-13."""
+    b = np.abs(V[:, 1:])
+    return (V[:, 0] > 1e-13) | (np.maximum(np.maximum(b[:, 0], b[:, 1]), b[:, 2]) > 1e-13)
 
 
 def _witness_from(V: np.ndarray, n: int) -> JointPovm:
-    """V's supported rows as a joint, unchecked: witness_residual fails on NaN and inf."""
+    """V's supported rows as a joint, unchecked: _witness_residual fails on NaN and inf."""
     keep = _support(V)
     return JointPovm._from_checked(n, np.flatnonzero(keep), V[keep])
 

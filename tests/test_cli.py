@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from jmqubit import (
 )
 from jmqubit import cli, realizer
 from jmqubit.cli import main, parse_angle
+from jmqubit.povm import EPS_MARG
 
 DATA = Path(__file__).parent / "data"
 # the stored certificates; data/oracle_runs.json holds oracle answers
@@ -244,6 +246,38 @@ def test_joint_oracle_witness_reloads(tmp_path, capsys):
     joint = JointPovm.from_json_dict(json.loads(out_path.read_text()))
     povms = povms_from_json_dict(json.loads((tmp_path / "povms.json").read_text()))
     assert joint.marginal_error(povms) < 1e-12
+
+
+# CI's extremal triple: POVM 3 has |b| + |a| = 1, so the feasible set has no
+# interior and the oracle's joint is proven within witness_tol only
+EXTREMAL_TRIPLE = [
+    {"bias": 0.030900336632816494, "bloch": [0.040738253257624944, -0.34680254229500473, 0.3032756139148775]},
+    {"bias": 0.06146318712210597, "bloch": [0.19046651252457275, 0.036035487834820794, -0.49948717117770575]},
+    {"bias": -0.3332867802368755, "bloch": [-0.30229873880472, 0.4579077328149888, -0.3787380336752896]},
+]
+
+
+@pytest.mark.parametrize(
+    "povms, extremal",
+    [(EXTREMAL_TRIPLE, True), ([{"bias": 0.0, "bloch": [0.6, 0, 0]}, {"bias": 0.0, "bloch": [0, 0.6, 0]}], False)],
+    ids=["extremal-triple", "unbiased-pair"],
+)
+def test_joint_oracle_states_the_tolerance_it_meets(tmp_path, capsys, povms, extremal):
+    path = write_povms(tmp_path, povms)
+    code, out, err = run(capsys, "joint", path, "--constructor", "oracle")
+    assert code == 0
+    joint = json.loads(out)
+    JointPovm.from_json_dict(joint, tol=1e-8)
+    steps = int(re.search(r"after (\d+) Newton", err).group(1))
+    residual = float(re.search(r"PSD and marginals within (\S+?)[;\s]", err).group(1))
+    assert steps >= 1
+    assert (residual > EPS_MARG) == extremal
+    assert ("reloads at witness_tol = 1e-08, not at EPS_MARG" in err) == extremal
+    if extremal:
+        with pytest.raises(ValueError):
+            JointPovm.from_json_dict(joint)
+    else:
+        JointPovm.from_json_dict(joint)
 
 
 def test_joint_chain_violation_exits_65(tmp_path, capsys):

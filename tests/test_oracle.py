@@ -30,8 +30,10 @@ from jmqubit import (
     verify_witness,
 )
 from jmqubit import oracle
-from jmqubit.oracle import ORACLE_N_CAP, _flat_jacobian, _project_psd, checked_decision, decide
+from jmqubit.cli import _decider_for_mode
+from jmqubit.oracle import ORACLE_N_CAP, _jacobian, _project_psd, checked_decision, decide
 from jmqubit.povm import JointPovm, _marginal_system
+from jmqubit.structures import structure_of
 from conftest import random_unit
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "decide_golden.json"
@@ -176,7 +178,7 @@ def reference_psd_jacobian(V):
 
 
 def kernel_jacobian(V):
-    return _flat_jacobian(_project_psd(V, True)[1]).reshape(-1, 4, 4)
+    return _jacobian(*_project_psd(V, True)[1]).reshape(-1, 4, 4)
 
 
 def test_fused_kernel_matches_references(rng):
@@ -192,14 +194,14 @@ def test_fused_kernel_matches_references(rng):
 
 @pytest.mark.parametrize("N", [3, 7])
 def test_hessian_matches_the_reference_jacobian(rng, N):
-    # N = 7 has 128 rows: H sums two 64-row blocks
-    proj = oracle._AffineProjector([unbiased_povm(0.5, random_unit(rng)) for _ in range(N)])
+    # N = 7 has 128 rows: H sums two 64-row blocks before its layout
+    M, _, mm, layout, ridge, _ = oracle._system(N)
     edge = EDGE_ROWS[rng.integers(len(EDGE_ROWS), size=(1 << N) // 2)]
     W = rng.permutation(np.vstack([rng.normal(size=(len(edge), 4)), edge]))
     J = reference_psd_jacobian(W)
-    H = sum(np.kron(np.outer(m, m), J_i) for m, J_i in zip(proj.M.T, J))
+    H = sum(np.kron(np.outer(m, m), J_i) for m, J_i in zip(M.T, J))
     H += oracle.NEWTON_RIDGE * np.eye(len(H))
-    np.testing.assert_allclose(proj.hessian(_project_psd(W, True)[1]), H, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(oracle._hessian(mm, layout, ridge, _project_psd(W, True)[1]), H, rtol=0, atol=1e-12)
 
 
 def test_psd_jacobian_matches_finite_differences(rng):
@@ -223,6 +225,54 @@ def test_psd_jacobian_matches_finite_differences(rng):
     assert np.all(J[regions == -2.0] == 0.0)
 
 
+def reference_lift(Y, W):
+    """The Farkas lift as a pass of its own over W = M^T Y: raise Y[0,0] in
+    place by the worst cone violation among W's rows, plus DUAL_SLACK |Y|."""
+    nb = np.sqrt(np.einsum("ij,ij->i", W[:, 1:], W[:, 1:]))
+    Y[0, 0] += max(float(np.max(nb - W[:, 0])), 0.0) + oracle.DUAL_SLACK * float(np.linalg.norm(Y))
+    return Y
+
+
+def test_shared_norm_pass_matches_per_row_reference(rng):
+    # the witness gate reads the upper half of the buffer, the Farkas
+    # pre-test's worst row the lower half
+    for rows in scaled_rows(rng):
+        scale = np.max(np.abs(rows))
+        pairs = [(rows, rng.permutation(rows)), (EDGE_ROWS, EDGE_ROWS[::-1]), (EDGE_ROWS, rng.normal(size=EDGE_ROWS.shape))]
+        for x, W in pairs:
+            gap, worst = oracle._cone_gaps(np.vstack([x, W]))
+            want_gap = max(np.linalg.norm(row[1:]) - abs(row[0]) for row in x)
+            want_worst = max(np.linalg.norm(row[1:]) + row[0] for row in W)
+            assert type(gap) is type(worst) is float
+            for got, want in ((gap, want_gap), (worst, want_worst)):
+                assert abs(got - want) <= 1e-15 * max(scale, np.max(np.abs(W))), (got, want)
+    # rows exactly on the cone's boundary and at bloch = 0 give exact gaps
+    assert oracle._cone_gaps(np.vstack([EDGE_ROWS[[3, 5]], EDGE_ROWS[[4, 6]]])) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_lift_from_the_pretest_matches_the_reference_lift(rng, N):
+    M = oracle._system(N)[0]
+    for k in range(60):
+        Y = rng.normal(size=(N + 1, 4)) * 10.0 ** rng.integers(-3, 11)
+        if k % 3 == 0:  # every row of M^T Y strictly inside the polar cone
+            Y[0, 0] -= 100.0 * np.linalg.norm(Y)
+        MtY = M.T @ Y
+        if MtY[:, 0].sum() > 0.0:
+            Y, MtY = -Y, -MtY
+        scale = -float(MtY[:, 0].sum())
+        _, worst = oracle._cone_gaps(np.vstack([MtY, MtY]))
+        D = oracle._lift(Y, scale, worst)
+        want = reference_lift(Y / -scale, MtY / -scale)
+        rest = np.ones(D.shape, dtype=bool)
+        rest[0, 0] = False
+        assert np.array_equal(D[rest], want[rest])
+        assert abs(D[0, 0] - want[0, 0]) <= oracle.DUAL_SLACK * np.linalg.norm(D)
+        # lifted, every row of M^T D lies in the cone
+        W = M.T @ D
+        assert np.all(W[:, 0] >= np.linalg.norm(W[:, 1:], axis=1))
+
+
 def test_system_cache_is_read_only():
     for N in (1, 3, 7):
         arrays = oracle._system(N)
@@ -231,8 +281,12 @@ def test_system_cache_is_read_only():
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
-    proj = oracle._AffineProjector(PlanarSymmetricFamily(3, 0.5).povms())
-    assert proj.M is oracle._system(3)[0] and proj.x0 is not oracle._system(3)[-1]
+    # a call reads the cached system of its N and leaves it as it was
+    before = [a.copy() for a in oracle._system(3)]
+    for eta in (0.5, 0.7):
+        decide(PlanarSymmetricFamily(3, eta).povms())
+    for a, b in zip(oracle._system(3), before):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def summary(res):
@@ -357,6 +411,33 @@ def test_damped_steps_on_golden_subsets(name, subset):
     res = decide(sub)
     assert (res.status, res.iterations) == (LIKELY_INFEASIBLE, 5)
     assert checked_decision(res, sub) == INCOMPATIBLE
+
+
+def test_golden_pool_in_both_mode():
+    # check --mode both's decider on every golden set: the oracle settles
+    # each subset closed form leaves Unknown, and no subset that closed form
+    # decides changes its decision in the structure
+    sets = json.loads(GOLDEN.read_text())["sets"]
+    assert len(sets) == 240
+    settled = 0
+    for entry in sets:
+        povms = [BinaryQubitPovm(p["bias"], p["bloch"]) for p in entry["povms"]]
+        both, closed = _decider_for_mode(povms, "both"), {}
+
+        def recording(combo):
+            v = both(combo)
+            if v.criterion_id != "oracle":
+                closed[combo] = v.decision
+            return v
+
+        struct = structure_of(povms, recording)
+        assert not struct.undecided, entry["id"]
+        for combo, decision in closed.items():
+            assert struct.is_compatible(combo) == (decision == COMPATIBLE), (entry["id"], combo)
+        for m in entry["structure"]["maximal"]:  # closed form's own structure
+            assert struct.is_compatible(m), (entry["id"], m)
+        settled += len(entry["undecided"])
+    assert settled > 0
 
 
 def test_polish_witnesses_near_boundaries():
@@ -566,14 +647,14 @@ def test_max_iter_inconclusive():
 def test_stopped_line_search_is_inconclusive(monkeypatch):
     # theta made to fall at every trial point: the halving stops once the
     # rise it asks for is below theta's rounding, and the run ends there
-    point, calls = oracle._AffineProjector.point, []
+    point, calls = oracle._point, []
 
-    def falling_point(self, Y):
+    def falling_point(M, T, x0, Y):
         calls.append(Y)
-        *rest, theta = point(self, Y)
+        *rest, theta = point(M, T, x0, Y)
         return (*rest, theta - len(calls))
 
-    monkeypatch.setattr(oracle._AffineProjector, "point", falling_point)
+    monkeypatch.setattr(oracle, "_point", falling_point)
     res = decide(biased_pair(0.65))
     assert res.status == INCONCLUSIVE and res.iterations == 1
     assert 2 < len(calls) < 100

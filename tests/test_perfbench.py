@@ -98,13 +98,13 @@ def test_lift_pretest_skips_only_candidates_that_fail(monkeypatch):
     pretest, lift = oracle._lift_can_pass, oracle._lift
     pending, candidates = [], []
 
-    def recording_pretest(MtY, tY):
-        pending.append(pretest(MtY, tY))
+    def recording_pretest(worst, tY):
+        pending.append(pretest(worst, tY))
         return True
 
-    def recording_lift(Y, W):
+    def recording_lift(Y, scale, worst):
         assert len(pending) == 1, "every lift follows one pre-test"
-        D = lift(Y, W)
+        D = lift(Y, scale, worst)
         candidates.append((pending.pop(), D))
         return D
 
