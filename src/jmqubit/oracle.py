@@ -208,11 +208,11 @@ def _lift(Y: np.ndarray, scale: float, worst: float) -> np.ndarray:
     return D
 
 
-def _witness_residual(x: np.ndarray, M: np.ndarray, T: np.ndarray) -> float:
-    """What verify_witness measures on _witness_from(x): the worst of the
-    completeness and marginal errors and the most negative effect eigenvalue
-    (negated), over the rows the witness keeps."""
-    x = x * _support(x)[:, None]
+def _witness_residual(x: np.ndarray, keep: np.ndarray, M: np.ndarray, T: np.ndarray) -> float:
+    """What verify_witness measures on _witness_from(x, keep): the worst of
+    the completeness and marginal errors and the most negative effect
+    eigenvalue (negated), over the rows keep = _support(x) the witness keeps."""
+    x = x * keep[:, None]
     nb = np.sqrt(np.einsum("ij,ij->i", x[:, 1:], x[:, 1:]))
     err = np.abs(M.dot(x) - T)
     return max(float(np.maximum.reduce(err, axis=None)), 0.5 * float(np.maximum.reduce(nb - x[:, 0])))
@@ -249,12 +249,13 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
         gap, worst = _cone_gaps(buf)
         # gap > gate: a row _support keeps has an eigenvalue below -witness_tol
         if found is not None or gap <= gate:
-            residual = _witness_residual(x, M, T)
+            keep = _support(x)
+            residual = _witness_residual(x, keep, M, T)
             if found is not None:  # one step past the tolerance: keep the better
-                found = min(found, (residual, x), key=lambda f: f[0])
+                found = min(found, (residual, x, keep), key=lambda f: f[0])
                 break
             if residual <= params.witness_tol:
-                found = (residual, x)
+                found = (residual, x, keep)
                 if residual <= EPS_MARG:
                     break
                 continue
@@ -266,7 +267,7 @@ def decide(povms, params: OracleParams = OracleParams()) -> FeasibilityVerdict:
             return FeasibilityVerdict(LIKELY_INFEASIBLE, float(np.abs(grad).max()), step, None, params, D)
     if found is None:
         return FeasibilityVerdict(INCONCLUSIVE, float(np.abs(grad).max()), step, None, params)
-    return FeasibilityVerdict(FEASIBLE, found[0], step, _witness_from(found[1], N), params)
+    return FeasibilityVerdict(FEASIBLE, found[0], step, _witness_from(found[1], found[2], N), params)
 
 
 def _support(V: np.ndarray) -> np.ndarray:
@@ -275,9 +276,9 @@ def _support(V: np.ndarray) -> np.ndarray:
     return (V[:, 0] > 1e-13) | (np.maximum(np.maximum(b[:, 0], b[:, 1]), b[:, 2]) > 1e-13)
 
 
-def _witness_from(V: np.ndarray, n: int) -> JointPovm:
-    """V's supported rows as a joint, unchecked: _witness_residual fails on NaN and inf."""
-    keep = _support(V)
+def _witness_from(V: np.ndarray, keep: np.ndarray, n: int) -> JointPovm:
+    """V's rows keep = _support(V) as a joint, unchecked: _witness_residual
+    fails on NaN and inf."""
     return JointPovm._from_checked(n, np.flatnonzero(keep), V[keep])
 
 

@@ -195,23 +195,42 @@ REGISTRY = {
     "n-wise-sufficient": _n_wise,
     "biased-chain": _biased_chain,
 }
-_DECISION_ORDER = tuple(dict.fromkeys(REGISTRY.values()))  # each function once
+# each function once; the closed-form decider runs the chain last, itself
+_CRITERIA_BEFORE_CHAIN = tuple(f for f in dict.fromkeys(REGISTRY.values()) if f is not _biased_chain)
 
 
 def closed_form_decider(povms):
     """Composite decision procedure over the closed-form criteria.
 
-    Returns a callable mapping a 1-based index tuple to the deciding Verdict:
-    that of the first applicable REGISTRY function that decides the subset or
-    is an iff criterion, else the chain's Unknown verdict.
+    Returns a callable mapping a sorted 1-based index tuple to the deciding
+    Verdict: that of the first applicable REGISTRY function that decides the
+    subset or is an iff criterion, else the chain's Unknown verdict.
+
+    A chain failure is inherited: adding a POVM never lengthens the chain's
+    best path (the candidate orders of a set restrict to those of each
+    subset), so a set of four or more with a one-smaller subset that this
+    decider answered Unknown by biased-chain fails the chain too. Its chain
+    step is not scored but returns that subset's verdict, whose margin is
+    the failing subset's, an upper bound on this set's slack.
     """
+    chain_failed = {}  # subset -> the Unknown verdict it was answered by biased-chain
 
     def decide(combo) -> Verdict:
         sub = [povms[i - 1] for i in combo]
-        for criterion in _DECISION_ORDER:
+        for criterion in _CRITERIA_BEFORE_CHAIN:
             v = criterion(sub)
             if v is not None and (v.decision != UNKNOWN or v.strength == IFF):
                 return v
+        v = None
+        if len(combo) >= 4:
+            for j in range(len(combo)):
+                v = chain_failed.get(combo[:j] + combo[j + 1:])
+                if v is not None:
+                    break
+        if v is None:
+            v = _biased_chain(sub)
+        if v.decision == UNKNOWN:
+            chain_failed[combo] = v
         return v
 
     return decide

@@ -194,42 +194,56 @@ def structure_of(povms, decider: Callable) -> JmStructure:
     once covered, is compatible by closure and covers its own in turn. The
     maximal sets are the compatible sets (singletons included) that nothing
     covered, and the undecided sets listed are those nothing covered.
+
+    The decider sees sorted tuples; the walk's own bookkeeping is on int
+    bitmasks, vertex k being bit k - 1.
     """
     n = len(povms)
-    compatible = [(k,) for k in range(1, n + 1)]
+    bit = [0] + [1 << (k - 1) for k in range(1, n + 1)]
+    level = [((k,), bit[k]) for k in range(1, n + 1)]  # visited, not incompatible; sorted
+    compatible = list(level)
     incompatible = []
-    undecided: set = set()
+    undecided: dict = {}  # mask -> tuple
     covered: set = set()
 
-    def cover(subsets) -> None:
-        fresh = undecided.intersection(subsets).difference(covered) if undecided else ()
-        covered.update(subsets)
-        for u in fresh:
-            cover([u[:j] + u[j + 1:] for j in range(len(u))])
+    def cover(m: int) -> None:
+        """Mark the subsets of m one smaller covered; an undecided one newly
+        covered covers its own in turn."""
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            s = m ^ low
+            if s not in covered:
+                covered.add(s)
+                if s in undecided:
+                    cover(s)
 
-    level = [(k,) for k in range(1, n + 1)]  # visited, not incompatible; sorted
     while level:
-        alive = set(level)
-        candidates = [s + (k,) for s in level for k in range(s[-1] + 1, n + 1)]
-        level = []
-        for c in candidates:
-            # c without its last element is s, already alive
-            subsets = [c[:j] + c[j + 1:] for j in range(len(c) - 1)]
-            if not alive.issuperset(subsets):
-                continue
-            v = decider(c)
-            if v.decision == INCOMPATIBLE:
-                incompatible.append((c, v))
-                continue
-            if v.decision == COMPATIBLE:
-                compatible.append(c)
-                subsets.append(c[:-1])
-                cover(subsets)
-            elif v.decision == UNKNOWN:
-                undecided.add(c)
-            else:
-                raise ValueError(f"decider returned {v!r}")
-            level.append(c)
-    maximal = frozenset(frozenset(c) for c in compatible if c not in covered)
-    undecided = frozenset(frozenset(u) for u in undecided if u not in covered)
+        alive = {m for _, m in level}
+        previous, level = level, []
+        for s, sm in previous:
+            # d | bk is c = s + (k,) without an element of s; c without k is s, alive
+            drops = [sm ^ bit[e] for e in s]
+            for k in range(s[-1] + 1, n + 1):
+                bk = bit[k]
+                for d in drops:
+                    if d | bk not in alive:
+                        break
+                else:
+                    c, m = s + (k,), sm | bk
+                    v = decider(c)
+                    if v.decision == INCOMPATIBLE:
+                        incompatible.append((c, v))
+                        continue
+                    if v.decision == COMPATIBLE:
+                        compatible.append((c, m))
+                        cover(m)
+                    elif v.decision == UNKNOWN:
+                        undecided[m] = c
+                    else:
+                        raise ValueError(f"decider returned {v!r}")
+                    level.append((c, m))
+    maximal = frozenset(frozenset(c) for c, m in compatible if m not in covered)
+    undecided = frozenset(frozenset(u) for m, u in undecided.items() if m not in covered)
     return JmStructure(n, maximal, undecided, tuple(incompatible))

@@ -738,6 +738,41 @@ def test_biased_chain_tie_invariant_under_flips_and_rotation(case, target, seed)
     _check_tie_invariance(decide, povms, target, flips, seed)
 
 
+# The closed-form decider lets a set inherit a (k-1)-subset's chain failure:
+# that is sound only if dropping a POVM never lowers the chain's best margin.
+# Biases mix exact ties (including negative ones of equal |bias|) with
+# distinct values; an unbiased set, or one of a single |bias|, ties throughout.
+_chain_bias = st.sampled_from([0.0, 0.1, -0.1, 0.25, -0.25]) | st.floats(-0.4, 0.4)
+
+
+@given(
+    st.integers(3, 7).flatmap(
+        lambda n: st.tuples(
+            st.lists(_chain_bias, min_size=n, max_size=n),
+            st.lists(_vector, min_size=n, max_size=n),
+            st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+        )
+    ),
+    st.sampled_from(["mixed", "unbiased", "one |bias|"]),
+)
+def test_chain_margin_never_rises_when_a_povm_is_added(case, bias_kind):
+    biases, vectors, lengths = case
+    if bias_kind == "unbiased":
+        biases = [0.0] * len(biases)
+    elif bias_kind == "one |bias|":
+        biases = [math.copysign(abs(biases[0]), b) for b in biases]
+    povms = [
+        BinaryQubitPovm(b, t * (1.0 - abs(b)) * np.asarray(v) / np.linalg.norm(v))
+        for b, v, t in zip(biases, vectors, lengths)
+    ]
+    # as the decider scores the chain: every ordering up to N = 6, the
+    # stable order alone at N = 7
+    whole = (best_chain_ordering(povms)[1] if len(povms) <= 6 else general_binary_sufficient(povms)).margin
+    for j in range(len(povms)):
+        sub = povms[:j] + povms[j + 1:]
+        assert best_chain_ordering(sub)[1].margin >= whole - 1e-14, (j, biases)
+
+
 @given(
     st.integers(0, 5),
     st.floats(-0.45, 0.45),

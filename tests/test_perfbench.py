@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import jmqubit
-from jmqubit import closed_form_decider, povms_from_json_dict, structure_of, triple_unbiased
+from jmqubit import UNKNOWN, closed_form_decider, povms_from_json_dict, structure_of, triple_unbiased
 from jmqubit import cli, criteria, oracle, povm, realizer, structures, surgery
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -44,6 +44,47 @@ def test_golden_pool_structures_unchanged(golden):
         struct = structure_of(povms, closed_form_decider(povms))
         assert struct.to_json_dict() == entry["structure"], entry["id"]
         assert sorted(map(sorted, struct.undecided)) == entry["undecided"], entry["id"]
+
+
+def test_chain_failures_are_inherited_on_the_golden_pool(golden, monkeypatch):
+    # the decider scores the chain on a set of four or more only when no
+    # one-smaller subset failed it: per walk over the pool that is 1,344
+    # ordering searches and no N = 7 stable-order score, where scoring every
+    # set takes 2,540 and 7. Each inherited verdict is the failing subset's,
+    # and scoring the set itself fails the chain too.
+    order, stable = realizer.best_chain_ordering, realizer.general_binary_sufficient
+    calls = {order: 0, stable: 0}
+
+    def counted(f):
+        def run(sub):
+            calls[f] += 1
+            return f(sub)
+
+        return run
+
+    monkeypatch.setattr(realizer, "best_chain_ordering", counted(order))
+    monkeypatch.setattr(realizer, "general_binary_sufficient", counted(stable))
+    inherited = []
+    for entry, povms in golden:
+        decide, seen = closed_form_decider(povms), {}
+
+        def recording(combo):
+            scored = sum(calls.values())
+            v = seen[combo] = decide(combo)
+            if v.criterion_id != "biased-chain" or sum(calls.values()) > scored:
+                return v
+            assert v.decision == UNKNOWN and len(combo) >= 4, (entry["id"], combo)
+            failing = [seen.get(combo[:j] + combo[j + 1:]) for j in range(len(combo))]
+            assert v in failing, (entry["id"], combo)
+            sub = [povms[i - 1] for i in combo]
+            own = order(sub)[1] if len(sub) <= 6 else stable(sub)
+            assert own.decision == UNKNOWN and own.margin <= v.margin + 1e-14, (entry["id"], combo)
+            inherited.append(combo)
+            return v
+
+        structure_of(povms, recording)
+    assert (calls[order], calls[stable]) == (1344, 0)
+    assert len(inherited) == 2540 + 7 - 1344
 
 
 def _array_units(sub) -> np.ndarray:
@@ -131,7 +172,9 @@ def test_oracle_witnesses_match_the_checked_constructor(monkeypatch):
     # copies and scans; it must hold what __init__ would have made of the
     # same arrays, read-only, and pass verify_witness
     witness_from, made = oracle._witness_from, []
-    monkeypatch.setattr(oracle, "_witness_from", lambda V, n: made.append((V, n, witness_from(V, n))) or made[-1][2])
+    monkeypatch.setattr(
+        oracle, "_witness_from", lambda V, keep, n: made.append((V, keep, n, witness_from(V, keep, n))) or made[-1][3]
+    )
     feasible = 0
     for povms in _oracle_workload():
         del made[:]
@@ -139,8 +182,8 @@ def test_oracle_witnesses_match_the_checked_constructor(monkeypatch):
         if res.status != oracle.FEASIBLE:
             assert not made
             continue
-        ((V, n, joint),) = made
-        keep = oracle._support(V)
+        ((V, keep, n, joint),) = made
+        assert (keep == oracle._support(V)).all()  # the mask the accepted step computed
         ref = povm.JointPovm(n, np.flatnonzero(keep), V[keep])
         assert res.witness is joint and joint.n == ref.n
         for got, want in ((joint.masks, ref.masks), (joint.rows, ref.rows)):

@@ -175,7 +175,7 @@ def _all_subsets_reference(n, decider):
 
 
 @given(
-    st.integers(1, 7),
+    st.integers(1, 9),
     st.integers(0, 2**32 - 1),
     st.tuples(st.integers(1, 8), st.integers(0, 3), st.integers(0, 2)),
 )
@@ -261,6 +261,9 @@ def test_minimal_non_faces_of_named_families():
         assert set(map(frozenset, _assert_border(n_cycle(N)))) == {
             frozenset(p) for p in itertools.combinations(range(1, N + 1), 2)
         } - adjacent
+    for N in (64, 256):  # past the brute force: the non-adjacent pairs in walk order
+        non_adjacent = [p for p in itertools.combinations(range(1, N + 1), 2) if p[1] - p[0] not in (1, N - 1)]
+        assert n_cycle(N).minimal_non_faces() == tuple(non_adjacent)
     assert _assert_border(n_cycle(3)) == ((1, 2, 3),)
     for N in range(2, 9):
         assert _assert_border(n_specker(N)) == (tuple(range(1, N + 1)),)
