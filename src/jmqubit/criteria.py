@@ -469,19 +469,6 @@ def _path_margin(b: list, a: list, seq) -> float:
     return 2.0 * (1.0 - max(b)) - (ends + steps)
 
 
-def normalize_for_chain(povms) -> tuple:
-    """Flip outcomes so every bias is >= 0, then stable-sort by bias.
-
-    Returns (normalized povms, order, flips) where order[i] is the input index
-    placed at position i and flips[i] says whether that input was relabeled.
-    """
-    order = _chain_form(povms)[2]
-    chain = [povms[i] for i in order]
-    flips = tuple(p.bias < 0 for p in chain)
-    flipped = [BinaryQubitPovm(-p.bias, -p.bloch) if f else p for p, f in zip(chain, flips)]
-    return flipped, tuple(order), flips
-
-
 _SIGNS = np.array([-1.0, 1.0])[:, None, None, None]
 
 

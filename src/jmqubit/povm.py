@@ -224,6 +224,26 @@ def _read_only(a, dtype) -> np.ndarray:
     return a
 
 
+def _mask_array(masks) -> np.ndarray:
+    """masks as a read-only int64 array; ValueError past the int64 range."""
+    try:
+        return _read_only(masks, np.int64)
+    except OverflowError:
+        raise ValueError("outcome mask out of range") from None
+
+
+def _check_arrays(masks: np.ndarray, rows: np.ndarray, ranks) -> None:
+    """ValueError unless rows holds one (alpha, bloch) row of finite entries
+    per mask and every mask is in range for its joint's n (ranks: one n per
+    mask, or one for all)."""
+    if masks.ndim != 1 or rows.shape != (len(masks), 4):
+        raise ValueError(f"need (k,) masks and (k, 4) rows, got {masks.shape} and {rows.shape}")
+    if np.any((masks < 0) | (masks >> ranks != 0)):
+        raise ValueError("outcome mask out of range")
+    if not np.isfinite(rows).all():
+        raise ValueError("effect entries must be finite")
+
+
 def _marginal_system(n: int, masks: np.ndarray, povms=()) -> tuple:
     """(M, T) of the constraints M V = T on effect rows V at these outcome
     masks, one column of M per mask: row 0 of M is completeness (all ones,
@@ -239,8 +259,137 @@ def _marginal_targets(n: int, povms) -> np.ndarray:
     T = np.zeros((n + 1, 4))
     T[0, 0] = 2.0
     for k, p in enumerate(povms, 1):
-        T[k] = (1.0 + p.bias, *p.components)
+        T[k] = _plus_effect(p)
     return T
+
+
+def _plus_effect(p: BinaryQubitPovm) -> tuple:
+    """E(+1) of p in (alpha, bloch) coordinates, a marginal's target."""
+    return (1.0 + p.bias, *p.components)
+
+
+# A block is joints stored back to back: masks (R,) and rows (R, 4), joint j
+# in rows bounds[j]:bounds[j + 1]. Every check on a joint is the one-joint
+# case of the block checks below.
+
+
+def _padded(bounds, *arrays) -> list:
+    """Each array of a block, laid out as (J, K, ...) with K the longest
+    joint's length, shorter joints padded with zeros, which add nothing to a
+    sum and are mask 0."""
+    lengths = np.diff(bounds)
+    joint = np.repeat(np.arange(len(lengths)), lengths)
+    slot = np.arange(bounds[-1]) - np.repeat(bounds[:-1], lengths)
+    padded = []
+    for a in arrays:
+        padded.append(np.zeros((len(lengths), lengths.max(), *a.shape[1:]), a.dtype))
+        padded[-1][joint, slot] = a
+    return padded
+
+
+def _spectra(rows: np.ndarray, stacked_rows: np.ndarray) -> tuple:
+    """(every effect's smaller eigenvalue (alpha - |bloch|)/2, every joint's
+    completeness error) of a block, each joint's effects added in storage
+    order. Entries past about 1e154 overflow to an infinite eigenvalue or
+    error, which the checks reject, as they should: a valid effect has
+    entries in [-2, 2]."""
+    alpha, bloch = rows[:, 0], rows[:, 1:]
+    with np.errstate(over="ignore"):
+        min_eig = 0.5 * (alpha - np.sqrt((bloch * bloch).sum(axis=1)))
+        comp = np.abs(stacked_rows.sum(axis=1) - (2.0, 0.0, 0.0, 0.0)).max(axis=1)
+    return min_eig, comp
+
+
+def _violations(masks: np.ndarray, min_eig: np.ndarray, comp: np.ndarray, bounds, tol: float) -> list:
+    """validate's violations of every joint of a block: one per effect that
+    is not PSD within tol, in storage order, then completeness. Python work
+    is spent on failing joints only."""
+    found = [()] * len(comp)
+    bad = np.flatnonzero(min_eig < -tol)
+    owner = np.searchsorted(bounds, bad, side="right") - 1
+    for j in sorted({*owner.tolist(), *np.flatnonzero(comp > tol).tolist()}):
+        violations = [(f"effect[{masks[i]}] PSD", -float(min_eig[i])) for i in bad[owner == j]]
+        if comp[j] > tol:
+            violations.append(("completeness", float(comp[j])))
+        found[j] = tuple(violations)
+    return found
+
+
+def _marginal_errors(stacked_masks: np.ndarray, stacked_rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Every joint's largest deviation of a marginal from its target, as
+    _marginal_system's rows 1..n times the joint's rows: targets[j, k - 1]
+    is joint j's target for measurement k, zero past its n."""
+    n = targets.shape[1]
+    bits = ((stacked_masks[:, None, :] >> np.arange(n)[:, None]) & 1).astype(float)
+    return np.abs(bits @ stacked_rows - targets).max(axis=(1, 2))
+
+
+def check_joints(joints: Sequence["JointPovm"], povm_lists, tol: float = EPS_MARG) -> tuple:
+    """(validate(tol) of each joint, each joint's marginal_error against its
+    list of target POVMs), for all joints in one array pass."""
+    joints = list(joints)
+    povm_lists = [list(povms) for povms in povm_lists]
+    if [j.n for j in joints] != list(map(len, povm_lists)):
+        raise ValueError("one target POVM per measurement")
+    if not joints:
+        return [], []
+    masks = np.concatenate([j.masks for j in joints])
+    rows = np.concatenate([j.rows for j in joints])
+    bounds = np.cumsum([0, *(len(j.masks) for j in joints)])
+    stacked_masks, stacked_rows = _padded(bounds, masks, rows)
+    found = _violations(masks, *_spectra(rows, stacked_rows), bounds, tol)
+    targets = np.array([_plus_effect(p) for povms in povm_lists for p in povms])
+    (targets,) = _padded(np.cumsum([0, *(j.n for j in joints)]), targets)
+    errors = _marginal_errors(stacked_masks, stacked_rows, targets)
+    return [ValidationReport(not v, v) for v in found], errors.tolist()
+
+
+def _is_canonical(key) -> bool:
+    """Whether key is an integer written as str(int) writes it: no sign but
+    a minus, no space, leading zero, underscore or non-ASCII digit."""
+    try:
+        return str(int(key)) == key
+    except (TypeError, ValueError):
+        return False
+
+
+def _joints_from_json(dicts, tol: float) -> list:
+    """The joints of JSON objects {"n": ..., "effects": {mask: {"alpha": ...,
+    "bloch": [...]}}}, read and checked as one block. ValueError on an n
+    that is not a JSON integer in 1..N_CAP, effects that are not a non-empty
+    object, an outcome key that is not a canonical integer (str(int(key)) ==
+    key) or out of range, an effect that is not 4 finite numbers, or a joint
+    that fails validate(tol). Each joint is a read-only view of the block."""
+    ns, keys, rows, lengths = [], [], [], []
+    for d in dicts:
+        n, entries = d["n"], d["effects"]
+        if type(n) is not int or not 1 <= n <= N_CAP:
+            raise ValueError(f"joint n must be a JSON integer in 1..{N_CAP}, got {n!r}")
+        if not isinstance(entries, dict) or not entries:
+            raise ValueError("joint effects must be a non-empty JSON object of outcome masks")
+        ns.append(n)
+        keys += entries
+        rows += [[e["alpha"], *e["bloch"]] for e in entries.values()]
+        lengths.append(len(entries))
+    if not ns:
+        return []
+    try:
+        ints = list(map(int, keys))
+    except (TypeError, ValueError):
+        ints = None
+    if ints is None or list(map(str, ints)) != keys:
+        bad = next(k for k in keys if not _is_canonical(k))
+        raise ValueError(f"outcome mask key {bad!r} is not a canonical integer")
+    # canonical keys of one JSON object are distinct strings, so distinct masks
+    masks, rows = _mask_array(ints), _read_only(rows, float)
+    _check_arrays(masks, rows, np.repeat(ns, lengths))
+    bounds = np.cumsum([0, *lengths])
+    (stacked_rows,) = _padded(bounds, rows)
+    for violations in _violations(masks, *_spectra(rows, stacked_rows), bounds, tol):
+        if violations:
+            raise ValueError(f"invalid joint POVM: {violations}")
+    spans = zip(ns, bounds[:-1].tolist(), bounds[1:].tolist())
+    return [JointPovm._from_checked(n, masks[a:b], rows[a:b]) for n, a, b in spans]
 
 
 class JointPovm:
@@ -254,19 +403,10 @@ class JointPovm:
     def __init__(self, n: int, masks, rows):
         if not 1 <= n <= N_CAP:
             raise ValueError(f"n must be in 1..{N_CAP}")
-        try:
-            masks = _read_only(masks, np.int64)
-        except OverflowError:
-            raise ValueError("outcome mask out of range") from None
-        rows = _read_only(rows, float)
-        if masks.ndim != 1 or rows.shape != (len(masks), 4):
-            raise ValueError(f"need (k,) masks and (k, 4) rows, got {masks.shape} and {rows.shape}")
-        if np.any((masks < 0) | (masks >> n != 0)):
-            raise ValueError("outcome mask out of range")
+        masks, rows = _mask_array(masks), _read_only(rows, float)
+        _check_arrays(masks, rows, n)
         if len(set(masks.tolist())) != len(masks):
             raise ValueError("outcome masks must be distinct")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("effect entries must be finite")
         self.n, self.masks, self.rows = int(n), masks, rows
 
     @classmethod
@@ -286,24 +426,12 @@ class JointPovm:
 
     @functools.cached_property
     def _spectrum(self) -> tuple:
-        """(every effect's smaller eigenvalue (alpha - |bloch|)/2, the
-        completeness error), one array pass per joint: rows is read-only.
-        Entries past about 1e154 overflow to an infinite eigenvalue or error,
-        which validate rejects, as it should: a valid effect has entries in
-        [-2, 2]."""
-        alpha, bloch = self.rows[:, 0], self.rows[:, 1:]
-        with np.errstate(over="ignore"):
-            min_eig = 0.5 * (alpha - np.sqrt((bloch * bloch).sum(axis=1)))
-            comp = float(np.max(np.abs(self.rows.sum(axis=0) - (2.0, 0.0, 0.0, 0.0))))
-        return min_eig, comp
+        """_spectra of this joint, computed once: rows is read-only."""
+        return _spectra(self.rows, self.rows[None])
 
     def validate(self, tol: float = EPS_MARG) -> ValidationReport:
-        min_eig, comp = self._spectrum
-        bad = np.flatnonzero(min_eig < -tol)
-        violations = [(f"effect[{self.masks[i]}] PSD", -float(min_eig[i])) for i in bad]
-        if comp > tol:
-            violations.append(("completeness", comp))
-        return ValidationReport(not violations, tuple(violations))
+        violations = _violations(self.masks, *self._spectrum, (0, len(self.masks)), tol)[0]
+        return ValidationReport(not violations, violations)
 
     def effect(self, key) -> Effect:
         mask = key.mask if isinstance(key, OutcomeString) else int(key)
@@ -319,8 +447,8 @@ class JointPovm:
         target, marginal k against povms[k-1]."""
         if len(povms) != self.n:
             raise ValueError("one target POVM per measurement")
-        M, T = _marginal_system(self.n, self.masks, povms)
-        return float(np.max(np.abs(M[1:] @ self.rows - T[1:])))
+        targets = _marginal_targets(self.n, povms)[None, 1:]
+        return float(_marginal_errors(self.masks[None], self.rows[None], targets)[0])
 
     def marginalize(self, keep: Iterable[int]) -> "JointPovm":
         """Sum effects over the dropped measurements (keep is 1-based, increasing)."""
@@ -350,18 +478,11 @@ class JointPovm:
 
     @classmethod
     def from_json_dict(cls, d: dict, tol: float = EPS_MARG) -> "JointPovm":
-        """ValueError on effects that are not an object, a malformed or
-        duplicate outcome key, a non-finite entry, or effects that fail
-        validate(tol)."""
-        entries = d["effects"]
-        if not isinstance(entries, dict):
-            raise ValueError("joint effects must be a JSON object of outcome masks")
-        rows = np.array([[e["alpha"], *e["bloch"]] for e in entries.values()], dtype=float)
-        joint = cls(int(d["n"]), [int(mask) for mask in entries], rows)
-        rep = joint.validate(tol)
-        if not rep.ok:
-            raise ValueError(f"invalid joint POVM: {rep.violations}")
-        return joint
+        """The one-joint case of the block loader: ValueError on an n that is
+        not a JSON integer in range, effects that are not a non-empty object,
+        an outcome key that is not a canonical integer or out of range, a
+        non-finite entry, or effects that fail validate(tol)."""
+        return _joints_from_json([d], tol)[0]
 
 
 def relabel_outcomes(p: BinaryQubitPovm, swap: bool) -> BinaryQubitPovm:

@@ -14,7 +14,6 @@ criterion that decided it (see REGISTRY).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -41,7 +40,15 @@ from .criteria import (
     planar_symmetric_nwise,
     triple_unbiased,
 )
-from .povm import JointPovm, povms_from_json_dict, povms_to_json_dict, require_valid_povms, unbiased_povm
+from .povm import (
+    JointPovm,
+    _joints_from_json,
+    check_joints,
+    povms_from_json_dict,
+    povms_to_json_dict,
+    require_valid_povms,
+    unbiased_povm,
+)
 from .structures import JmStructure, n_cycle, n_specker, structure_of
 from .surgery import (
     PlanarSymmetricFamily,
@@ -317,14 +324,15 @@ class RealizationCertificate:
     @classmethod
     def from_json_dict(cls, d: dict) -> "RealizationCertificate":
         """ValueError on a field of the wrong JSON type, a non-finite number,
-        an invalid POVM, a structure whose n is not the POVM count, an
-        evidence subset that is not distinct indices 1..n, and a joint of the
-        wrong size."""
+        an invalid POVM, a structure whose n is not the POVM count as a JSON
+        integer, an evidence subset that is not distinct indices 1..n, and a
+        joint that is malformed, invalid or of the wrong size. All evidence
+        joints are read and checked as one block."""
         povms = tuple(povms_from_json_dict({"povms": d["povms"]}))
         require_valid_povms(povms)
         n = d["structure"]["n"]
         if n != len(povms):  # checked first: n sets the size of the structure
-            raise ValueError(f"structure has n = {n} for {len(povms)} POVMs")
+            raise ValueError(f"structure has n = {n!r} for {len(povms)} POVMs")
         claimed = JmStructure.from_json_dict(d["structure"])
 
         def subset(e) -> tuple:
@@ -335,9 +343,11 @@ class RealizationCertificate:
                 raise ValueError(f"evidence subset {list(s)} is not distinct indices 1..{len(povms)}")
             return s
 
+        evidence = d["evidence"]["compatible"]
+        subsets = [subset(e) for e in evidence]
+        joints = _joints_from_json([e["joint"] for e in evidence], 1e-8)
         compat = []
-        for e in d["evidence"]["compatible"]:
-            s, joint = subset(e), JointPovm.from_json_dict(e["joint"], tol=1e-8)
+        for e, s, joint in zip(evidence, subsets, joints):
             if joint.n != len(s):
                 raise ValueError(f"joint for subset {list(s)} has {joint.n} measurements")
             constructor = _typed(e["constructor"], str, "constructor")
@@ -385,8 +395,14 @@ def _finite(value, what: str) -> float:
 
 
 def joint_digest(joint: JointPovm) -> str:
-    payload = json.dumps(joint.to_json_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """sha256 of the joint's canonical text, json.dumps(joint.to_json_dict(),
+    sort_keys=True) byte for byte, written directly: outcome keys sorted as
+    strings, floats by repr."""
+    effects = sorted(zip(map(str, joint.masks.tolist()), joint.rows.tolist()))
+    body = ", ".join(
+        f'"{key}": {{"alpha": {a!r}, "bloch": [{x!r}, {y!r}, {z!r}]}}' for key, (a, x, y, z) in effects
+    )
+    return hashlib.sha256(f'{{"effects": {{{body}}}, "n": {joint.n}}}'.encode()).hexdigest()
 
 
 def _named(v: Verdict) -> str:
@@ -786,13 +802,16 @@ def verify_certificate(cert: RealizationCertificate, mode: str = "closed-form") 
         expected = {frozenset(m) for m in cert.claimed.maximal if len(m) >= 2}
         if covered != expected:
             issues.append("compatible evidence does not cover the maximal sets")
-        for e in cert.compatible:
+        reports, errors = check_joints(
+            [e.joint for e in cert.compatible],
+            [[povms[k - 1] for k in e.subset] for e in cert.compatible],
+            1e-11,
+        )
+        for e, rep, err in zip(cert.compatible, reports, errors):
             if joint_digest(e.joint) != e.digest:
                 issues.append(f"digest mismatch for subset {list(e.subset)}")
-            rep = e.joint.validate(1e-11)
             if not rep.ok:
                 issues.append(f"witness for {list(e.subset)} invalid: {rep.violations}")
-            err = e.joint.marginal_error([povms[k - 1] for k in e.subset])
             if err > 1e-11:
                 issues.append(f"witness for {list(e.subset)} marginals off by {err:.2e}")
         needed = set(map(frozenset, cert.claimed.minimal_non_faces()))

@@ -91,12 +91,15 @@ class JmStructure:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "JmStructure":
-        """ValueError on a maximal set holding a vertex that is not an int."""
+        """ValueError on an n or a vertex that is not an int."""
+        n = d["n"]
+        if type(n) is not int:
+            raise ValueError(f"structure n must be a JSON integer, got {n!r}")
         sets = [frozenset(s) for s in d["maximal"]]
         for s in sets:
             if not all(type(v) is int for v in s):
                 raise ValueError(f"maximal set {sorted(s, key=repr)} holds a non-integer vertex")
-        return cls.from_sets(int(d["n"]), sets)
+        return cls.from_sets(n, sets)
 
 
 def n_cycle(N: int) -> JmStructure:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import (
+    _chain_form,
     chain_margin,
     coplanar_chain_bound,
-    normalize_for_chain,
     planar_nwise_bound,
     planar_subset_bound,
 )
@@ -154,27 +154,37 @@ def build_general_binary_joint(povms) -> tuple:
 def _chain_joint(povms) -> tuple:
     """(JointPovm, AppliedRelabeling) of the chain construction for a
     nonempty POVM list, without checking the chain inequality: callers check
-    it, or an equivalent closed-form bound, first."""
-    ps, order, flips = normalize_for_chain(povms)
-    N = len(ps)
-    a = [p.bloch for p in ps]
-    b = [p.bias for p in ps]
+    it, or an equivalent closed-form bound, first.
 
-    if N == 1:
-        masks, rows = [1, 0], [(1.0 + b[0], *a[0]), (1.0 - b[0], *-a[0])]
-    else:
-        masks, rows = [], []
-        half_sum = 0.0
-        for p in range(1, N):
-            t = 0.5 * (a[p - 1] - a[p])
-            nt = float(np.linalg.norm(t))
-            half_sum += nt
-            masks += _run_masks(N, p)
-            rows += [(nt, *t), (nt + (b[p] - b[p - 1]), *-t)]
-        s = 0.5 * (a[0] + a[N - 1])
-        masks += [(1 << N) - 1, 0]
-        rows += [(1.0 + b[0] - half_sum, *s), (1.0 - b[N - 1] - half_sum, *-s)]
+    In the normal form of criteria._chain_form (biases flipped >= 0, stable
+    sort by bias), with a_i and b_i the flipped Bloch vectors and biases in
+    chain order: for each p < N a rank-one pair at the run masks (+1 x p,
+    -1 x (N - p)) and their negations, with Bloch parts +-t_p, t_p =
+    (a_p - a_{p+1})/2, and the two all-equal effects along +-(a_1 + a_N)/2.
+    All 2N rows are built as one array; masks are distinct and rows finite by
+    construction.
+    """
+    b, a, order = _chain_form(povms)
+    N = len(order)
+    bias = [b[i] for i in order]
+    chain = np.array(a)[order]
+    t = 0.5 * (chain[:-1] - chain[1:])
+    rows, half_sum = [], 0.0
+    for step, (x, y, z), db in zip(t, t.tolist(), [q - p for p, q in zip(bias, bias[1:])]):
+        nt = math.sqrt(step.dot(step))  # np.linalg.norm's 1-D formula
+        half_sum += nt
+        rows += ((nt, x, y, z), (nt + db, -x, -y, -z))
+    (x, y, z), (u, v, w) = a[order[0]], a[order[-1]]
+    s = (0.5 * (x + u), 0.5 * (y + v), 0.5 * (z + w))
+    rows += ((1.0 + bias[0] - half_sum, *s), (1.0 - bias[-1] - half_sum, *(-c for c in s)))
 
-    # map chain positions/labels back to the caller's order
-    masks = [sum(1 << order[i] for i in range(N) if (m >> i & 1) ^ flips[i]) for m in masks]
-    return JointPovm(N, masks, rows), AppliedRelabeling(order, flips)
+    # run masks in the caller's order and labels: chain position i is bit
+    # order[i], and a flipped POVM's bit is negated
+    full, run, masks = (1 << N) - 1, 0, []
+    for i in order[:-1]:
+        run |= 1 << i
+        masks += (run, full ^ run)
+    masks += (full, 0)
+    flip = sum(1 << k for k, p in enumerate(povms) if p.bias < 0)
+    joint = JointPovm._from_checked(N, np.array(masks, np.int64) ^ flip, np.array(rows))
+    return joint, AppliedRelabeling(tuple(order), tuple(povms[i].bias < 0 for i in order))

@@ -442,6 +442,59 @@ def test_verify_rejects_malformed_certificate_exits_65(tmp_path, capsys, tamper)
     assert err.startswith("error: bad certificate schema")
 
 
+def _set_joint_n(value):
+    def tamper(d):
+        d["evidence"]["compatible"][0]["joint"]["n"] = value
+
+    return tamper
+
+
+def _set_mask_key(key):
+    def tamper(d):
+        # the stored digest is left as it was: it still matches the joint the key reads as
+        effects = d["evidence"]["compatible"][0]["joint"]["effects"]
+        effects[key] = effects.pop("3")
+
+    return tamper
+
+
+def _structure_n_float(d):
+    d["structure"]["n"] = 5.0
+
+
+def _empty_effects(d):
+    d["evidence"]["compatible"][2]["joint"]["effects"] = {}
+
+
+@pytest.mark.parametrize(
+    "tamper, field",
+    [
+        (_set_joint_n(2.7), "joint n"),
+        (_set_joint_n("2"), "joint n"),
+        (_set_joint_n(True), "joint n"),
+        (_structure_n_float, "structure n"),
+        (_set_mask_key(" 3"), "outcome mask key ' 3'"),
+        (_set_mask_key("03"), "outcome mask key '03'"),
+        (_set_mask_key("+3"), "outcome mask key '+3'"),
+        (_set_mask_key("٣"), "outcome mask key '٣'"),
+        (_empty_effects, "joint effects"),
+    ],
+    ids=[
+        "joint-n-float", "joint-n-string", "joint-n-bool", "structure-n-float",
+        "key-space", "key-leading-zero", "key-plus", "key-arabic-indic", "empty-effects",
+    ],
+)
+def test_verify_rejects_loose_certificate_input_exits_65(tmp_path, capsys, tamper, field):
+    code, out, _ = run(capsys, "realize", "--structure", "n-cycle", "--n", "5")
+    d = json.loads(out)
+    tamper(d)
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (65, "")
+    assert err.startswith("error: bad certificate schema") and field in err
+
+
 @pytest.mark.parametrize("name", ["5-cycle.json", "5-specker.json"])
 def test_certificates_written_by_earlier_versions_still_verify(capsys, name):
     # written by `jmqubit realize` before joints were stored as mask and row arrays
