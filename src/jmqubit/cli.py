@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -158,12 +159,26 @@ def _layout(x, newline: str, chunks: list) -> None:
     chunks.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", newline))
 
 
+def _print_stdout(text: str) -> None:
+    """Print text to stdout and flush it. When the reader has closed the
+    pipe (`jmqubit realize ... | head`), stdout's file descriptor is pointed
+    at os.devnull instead, so the flush at exit stays quiet, and the command
+    goes on to return its own exit code."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(payload, out: str | None, summary: str) -> None:
     text = _dumps(payload)
     if out:
         Path(out).write_text(text + "\n")
     else:
-        print(text)
+        _print_stdout(text)
     print(summary, file=sys.stderr)
 
 
@@ -359,7 +374,7 @@ def cmd_bounds(args) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
-        print(text)
+        _print_stdout(text)
     print(f"bounds: {len(rows) - 1} row(s) for family {args.family}", file=sys.stderr)
     return EXIT_OK
 

@@ -9,7 +9,6 @@ resolve toward Compatible, matching the half-open purity intervals
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -71,27 +70,27 @@ def pair_unbiased(eta1: float, n1, eta2: float, n2) -> Verdict:
     return _verdict(2.0 - s, IFF, "pair-unbiased")
 
 
-def _half_trace_radius(alpha: float, a: float) -> float:
-    # F = (1/2)(sqrt(alpha^2 - a^2) + sqrt((2-alpha)^2 - a^2)), clipped for roundoff
-    t1 = max(alpha * alpha - a * a, 0.0)
-    t2 = max((2.0 - alpha) * (2.0 - alpha) - a * a, 0.0)
-    return 0.5 * (math.sqrt(t1) + math.sqrt(t2))
-
-
 def pair_general(p1: BinaryQubitPovm, p2: BinaryQubitPovm) -> Verdict:
     """General (possibly biased) pair criterion.
 
     Compatible iff
       (1 - F1^2 - F2^2)(1 - b1^2/F1^2 - b2^2/F2^2) <= (a1.a2 - b1 b2)^2
-    with F_k the half-sum of the two effect determinant radii. F_k vanishes
-    only for a projective measurement, where compatibility degenerates to
-    commutation (parallel Bloch vectors); that branch is handled explicitly.
+    with F_k the half-sum of the two effect determinant radii, cached on
+    each POVM (BinaryQubitPovm.half_trace_radius). F_k vanishes only for a
+    projective measurement, where compatibility degenerates to commutation
+    (parallel Bloch vectors); that branch is handled explicitly.
+
+    The margin is ill-conditioned next to extremal POVMs, |b| + |a| close
+    to 1: there an effect's smaller eigenvalue, and so the square root
+    inside F_k, vanishes, and rounding in the Bloch vector is amplified. A
+    common rotation, which only re-rounds the vectors, moved the margin of a
+    pair by 5.5e-14 there; kept 1 % inside the bound it moves by less than
+    1e-13.
     """
     x1, y1, z1 = p1.components
     x2, y2, z2 = p2.components
     b1, b2 = p1.bias, p2.bias
-    F1 = _half_trace_radius(1.0 + b1, p1.eta)
-    F2 = _half_trace_radius(1.0 + b2, p2.eta)
+    F1, F2 = p1.half_trace_radius, p2.half_trace_radius
     if F1 * F2 < 1e-12:
         # at least one projective measurement: compatible iff commuting
         cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
@@ -372,15 +371,29 @@ def n_necessary_sufficient(eta: float, ns) -> tuple:
 
     necessary: eta <= max_x |sum_k x_k n_k| / N over all sign strings x;
     sufficient: eta <= 2^N / sum_x |sum_k x_k n_k|.
+
+    x and -x give the same norm, so only the 2^(N-1) strings with x_1 = +1
+    are scored, on Python floats. Their sums are built by doubling: the list
+    for n_1..n_k gives the one for n_1..n_(k+1) as v + n_(k+1) and
+    v - n_(k+1), so each sum is added in k order. The norms' maximum is
+    exact and their sum correctly rounded (math.fsum). N = 6 scores 32
+    strings in about 30 us, N = 7 and 8 score 64 and 128 in about 50 us;
+    N is capped at 20.
     """
-    ns = np.asarray(ns, dtype=float)
-    N = len(ns)
+    rows = _float_rows(ns)
+    if rows is None:
+        raise ValueError("need an (N, 3) array of directions")
+    N = len(rows)
     if N > 20:
         raise ValueError("N exceeds the 2^N enumeration cap of 20")
-    signs = ((np.arange(2 ** N)[:, None] >> np.arange(N)) & 1) * 2.0 - 1.0
-    norms = np.linalg.norm(signs @ ns, axis=1)
-    nec_bound = float(norms.max()) / N
-    suf_bound = (2.0 ** N) / float(norms.sum())
+    if not N:
+        raise ValueError("need at least one direction")
+    sums = [rows[0]]
+    for x, y, z in rows[1:]:
+        sums = [[u + x, v + y, w + z] for u, v, w in sums] + [[u - x, v - y, w - z] for u, v, w in sums]
+    norms = [math.sqrt(u * u + v * v + w * w) for u, v, w in sums]
+    nec_bound = max(norms) / N
+    suf_bound = (2.0 ** (N - 1)) / math.fsum(norms)
     nec = _verdict(nec_bound - eta, NECESSARY_ONLY, "n-wise-necessary")
     suf = _verdict(suf_bound - eta, SUFFICIENT_ONLY, "n-wise-sufficient")
     return nec, suf
@@ -469,19 +482,6 @@ def _path_margin(b: list, a: list, seq) -> float:
     return 2.0 * (1.0 - max(b)) - (ends + steps)
 
 
-_SIGNS = np.array([-1.0, 1.0])[:, None, None, None]
-
-
-def _chain_margins(b_max: float, a: np.ndarray, seqs: np.ndarray) -> np.ndarray:
-    """Chain slack 2(1 - b_max) - |a_s1 + a_sN| - sum_p |a_sp - a_s(p+1)| for
-    every row s of the (K, N) index array seqs, from the normalized (N, 3)
-    Bloch rows a."""
-    d = a + _SIGNS * a[:, None, :]  # d[0, i, j] = a_j - a_i, d[1, i, j] = a_j + a_i
-    dist = np.sqrt(np.einsum("...k,...k", d, d))
-    lhs = dist[1, seqs[:, 0], seqs[:, -1]] + dist[0, seqs[:, :-1], seqs[:, 1:]].sum(axis=1)
-    return 2.0 * (1.0 - b_max) - lhs
-
-
 def chain_margin(povms) -> float:
     """Slack of |a_1+a_N| + sum |a_p - a_{p+1}| <= 2(1 - max bias), taken in
     the normal form: outcomes flipped so every bias is >= 0, then the POVMs
@@ -505,33 +505,45 @@ def general_binary_sufficient(povms) -> Verdict:
     return _verdict(chain_margin(povms), strength, "biased-chain")
 
 
-@functools.lru_cache(maxsize=None)
-def _permutations(n: int) -> np.ndarray:
-    """Read-only (n!, n) table of the permutations of range(n), built on first use."""
-    table = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
-    table.flags.writeable = False
-    return table
+def _tie_group_orders(b: list, order: list):
+    """The candidate orders, as tuples of indices: the stable sort order
+    with every group of tied b permuted independently, the first group
+    varying slowest and each group's permutations in itertools order. When
+    all b tie, a path's reversal is again a candidate with the same margin,
+    and only the one with seq[0] < seq[-1] is kept."""
+    groups = [tuple(run) for _, run in itertools.groupby(order, key=b.__getitem__)]
+    if len(groups) == 1:
+        return (seq for seq in itertools.permutations(order) if seq[0] < seq[-1])
+    return (sum(parts, ()) for parts in itertools.product(*map(itertools.permutations, groups)))
 
 
-def _tie_group_orders(b: list, order: list) -> np.ndarray:
-    """(K, N) index array of the candidate orders: the stable sort order with
-    every group of tied b permuted independently. When all b tie, a path's
-    reversal is again a candidate with the same margin, and only one of the
-    two is kept."""
-    sizes = [len(list(run)) for _, run in itertools.groupby(b[i] for i in order)]
-    order = np.array(order)
-    seqs = order[None, :]
-    start = 0
-    for size in sizes:
-        if size > 1:
-            block = order[start:start + size][_permutations(size)]
-            count = len(seqs)
-            seqs = np.repeat(seqs, len(block), axis=0)
-            seqs[:, start:start + size] = np.tile(block, (count, 1))
-        start += size
-    if len(sizes) == 1:
-        seqs = seqs[seqs[:, 0] < seqs[:, -1]]
-    return seqs
+def _best_tie_group_order(b: list, a: list, order: list) -> tuple:
+    """The first candidate of _tie_group_orders with the largest chain
+    margin. One table of |a_i - a_j| and |a_i + a_j| serves every
+    candidate, whose margin 2(1 - max b) - (ends + steps) is summed as
+    _path_margin sums it; a strict > keeps the first maximum."""
+    N = len(a)
+    minus = [[0.0] * N for _ in range(N)]
+    plus = [[0.0] * N for _ in range(N)]
+    for i, (x, y, z) in enumerate(a):
+        for j in range(i + 1, N):
+            u, v, w = a[j]
+            dx, dy, dz = u - x, v - y, w - z
+            minus[i][j] = minus[j][i] = math.sqrt(dx * dx + dy * dy + dz * dz)
+            dx, dy, dz = u + x, v + y, w + z
+            plus[i][j] = plus[j][i] = math.sqrt(dx * dx + dy * dy + dz * dz)
+    top = 2.0 * (1.0 - max(b))
+    best, best_seq = -math.inf, None
+    for seq in _tie_group_orders(b, order):
+        p = seq[0]
+        steps = 0.0
+        for q in seq[1:]:
+            steps += minus[p][q]
+            p = q
+        margin = top - (plus[seq[0]][p] + steps)
+        if margin > best:
+            best, best_seq = margin, seq
+    return best_seq
 
 
 def best_chain_ordering(povms) -> tuple:
@@ -539,11 +551,12 @@ def best_chain_ordering(povms) -> tuple:
 
     The normal form sorts by |bias|, so orderings differ only inside groups
     of exactly tied |bias|. With all |bias| distinct the sorted sequence is
-    the only candidate, scored on Python floats as chain_margin scores it.
-    Otherwise the candidates of _tie_group_orders (2 to 20,160 of them) are
-    scored at once in numpy from the matrices |a_i - a_j| and |a_i + a_j|,
-    where a loop over floats would be slower, and the winner is scored again
-    on floats.
+    the only candidate, scored as chain_margin scores it. Otherwise every
+    candidate of _tie_group_orders is scored on Python floats from one
+    table of pair distances, and the first best wins. All |bias| tied is
+    the worst case, N!/2 candidates: about 15-35 us at N = 4, 0.2-0.3 ms at
+    N = 6, 2.5 ms at N = 7 (2,520 candidates) and 10-17 ms at N = 8
+    (20,160).
 
     Returns (perm, verdict): chain_margin([povms[i] for i in perm]) is the
     verdict's margin, bit for bit.
@@ -555,7 +568,6 @@ def best_chain_ordering(povms) -> tuple:
         raise ValueError("need at least one POVM")
     b, a, order = _chain_form(povms)
     if len(set(b)) < N:
-        seqs = _tie_group_orders(b, order)
-        order = seqs[int(np.argmax(_chain_margins(max(b), np.array(a), seqs)))].tolist()
+        order = _best_tie_group_order(b, a, order)
     strength = IFF if N <= 2 and all(p.is_unbiased for p in povms) else SUFFICIENT_ONLY
     return tuple(order), _verdict(_path_margin(b, a, order), strength, "biased-chain")

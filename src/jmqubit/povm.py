@@ -13,6 +13,7 @@ A joint POVM is two read-only arrays, its distinct outcome masks and one
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -22,6 +23,7 @@ import numpy as np
 EPS_PSD = 1e-12
 EPS_MARG = 1e-12
 N_CAP = 20  # 2^20 outcome strings is the enumeration ceiling
+_JSON_NUMBERS = frozenset((int, float))  # bool, a subclass of int, is not one
 
 BlochVector = np.ndarray  # shape (3,) float64
 
@@ -77,6 +79,22 @@ class Effect:
 ZERO_EFFECT = Effect(0.0, np.zeros(3))
 
 
+class _computed_once:
+    """functools.cached_property without its lock: the first access stores
+    the value in the instance's __dict__, which later accesses read. Before
+    Python 3.12, cached_property takes a lock on each first access, about 1
+    us, and the closed-form decider reads five such values per POVM."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class BinaryQubitPovm:
     """Binary qubit POVM with effects (1/2)((1 +- b)I +- a.sigma)."""
@@ -94,7 +112,7 @@ class BinaryQubitPovm:
         if not math.isfinite(self.bias):
             raise ValueError("bias must be finite")
 
-    @functools.cached_property
+    @_computed_once
     def eta(self) -> float:
         """Purity (Bloch norm); the usual sharpness parameter when bias = 0.
         Computed once per instance."""
@@ -106,15 +124,38 @@ class BinaryQubitPovm:
             return math.hypot(x, y, z)  # inf past the largest float
         return math.sqrt(self.bloch.dot(self.bloch))  # np.linalg.norm's 1-D formula
 
-    @functools.cached_property
+    @_computed_once
     def components(self) -> tuple:
         """The Bloch vector as a tuple of three Python floats, for the
         closed-form criteria's scalar loops. Computed once per instance."""
         return tuple(self.bloch.tolist())
 
-    @property
+    @_computed_once
     def is_unbiased(self) -> bool:
+        """|bias| <= EPS_PSD. Computed once per instance."""
         return abs(self.bias) <= EPS_PSD
+
+    @_computed_once
+    def direction(self) -> tuple:
+        """The unit Bloch direction as three Python floats, (1, 0, 0) for a
+        zero vector: the n of the unbiased criteria. Computed once per
+        instance."""
+        n = self.eta
+        if n > 0:
+            x, y, z = self.components
+            return (x / n, y / n, z / n)
+        return (1.0, 0.0, 0.0)
+
+    @_computed_once
+    def half_trace_radius(self) -> float:
+        """F = (1/2)(sqrt(alpha^2 - a^2) + sqrt((2 - alpha)^2 - a^2)) with
+        alpha = 1 + bias and a = eta, each square clipped at 0 for roundoff:
+        the F_k of the pair-general criterion, half the sum of the two
+        effects' determinant radii. Computed once per instance."""
+        alpha, a = 1.0 + self.bias, self.eta
+        t1 = max(alpha * alpha - a * a, 0.0)
+        t2 = max((2.0 - alpha) * (2.0 - alpha) - a * a, 0.0)
+        return 0.5 * (math.sqrt(t1) + math.sqrt(t2))
 
     def effect(self, outcome: int) -> Effect:
         if outcome == 1:
@@ -353,13 +394,26 @@ def _is_canonical(key) -> bool:
         return False
 
 
+def _check_json_numbers(rows: list) -> None:
+    """ValueError naming the field of the first entry of the (alpha, bloch)
+    rows that is not a JSON number (an int or a float, not a bool)."""
+    if _JSON_NUMBERS.issuperset(map(type, itertools.chain.from_iterable(rows))):
+        return
+    for row in rows:
+        for k, x in enumerate(row):
+            if type(x) not in _JSON_NUMBERS:
+                field = "alpha" if k == 0 else "bloch component"
+                raise ValueError(f"effect {field} must be a JSON number, got {x!r}")
+
+
 def _joints_from_json(dicts, tol: float) -> list:
     """The joints of JSON objects {"n": ..., "effects": {mask: {"alpha": ...,
     "bloch": [...]}}}, read and checked as one block. ValueError on an n
     that is not a JSON integer in 1..N_CAP, effects that are not a non-empty
     object, an outcome key that is not a canonical integer (str(int(key)) ==
-    key) or out of range, an effect that is not 4 finite numbers, or a joint
-    that fails validate(tol). Each joint is a read-only view of the block."""
+    key) or out of range, an effect that is not 4 finite JSON numbers, or a
+    joint that fails validate(tol). Each joint is a read-only view of the
+    block."""
     ns, keys, rows, lengths = [], [], [], []
     for d in dicts:
         n, entries = d["n"], d["effects"]
@@ -373,6 +427,7 @@ def _joints_from_json(dicts, tol: float) -> list:
         lengths.append(len(entries))
     if not ns:
         return []
+    _check_json_numbers(rows)
     try:
         ints = list(map(int, keys))
     except (TypeError, ValueError):
@@ -531,4 +586,15 @@ def povms_to_json_dict(povms: Sequence[BinaryQubitPovm]) -> dict:
 
 
 def povms_from_json_dict(d: dict) -> list:
-    return [BinaryQubitPovm(entry["bias"], entry["bloch"]) for entry in d["povms"]]
+    """The POVMs of {"povms": [{"bias": ..., "bloch": [x, y, z]}, ...]}.
+    ValueError naming the field when a bias or a Bloch component is not a
+    JSON number: float() would read the string "0.25", and false as 0."""
+    povms = []
+    for entry in d["povms"]:
+        bias, bloch = entry["bias"], entry["bloch"]
+        if type(bias) not in _JSON_NUMBERS:
+            raise ValueError(f"POVM bias must be a JSON number, got {bias!r}")
+        if type(bloch) is not list or not _JSON_NUMBERS.issuperset(map(type, bloch)):
+            raise ValueError(f"POVM bloch must be an array of JSON numbers, got {bloch!r}")
+        povms.append(BinaryQubitPovm(bias, bloch))
+    return povms

@@ -76,20 +76,6 @@ ID6_NOGO_NOTE = (
 # geometry helpers for the composite decider
 
 
-def _unit_rows(povms) -> list:
-    """Unit Bloch directions as lists of Python floats, (1, 0, 0) for a zero
-    vector."""
-    rows = []
-    for p in povms:
-        n = p.eta
-        if n > 0:
-            x, y, z = p.components
-            rows.append([x / n, y / n, z / n])
-        else:
-            rows.append([1.0, 0.0, 0.0])
-    return rows
-
-
 def _coplanar_line_angles(povms, tol: float = 1e-9) -> Optional[list]:
     """Sorted line angles in [0, pi) if the Bloch vectors are coplanar, on
     Python floats. With e the unit longest vector and n the largest cross
@@ -148,14 +134,13 @@ def _pair_general(sub) -> Optional[Verdict]:
 def _pair_unbiased(sub) -> Optional[Verdict]:
     if len(sub) != 2 or not all(p.is_unbiased for p in sub):
         return None
-    units = _unit_rows(sub)
-    return pair_unbiased(sub[0].eta, units[0], sub[1].eta, units[1])
+    return pair_unbiased(sub[0].eta, sub[0].direction, sub[1].eta, sub[1].direction)
 
 
 def _triple_ft(sub) -> Optional[Verdict]:
     if len(sub) != 3 or not all(p.is_unbiased for p in sub):
         return None
-    return triple_unbiased([p.eta for p in sub], _unit_rows(sub))
+    return triple_unbiased([p.eta for p in sub], [p.direction for p in sub])
 
 
 def _coplanar_same_purity(sub) -> Optional[Verdict]:
@@ -180,7 +165,7 @@ def _n_wise(sub) -> Optional[Verdict]:
     eta = _unbiased_purity(sub)
     if eta is None:
         return None
-    nec, suf = n_necessary_sufficient(eta, _unit_rows(sub))
+    nec, suf = n_necessary_sufficient(eta, [p.direction for p in sub])
     return nec if nec.is_incompatible else suf
 
 
@@ -202,8 +187,15 @@ REGISTRY = {
     "n-wise-sufficient": _n_wise,
     "biased-chain": _biased_chain,
 }
-# each function once; the closed-form decider runs the chain last, itself
-_CRITERIA_BEFORE_CHAIN = tuple(f for f in dict.fromkeys(REGISTRY.values()) if f is not _biased_chain)
+# the functions that return None for a subset holding a biased POVM, which
+# the closed-form decider therefore never asks about one
+_UNBIASED_ONLY = frozenset((_pair_unbiased, _triple_ft, _coplanar_same_purity, _n_wise))
+# each function once; the closed-form decider runs the chain last, itself,
+# and sends pairs straight to pair-general, an iff criterion for every pair
+_CRITERIA_BEFORE_CHAIN = tuple(
+    f for f in dict.fromkeys(REGISTRY.values()) if f not in (_biased_chain, _pair_general)
+)
+_CRITERIA_FOR_BIASED = tuple(f for f in _CRITERIA_BEFORE_CHAIN if f not in _UNBIASED_ONLY)
 
 
 def closed_form_decider(povms):
@@ -212,6 +204,10 @@ def closed_form_decider(povms):
     Returns a callable mapping a sorted 1-based index tuple to the deciding
     Verdict: that of the first applicable REGISTRY function that decides the
     subset or is an iff criterion, else the chain's Unknown verdict.
+    Applicability is settled once per set: a pair goes straight to
+    pair-general, and a subset holding a biased POVM (one test against the
+    set's biased indices) skips the _UNBIASED_ONLY functions, which would
+    return None for it.
 
     A chain failure is inherited: adding a POVM never lengthens the chain's
     best path (the candidate orders of a set restrict to those of each
@@ -221,10 +217,14 @@ def closed_form_decider(povms):
     the failing subset's, an upper bound on this set's slack.
     """
     chain_failed = {}  # subset -> the Unknown verdict it was answered by biased-chain
+    biased = frozenset(i for i, p in enumerate(povms, 1) if not p.is_unbiased)
 
     def decide(combo) -> Verdict:
         sub = [povms[i - 1] for i in combo]
-        for criterion in _CRITERIA_BEFORE_CHAIN:
+        if len(combo) == 2:
+            return _pair_general(sub)
+        before_chain = _CRITERIA_BEFORE_CHAIN if biased.isdisjoint(combo) else _CRITERIA_FOR_BIASED
+        for criterion in before_chain:
             v = criterion(sub)
             if v is not None and (v.decision != UNKNOWN or v.strength == IFF):
                 return v
@@ -464,7 +464,7 @@ def _planar_certificate(label, N, subset, window, expected, eta=None, notes=()):
 
     def witness(positions):
         ks = [subset[i - 1] for i in positions]
-        joint = surgery_mtuple(N, ks, eta)
+        joint = surgery_mtuple(N, ks, eta, [povms[i - 1] for i in positions])
         return f"planar-subset-joint(N={N}, ks={ks})", joint
 
     recipe = {"kind": "planar-symmetric-subset", "n": N, "subset": subset}

@@ -106,16 +106,20 @@ def build_coplanar_same_purity_joint(angles, eta: float) -> JointPovm:
     )[0]
 
 
-def surgery_mtuple(N: int, subset, eta: float) -> JointPovm:
+def surgery_mtuple(N: int, subset, eta: float, povms=None) -> JointPovm:
     """Joint POVM for the subset {k_1 < ... < k_M} of an N-member planar
-    symmetric family at purity eta, valid up to the subset chain bound."""
+    symmetric family at purity eta, valid up to the subset chain bound.
+    povms, when given, are the caller's PlanarSymmetricFamily(N,
+    eta).povms(subset), used as they are instead of being built again."""
     ks = list(subset)
     if ks != sorted(set(ks)) or not ks or ks[0] < 1 or ks[-1] > N:
         raise ValueError("subset must be strictly increasing within 1..N")
     bound = planar_subset_bound(N, ks)
     if eta > bound + BOUND_SLACK:
         raise ValueError(f"eta {eta} above the subset bound {bound}")
-    return _chain_joint(PlanarSymmetricFamily(N, eta).povms(ks))[0]
+    if povms is None:
+        povms = PlanarSymmetricFamily(N, eta).povms(ks)
+    return _chain_joint(povms)[0]
 
 
 def surgery_pair(N: int, k1: int, k2: int, eta: float) -> JointPovm:

@@ -5,7 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +215,26 @@ def test_check_rejects_invalid_povm_exits_65(tmp_path, capsys, povm):
     assert code == 65
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "povm, field",
+    [
+        ({"bias": "0.0", "bloch": [0.5, 0, 0]}, "bias"),
+        ({"bias": False, "bloch": [0.5, 0, 0]}, "bias"),
+        ({"bias": 0.0, "bloch": ["0.5", 0.1, 0]}, "bloch"),
+        ({"bias": 0.0, "bloch": [0.5, True, 0]}, "bloch"),
+        ({"bias": 0.0, "bloch": "0.5"}, "bloch"),
+    ],
+    ids=["bias-string", "bias-false", "bloch-string", "bloch-true", "bloch-not-array"],
+)
+@pytest.mark.parametrize("command", ["check", "joint"])
+def test_povm_loader_rejects_strings_and_booleans_exits_65(tmp_path, capsys, povm, field, command):
+    # float() reads "0.0" and False as numbers; the loader must not
+    path = write_povms(tmp_path, [{"bias": 0.0, "bloch": [0, 0.5, 0]}, povm])
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (65, "")
+    assert err.startswith("error: bad POVM-set schema") and f"POVM {field}" in err
 
 
 def test_joint_chain_roundtrip(tmp_path, capsys):
@@ -466,6 +489,25 @@ def _empty_effects(d):
     d["evidence"]["compatible"][2]["joint"]["effects"] = {}
 
 
+def _set_povm_field(key, value):
+    def tamper(d):
+        d["povms"][1][key] = value
+
+    return tamper
+
+
+def _set_effect_entry(index, value):
+    def tamper(d):
+        # the stored digest is left as it was: the loader must reject the entry first
+        effect = next(iter(d["evidence"]["compatible"][0]["joint"]["effects"].values()))
+        if index == 0:
+            effect["alpha"] = value
+        else:
+            effect["bloch"][index - 1] = value
+
+    return tamper
+
+
 @pytest.mark.parametrize(
     "tamper, field",
     [
@@ -478,10 +520,19 @@ def _empty_effects(d):
         (_set_mask_key("+3"), "outcome mask key '+3'"),
         (_set_mask_key("٣"), "outcome mask key '٣'"),
         (_empty_effects, "joint effects"),
+        (_set_povm_field("bias", "0.0"), "POVM bias"),
+        (_set_povm_field("bias", False), "POVM bias"),
+        (_set_povm_field("bloch", ["0.5", 0.1, 0]), "POVM bloch"),
+        (_set_effect_entry(0, "0.25"), "effect alpha"),
+        (_set_effect_entry(0, True), "effect alpha"),
+        (_set_effect_entry(2, "0"), "effect bloch component"),
+        (_set_effect_entry(3, False), "effect bloch component"),
     ],
     ids=[
         "joint-n-float", "joint-n-string", "joint-n-bool", "structure-n-float",
         "key-space", "key-leading-zero", "key-plus", "key-arabic-indic", "empty-effects",
+        "bias-string", "bias-false", "bloch-string", "alpha-string", "alpha-true",
+        "effect-bloch-string", "effect-bloch-false",
     ],
 )
 def test_verify_rejects_loose_certificate_input_exits_65(tmp_path, capsys, tamper, field):
@@ -590,6 +641,18 @@ _json_values = st.one_of(
 )
 
 
+def _is_povm_or_effect_number(doc, path) -> bool:
+    """Whether path leads to a number of a POVM (its bias or a Bloch
+    component) or of a stored joint's effect (its alpha or a Bloch
+    component)."""
+    node = doc
+    for key in path:
+        node = node[key]
+    if type(node) not in (int, float):
+        return False
+    return path[:1] == ("povms",) or (len(path) >= 7 and path[3:5] == ("joint", "effects"))
+
+
 @settings(max_examples=150)
 @given(data=st.data())
 @pytest.mark.parametrize("command", ["verify", "check"])
@@ -602,6 +665,51 @@ def test_loaders_survive_schema_fuzzing(tmp_path_factory, command, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([command, str(target)])
     assert code in DOCUMENTED_EXITS
+    # a string or a boolean where a POVM or an effect holds a number is
+    # rejected, not read as float() reads it
+    if isinstance(value, (str, bool)) and _is_povm_or_effect_number(doc, path):
+        assert code == 65, (path, value)
+
+
+@pytest.mark.parametrize("value", ["0.0", "1", False, True])
+@pytest.mark.parametrize("command", ["verify", "check"])
+def test_loaders_reject_every_povm_and_effect_number_as_string_or_bool(tmp_path, command, value):
+    # the fuzzing test's rule, on every such node of the documents
+    doc = _valid_documents()[command]
+    paths = [path for path in _node_paths(doc) if _is_povm_or_effect_number(doc, path)]
+    assert len(paths) >= 20  # five POVMs of four numbers, and the effects' for verify
+    for path in paths[:: max(1, len(paths) // 40)]:
+        target = tmp_path / "doc.json"
+        target.write_text(json.dumps(_replaced(doc, path, value)))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([command, str(target)]) == 65, (path, value)
+
+
+# ---------------------------------------------------------------------------
+# a reader that has gone: `jmqubit realize ... | head -c 10`
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["realize", "--structure", "n-cycle", "--n", "16"],  # written in many blocks
+        ["bounds", "--family", "planar-symmetric", "--n", "3"],  # flushed at exit
+    ],
+    ids=["realize", "bounds"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the command writes a byte
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "jmqubit.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr, done.stderr
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,55 @@ def test_n_necessary_sufficient_orthogonal():
         assert nec.decision == INCOMPATIBLE
 
 
+# The numpy kernel, replaced in src/ by a float scan over the 2^(N-1) sign
+# strings with x_1 = +1, kept here as the reference: all 2^N sign strings as
+# the rows of one matrix product.
+
+
+def _reference_n_bounds(ns) -> tuple:
+    ns = np.asarray(ns, dtype=float)
+    N = len(ns)
+    signs = ((np.arange(2 ** N)[:, None] >> np.arange(N)) & 1) * 2.0 - 1.0
+    norms = np.linalg.norm(signs @ ns, axis=1)
+    return float(norms.max()) / N, (2.0 ** N) / float(norms.sum())
+
+
+def _n_wise_reference_rows(rng, N):
+    u = random_unit(rng)
+    yield "random", np.array([random_unit(rng) for _ in range(N)])
+    yield "orthogonal", np.array([(EX, EY, EZ)[k % 3] for k in range(N)])
+    yield "parallel", np.array([u] * N)
+    yield "antiparallel", np.array([u * (-1) ** k for k in range(N)])
+    if N > 1:  # one zero row of one would leave every sum zero
+        rows = np.array([random_unit(rng) for _ in range(N)])
+        rows[rng.integers(N)] = 0.0
+        yield "zero vector", rows
+
+
+def test_n_necessary_sufficient_matches_numpy_reference():
+    rng = np.random.default_rng(20261019)
+    for N in range(1, 11):
+        for kind, rows in _n_wise_reference_rows(rng, N):
+            nec_bound, suf_bound = _reference_n_bounds(rows)
+            # purities at either bound, where the decisions turn, and a random one
+            for eta in (nec_bound, suf_bound, float(rng.uniform(0.1, 1.0))):
+                for ns in (rows, [tuple(r) for r in rows.tolist()]):
+                    nec, suf = n_necessary_sufficient(eta, ns)
+                    ref_nec = criteria._verdict(nec_bound - eta, "necessary-only", "n-wise-necessary")
+                    ref_suf = criteria._verdict(suf_bound - eta, "sufficient-only", "n-wise-sufficient")
+                    assert (nec.decision, suf.decision) == (ref_nec.decision, ref_suf.decision), (N, kind)
+                    assert abs(nec.margin - ref_nec.margin) <= 1e-15, (N, kind, nec.margin, ref_nec.margin)
+                    assert abs(suf.margin - ref_suf.margin) <= 1e-15, (N, kind, suf.margin, ref_suf.margin)
+
+
+def test_n_necessary_sufficient_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        n_necessary_sufficient(0.5, np.zeros((21, 3)))
+    for ns in ([], [[1.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            n_necessary_sufficient(0.5, ns)
+
+
 def test_planar_symmetric_bounds():
     assert planar_nwise_bound(3) == pytest.approx(2 / 3, abs=1e-15)
     assert planar_nwise_bound(4) == pytest.approx(0.6532814824381883, abs=1e-15)
@@ -621,6 +670,8 @@ def _chain_reference_inputs(rng):
             yield "ties", list(rng.choice([0.0, 0.1, -0.1, 0.2, -0.2], size=N))
             yield "unbiased", [0.0] * N
             yield "zero vector", list(rng.choice([0.0, 0.15, -0.15], size=N))
+    # the largest search: N = 8, all |bias| tied, 20,160 candidate orders
+    yield "ties", [0.1, -0.1] * 4
 
 
 def test_best_chain_ordering_matches_numpy_reference():
@@ -736,6 +787,58 @@ def test_biased_chain_tie_invariant_under_flips_and_rotation(case, target, seed)
     povms = _at_margin(lambda ps: decide(ps).margin, biases, vectors, target)
     assume(povms is not None)
     _check_tie_invariance(decide, povms, target, flips, seed)
+
+
+# pair-general under a common rotation. Its margin is ill-conditioned next to
+# extremal POVMs (|b| + |a| = 1), so every POVM is kept 1 % inside that bound:
+# |a| <= 0.99 (1 - |b|). There a rotation, which only re-rounds the Bloch
+# vectors, moves the margin by at most 1e-13.
+
+_PAIR_ROTATION_MOVE = 1e-13
+
+
+def _inside_pair(biases, vectors, fractions) -> list:
+    return [
+        BinaryQubitPovm(b, f * (1.0 - abs(b)) * np.asarray(v) / np.linalg.norm(v))
+        for b, v, f in zip(biases, vectors, fractions)
+    ]
+
+
+def _rotated(povms, seed) -> list:
+    R = _proper_rotation(seed)
+    return [BinaryQubitPovm(p.bias, R @ p.bloch) for p in povms]
+
+
+@given(
+    st.lists(st.floats(-0.9, 0.9) | st.sampled_from([0.0, 0.5, -0.5]), min_size=2, max_size=2),
+    st.lists(_vector, min_size=2, max_size=2),
+    st.lists(st.floats(0.0, 0.99) | st.just(0.99), min_size=2, max_size=2),
+    st.integers(0, 2**32 - 1),
+)
+def test_pair_general_margin_stable_under_rotation(biases, vectors, fractions, seed):
+    povms = _inside_pair(biases, vectors, fractions)
+    v, w = pair_general(*povms), pair_general(*_rotated(povms, seed))
+    assert abs(w.margin - v.margin) <= _PAIR_ROTATION_MOVE, (v.margin, w.margin)
+    for edge in (-criteria.TIE, criteria.TIE):
+        if abs(v.margin - edge) > _PAIR_ROTATION_MOVE:
+            assert (w.margin >= edge) == (v.margin >= edge)
+
+
+@given(
+    st.lists(st.floats(-0.9, 0.9), min_size=2, max_size=2),
+    st.lists(_vector, min_size=2, max_size=2),
+    st.sampled_from([e + s * 2.0 * _PAIR_ROTATION_MOVE for e in (-criteria.TIE, criteria.TIE) for s in (-1.0, 1.0)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_pair_general_never_crosses_tie_under_rotation(biases, vectors, target, seed):
+    # margins 2e-13 either side of -TIE and of +TIE stay on their side
+    povms = _at_margin(lambda ps: pair_general(*ps).margin, biases, vectors, target)
+    assume(povms is not None)
+    v, w = pair_general(*povms), pair_general(*_rotated(povms, seed))
+    assert abs(w.margin - v.margin) <= _PAIR_ROTATION_MOVE
+    edge = -criteria.TIE if target < 0 else criteria.TIE
+    assert (w.margin >= edge) == (v.margin >= edge) == (target >= edge)
+    assert w.decision == v.decision
 
 
 # The closed-form decider lets a set inherit a (k-1)-subset's chain failure:

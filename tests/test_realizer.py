@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -499,3 +500,77 @@ def test_coplanar_same_purity_decisions_match_svd_reference(kind, n, seed):
     if got is not None:
         assert (got.decision, got.criterion_id) == (ref.decision, ref.criterion_id)
         assert abs(got.margin - ref.margin) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the closed-form decider's dispatch: a pair goes straight to pair-general, and
+# a subset holding a biased POVM skips the unbiased-only REGISTRY functions.
+# That skips nothing that could decide, since each of them returns None for
+# such a subset.
+
+
+def test_registry_functions_are_all_classified():
+    every = set(realizer.REGISTRY.values())
+    assert realizer._UNBIASED_ONLY <= every
+    assert every - realizer._UNBIASED_ONLY == {realizer._pair_general, realizer._biased_chain}
+
+
+# sets the unbiased-only criteria apply to until one POVM carries a bias: one
+# purity, coplanar or not, some biases just past the unbiased tolerance
+_dispatch_sets = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.sampled_from([0.0, 0.0, 2e-12, -2e-12, 0.05, -0.2]), min_size=n, max_size=n),
+        st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n),
+        st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+        st.floats(0.3, 0.75),
+        st.booleans(),
+    )
+)
+
+
+def _dispatch_povms(case) -> list:
+    biases, angles, heights, eta, coplanar = case
+    povms = []
+    for b, a, h in zip(biases, angles, heights):
+        v = np.array([math.cos(a), math.sin(a), 0.0 if coplanar else h])
+        povms.append(BinaryQubitPovm(b, eta * v / np.linalg.norm(v)))
+    return povms
+
+
+@settings(max_examples=200)
+@given(_dispatch_sets)
+def test_unbiased_only_registry_functions_skip_biased_subsets(case):
+    povms = _dispatch_povms(case)
+    unbiased = [BinaryQubitPovm(0.0, p.bloch) for p in povms]
+    for size in range(2, len(povms) + 1):
+        for combo in itertools.combinations(range(len(povms)), size):
+            sub = [povms[i] for i in combo]
+            if all(p.is_unbiased for p in sub):
+                continue
+            for f in realizer._UNBIASED_ONLY:
+                assert f(sub) is None, (f.__name__, [p.bias for p in sub])
+            if size <= 3:
+                # with the biases dropped, pair-unbiased or triple-ft applies
+                plain = [unbiased[i] for i in combo]
+                assert any(f(plain) is not None for f in realizer._UNBIASED_ONLY)
+
+
+@settings(max_examples=100)
+@given(_dispatch_sets)
+def test_closed_form_decider_matches_the_full_registry_walk(case):
+    # the walk the decider took before its dispatch: every REGISTRY function in
+    # order on every subset, then the chain
+    povms = _dispatch_povms(case)
+    walk = tuple(dict.fromkeys(realizer.REGISTRY.values()))
+    decide = closed_form_decider(povms)
+    for size in range(2, len(povms) + 1):
+        for combo in itertools.combinations(range(1, len(povms) + 1), size):
+            sub = [povms[i - 1] for i in combo]
+            for f in walk:
+                ref = f(sub)
+                if ref is not None and (ref.decision != UNKNOWN or ref.strength == "iff"):
+                    break
+            v = decide(combo)
+            assert (v.decision, v.criterion_id) == (ref.decision, ref.criterion_id), combo
+            if v.decision != UNKNOWN:  # an Unknown chain verdict may be inherited
+                assert v.margin == ref.margin

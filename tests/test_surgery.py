@@ -122,6 +122,22 @@ def test_surgery_mtuple_random_subsets(rng):
         fam = PlanarSymmetricFamily(N, eta)
         joint = surgery_mtuple(N, ks, eta)
         assert_marginals(joint, fam.povms(ks), tol=1e-11)
+        # the caller's POVMs give the same joint, bit for bit
+        again = surgery_mtuple(N, ks, eta, fam.povms(ks))
+        assert again.masks.tolist() == joint.masks.tolist()
+        assert again.rows.tolist() == joint.rows.tolist()
+
+
+def test_planar_certificate_builds_its_povms_once(monkeypatch):
+    calls = []
+    povm = PlanarSymmetricFamily.povm
+    monkeypatch.setattr(PlanarSymmetricFamily, "povm", lambda self, k: calls.append(k) or povm(self, k))
+    from jmqubit import realize_n_cycle, realize_n_specker
+
+    for realize, N in ((realize_n_cycle, 9), (realize_n_specker, 6)):
+        calls.clear()
+        realize(N)
+        assert calls == list(range(1, N + 1))  # the family's POVMs, and no witness rebuilds them
 
 
 def closed_form_coplanar_joint(thetas, eta):
