@@ -24,12 +24,14 @@ import json
 import math
 import os
 import sys
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from . import oracle as oracle_mod
 from . import realizer
 from .criteria import UNKNOWN, pair_same_purity_bound, planar_nwise_bound
-from .povm import EPS_MARG, povms_from_json_dict, require_valid_povms
+from .povm import EPS_MARG, JointPovm, povms_from_json_dict, require_valid_povms
 from .structures import structure_of
 from .surgery import build_general_binary_joint
 
@@ -102,17 +104,31 @@ def _load_povms(path: str):
 _ascii = json.encoder.encode_basestring_ascii
 _c_encode = json.encoder.c_make_encoder(None, None, _ascii, None, ": ", ",", True, False, True)
 _SCALARS = frozenset((str, int, float, bool, type(None)))
-_NUMBERS = frozenset((int, float))
+# scalars whose JSON text holds no comma and no bracket
+_ATOMS = frozenset((int, float, bool, type(None)))
+_LISTS = frozenset((list, tuple))
+_DICTS = frozenset((dict,))
+_STRS = frozenset((str,))
 
 
 def _dumps(payload) -> str:
     """json.dumps(payload, indent=2, sort_keys=True), byte for byte.
 
-    Dicts with str keys, lists and tuples are laid out here; every scalar,
-    and every flat list of ints and floats in one call, goes to the C
-    encoder. A number never holds a comma, so such a list is indented by
-    splitting at its commas. Anything else (a dict with a non-str key, a
-    subclass of a scalar type, an unknown type) is handed to json.dumps
+    Dicts with str keys, lists and tuples are laid out here; every scalar
+    goes to the C encoder. Three kinds of value are laid out in one pass
+    each, since no atom (a number, a bool or None) writes a comma or a
+    bracket:
+    - a flat list of atoms: one C call, indented at its commas;
+    - a list of flat lists of atoms (`maximal`, `undecided`): one C call,
+      split at its inner brackets and indented at its commas;
+    - a list of flat records, dicts with the same str keys whose values are,
+      key by key, all atoms, all strings or all flat lists of atoms (check's
+      and a certificate's `incompatible`, a certificate's `povms`): each
+      key's values are encoded as one column, and the records are filled
+      into one template.
+    A JointPovm is written as json.dumps writes its to_json_dict(), from its
+    canonical text (_joint_text). Anything else (a dict with a non-str key,
+    a subclass of a scalar type, an unknown type) is handed to json.dumps
     itself and indented to its place.
     """
     chunks: list = []
@@ -128,9 +144,11 @@ def _layout(x, newline: str, chunks: list) -> None:
     if isinstance(x, (list, tuple)):
         if not x:
             chunks.append("[]")
-        elif _NUMBERS.issuperset(map(type, x)):
+        elif _ATOMS.issuperset(map(type, x)):
             flat = "".join(_c_encode(x, 0))
             chunks += ("[", inner, flat[1:-1].replace(",", "," + inner), newline, "]")
+        elif items := _flat_lists(x, inner) or _records(x, inner):
+            chunks += ("[", inner, ("," + inner).join(items), newline, "]")
         else:
             sep = "[" + inner
             for v in x:
@@ -155,8 +173,72 @@ def _layout(x, newline: str, chunks: list) -> None:
                 sep = "," + inner
             chunks += (newline, "}")
             return
+    if isinstance(x, JointPovm):
+        if len(x.masks):
+            chunks.append(_joint_text(x, newline))
+        else:  # no effect, so not the grammar _joint_text reads
+            _layout(x.to_json_dict(), newline, chunks)
+        return
     # JSON strings hold no raw newline, so every newline is layout
     chunks.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", newline))
+
+
+def _flat_lists(x, newline: str):
+    """The texts of x's items, each a list laid out at newline, or None
+    unless every item is a list or tuple of atoms. All are encoded in one C
+    call, which is split into lists at '],[' and into items at ','."""
+    if not (_LISTS.issuperset(map(type, x)) and _ATOMS.issuperset(map(type, chain.from_iterable(x)))):
+        return None
+    inner = newline + "  "
+    opener, sep, closer = "[" + inner, "," + inner, newline + "]"
+    encoded = "".join(_c_encode(x, 0))[2:-2].split("],[")
+    return [opener + s.replace(",", sep) + closer if s else "[]" for s in encoded]
+
+
+def _records(x, newline: str):
+    """The texts of x's items, each a record laid out at newline, or None
+    unless x is a list of flat records (see _dumps)."""
+    first = x[0]
+    if not (_DICTS.issuperset(map(type, x)) and first and _STRS.issuperset(map(type, first))
+            and len(set(map(len, x))) == 1):
+        return None
+    inner = newline + "  "
+    template, columns = "{", []
+    for key in sorted(first):
+        try:
+            column = list(map(itemgetter(key), x))
+        except KeyError:  # same size, other keys
+            return None
+        kinds = set(map(type, column))
+        if _ATOMS.issuperset(kinds):
+            texts = "".join(_c_encode(column, 0))[1:-1].split(",")
+        elif kinds == _STRS:
+            texts = list(map(_ascii, column))
+        elif (texts := _flat_lists(column, inner)) is None:
+            return None
+        columns.append(texts)
+        template += inner + _ascii(key).replace("%", "%%") + ": %s,"
+    template = template[:-1] + newline + "}"
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _joint_text(joint: JointPovm, newline: str) -> str:
+    """json.dumps(joint.to_json_dict(), indent=2, sort_keys=True), indented
+    to its place, made from the joint's canonical text by a fixed chain of
+    replacements. That text's grammar is fixed, {"effects": {"<digits>":
+    {"alpha": a, "bloch": [x, y, z]}, ...}, "n": n} with at least one effect
+    and finite floats by repr, which hold no comma, space, bracket, brace or
+    quote, so each pattern matches only where it is meant to."""
+    nl2, nl4, nl6, nl8 = (newline + " " * k for k in (2, 4, 6, 8))
+    text = (
+        joint.canonical_text.replace(', "bloch": [', f',{nl6}"bloch": [{nl8}')
+        .replace(']}, "', f'{nl6}]{nl4}}},{nl4}"')
+        .replace(']}}, "n": ', f'{nl6}]{nl4}}}{nl2}}},{nl2}"n": ')
+        .replace(", ", "," + nl8)
+        .replace('{"alpha": ', f'{{{nl6}"alpha": ')
+        .replace('{"effects": {', f'{{{nl2}"effects": {{{nl4}', 1)
+    )
+    return text[:-1] + newline + "}"
 
 
 def _print_stdout(text: str) -> None:
@@ -246,7 +328,7 @@ def cmd_joint(args) -> int:
                 f"; it reloads at witness_tol = {res.params.witness_tol:g}, "
                 f"not at EPS_MARG = {EPS_MARG:g}"
             )
-    _emit(joint.to_json_dict(), args.out, summary)
+    _emit(joint, args.out, summary)
     return EXIT_OK
 
 
@@ -281,7 +363,7 @@ def _realize_from_name(args) -> realizer.RealizationCertificate:
 def cmd_realize(args) -> int:
     cert = _realize_from_name(args)
     _emit(
-        cert.to_json_dict(),
+        cert.to_json_dict(joint_objects=True),
         args.out,
         f"realize: {cert.label} at eta {cert.eta!r}, window "
         f"({cert.eta_window[0]!r}, {cert.eta_window[1]!r}], "
@@ -321,7 +403,7 @@ def cmd_atlas(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        payloads = {"manifest": manifest, **{k: c.to_json_dict() for k, c in certs.items()}}
+        payloads = {"manifest": manifest, **{k: c.to_json_dict(joint_objects=True) for k, c in certs.items()}}
         for name, payload in payloads.items():
             (out_dir / f"{name}.json").write_text(_dumps(payload) + "\n")
         summary = f"atlas: manifest + {len(certs)} certificates written to {out_dir}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,9 @@ NECESSARY_ONLY = "necessary-only"
 SUFFICIENT_ONLY = "sufficient-only"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
+    """A criterion's answer, immutable and hashable."""
+
     decision: str
     strength: str
     margin: float

@@ -522,6 +522,18 @@ class JointPovm:
         np.add.at(rows, np.searchsorted(masks, sub), self.rows)
         return JointPovm(len(keep), masks, rows)
 
+    @_computed_once
+    def canonical_text(self) -> str:
+        """json.dumps(self.to_json_dict(), sort_keys=True) byte for byte,
+        written directly and once per joint: outcome keys sorted as strings,
+        floats by repr. The digest hashes it, and the CLI writes its indented
+        form."""
+        effects = sorted(zip(map(str, self.masks.tolist()), self.rows.tolist()))
+        body = ", ".join(
+            f'"{key}": {{"alpha": {a!r}, "bloch": [{x!r}, {y!r}, {z!r}]}}' for key, (a, x, y, z) in effects
+        )
+        return f'{{"effects": {{{body}}}, "n": {self.n}}}'
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

@@ -291,7 +291,10 @@ class RealizationCertificate:
     recipe: dict
     notes: tuple = ()
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, joint_objects: bool = False) -> dict:
+        """The certificate as plain JSON values. joint_objects=True leaves
+        each JointPovm in place of its dict, for a writer that lays it out
+        from its canonical text (the CLI's)."""
         return {
             "label": self.label,
             "povms": povms_to_json_dict(self.povms)["povms"],
@@ -304,7 +307,7 @@ class RealizationCertificate:
                         "subset": list(e.subset),
                         "constructor": e.constructor,
                         "digest": e.digest,
-                        "joint": e.joint.to_json_dict(),
+                        "joint": e.joint if joint_objects else e.joint.to_json_dict(),
                     }
                     for e in self.compatible
                 ],
@@ -396,13 +399,8 @@ def _finite(value, what: str) -> float:
 
 def joint_digest(joint: JointPovm) -> str:
     """sha256 of the joint's canonical text, json.dumps(joint.to_json_dict(),
-    sort_keys=True) byte for byte, written directly: outcome keys sorted as
-    strings, floats by repr."""
-    effects = sorted(zip(map(str, joint.masks.tolist()), joint.rows.tolist()))
-    body = ", ".join(
-        f'"{key}": {{"alpha": {a!r}, "bloch": [{x!r}, {y!r}, {z!r}]}}' for key, (a, x, y, z) in effects
-    )
-    return hashlib.sha256(f'{{"effects": {{{body}}}, "n": {joint.n}}}'.encode()).hexdigest()
+    sort_keys=True) byte for byte (JointPovm.canonical_text)."""
+    return hashlib.sha256(joint.canonical_text.encode()).hexdigest()
 
 
 def _named(v: Verdict) -> str:

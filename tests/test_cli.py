@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jmqubit import (
@@ -715,17 +715,18 @@ def test_closed_stdout_exits_quietly(argv):
 # ---------------------------------------------------------------------------
 # the JSON writer: json.dumps(indent=2, sort_keys=True), byte for byte
 
-_keys = st.one_of(st.text(max_size=4), st.sampled_from(["é", '"\n\\', " ", "\x00", "\U0001f600", ""]))
-_leaves = st.one_of(
+_keys = st.one_of(
+    st.text(max_size=4), st.sampled_from(["é", '"\n\\', " ", "\x00", "\U0001f600", "", "%s", "a,b"])
+)
+_atoms = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
     st.integers(min_value=2**63, max_value=2**200).map(lambda i: i * (-1) ** (i % 2)),
     st.floats(),
     st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf]),
-    st.text(max_size=6),
-    _keys,
 )
+_leaves = st.one_of(_atoms, st.text(max_size=6), _keys)
 _trees = st.recursive(
     _leaves,
     lambda kids: st.one_of(
@@ -741,11 +742,128 @@ _trees = st.recursive(
     max_leaves=40,
 )
 
+# lists of flat lists, as `maximal` and `undecided`: empty inner lists,
+# bools, None and tuples among them
+_flat_lists = st.one_of(st.lists(_atoms, max_size=4), st.lists(_atoms, max_size=4).map(tuple))
+_index_lists = st.lists(_flat_lists, min_size=1, max_size=5)
+
+# record lists, as check's `incompatible` and a certificate's `povms`: the
+# same keys in every record, each key's values all atoms, all strings
+# (escapes included) or all flat lists, or else mixed
+_strings = st.one_of(st.text(max_size=4), st.sampled_from(['a,b', '"q"', "\\", "\n", "%s", "é", "[1]", "{}"]))
+_column_values = {"atoms": _atoms, "strings": _strings, "lists": _flat_lists}
+_column_values["mixed"] = st.one_of(*_column_values.values())
+
+
+class _SubDict(dict):
+    pass
+
+
+@st.composite
+def _record_lists(draw, kids):
+    """A list of records; one record in three is then spoiled: it gets a
+    nested value, becomes a dict subclass, an int-keyed, an empty or a
+    smaller dict, trades a key for another, or a None joins the list."""
+    keys = draw(st.lists(_keys, min_size=1, max_size=4, unique=True))
+    kinds = [draw(st.sampled_from(sorted(_column_values))) for _ in keys]
+    records = [
+        {k: draw(_column_values[kind]) for k, kind in zip(keys, kinds)}
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    i, k = draw(st.integers(0, len(records) - 1)), keys[0]
+    spoil = draw(st.sampled_from(
+        [None, None, None, None, None, None, "nested", "subclass", "int-keys", "empty", "smaller", "other-key", "none"]
+    ))
+    if spoil == "nested":
+        records[i][k] = draw(kids)
+    elif spoil == "subclass":
+        records[i] = _SubDict(records[i])
+    elif spoil == "int-keys":
+        records[i] = dict(enumerate(records[i].values()))
+    elif spoil == "empty":
+        records[i] = {}
+    elif spoil == "smaller":
+        del records[i][k]
+    elif spoil == "other-key":
+        records[i][draw(_keys.filter(lambda key: key not in keys))] = records[i].pop(k)
+    elif spoil == "none":
+        records.insert(i, None)
+    return records
+
+
+_dumps_inputs = st.one_of(
+    _trees,
+    _record_lists(_trees),
+    _index_lists,
+    # the same at a deeper indent
+    st.dictionaries(_keys, st.one_of(_record_lists(_trees), _index_lists), min_size=1, max_size=2),
+)
+
 
 @settings(max_examples=300)
-@given(_trees)
+@given(_dumps_inputs)
+@example([{}, None])
+@example([{"subset": [1, 2], "criterion": "a,b", "margin": -0.0}, {"subset": [], "criterion": "%s", "margin": math.nan}])
+@example([[], [1, True], (2.5, None)])
+@example([[]])
+@example([{"a": 1}, {"a": [1]}])
+@example([{"a": 1}, {"a": 1, "b": 2}])
+@example([{"a": 1, "b": 2}, {"a": 1, "c": 2}])
 def test_dumps_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _digest_of(joint) -> str:
+    return hashlib.sha256(json.dumps(joint.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def test_named_certificates_write_as_json_dumps(named_certificates):
+    """Each certificate is written as json.dumps writes it, with its joints
+    as dicts or as JointPovm objects, and each digest is the sha256 of
+    json.dumps of its joint, as built and as reloaded from the written text."""
+    for cert in named_certificates:
+        expected = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True)
+        assert cli._dumps(cert.to_json_dict()) == expected, cert.label
+        written = cli._dumps(cert.to_json_dict(joint_objects=True))
+        assert written == expected, cert.label
+        loaded = RealizationCertificate.from_json_dict(json.loads(written))
+        for built, back in zip(cert.compatible, loaded.compatible):
+            assert built.digest == back.digest == _digest_of(built.joint), cert.label
+            assert realizer.joint_digest(back.joint) == _digest_of(back.joint) == back.digest
+
+
+_entries = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-7, -1e-7]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.integers(4, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), min_size=1))
+), st.data())
+@example((4, {2, 10, 3}), None)
+def test_joint_is_written_from_its_canonical_text(n_masks, data):
+    n, masks = n_masks
+    masks = sorted(masks, reverse=True)  # keys sort as strings, not in storage order
+    if data is None:
+        rows = [(-0.0, 5e-324, 1e16, 1e-7)] * len(masks)
+    else:
+        rows = data.draw(st.lists(st.tuples(*[_entries] * 4), min_size=len(masks), max_size=len(masks)))
+    joint = JointPovm(n, masks, rows)
+    d = joint.to_json_dict()
+    assert joint.canonical_text == json.dumps(d, sort_keys=True)
+    assert realizer.joint_digest(joint) == _digest_of(joint)
+    for payload, plain in (
+        (joint, d),
+        ([{"joint": joint, "subset": [1]}], [{"joint": d, "subset": [1]}]),
+        ({"evidence": {"compatible": [[joint]]}}, {"evidence": {"compatible": [[d]]}}),
+    ):
+        assert cli._dumps(payload) == json.dumps(plain, indent=2, sort_keys=True)
+
+
+def test_joint_without_effects_is_written_as_json_dumps():
+    joint = JointPovm(2, np.zeros(0, dtype=np.int64), np.zeros((0, 4)))
+    assert cli._dumps({"joint": joint}) == json.dumps({"joint": joint.to_json_dict()}, indent=2, sort_keys=True)
 
 
 def test_dumps_rejects_what_json_dumps_rejects():
@@ -758,13 +876,15 @@ def test_dumps_rejects_what_json_dumps_rejects():
 
 @pytest.fixture
 def checked_dumps(monkeypatch):
-    """cli._dumps, checked against json.dumps on every payload it writes."""
+    """cli._dumps, checked against json.dumps on every payload it writes. A
+    payload may hold a certificate's joints as JointPovm objects, which are
+    written as their to_json_dict()."""
     texts = []
     dumps = cli._dumps
 
     def checked(payload):
         text = dumps(payload)
-        assert text == json.dumps(payload, indent=2, sort_keys=True)
+        assert text == json.dumps(payload, indent=2, sort_keys=True, default=JointPovm.to_json_dict)
         texts.append(text)
         return text
 

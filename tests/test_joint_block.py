@@ -24,13 +24,12 @@ from jmqubit import (
     build_general_binary_joint,
     realize_misc,
     realize_n_cycle,
-    realize_n_specker,
     verify_certificate,
 )
 from jmqubit import realizer
 from jmqubit.criteria import _chain_form
 from jmqubit.povm import _marginal_system
-from jmqubit.realizer import MISC_SCENARIOS, REGISTRY, joint_digest
+from jmqubit.realizer import REGISTRY, joint_digest
 from jmqubit.surgery import AppliedRelabeling
 
 DATA = Path(__file__).parent / "data"
@@ -143,14 +142,6 @@ def assert_same_joint(joint, ref):
 
 # ---------------------------------------------------------------------------
 # the named certificates
-
-
-@pytest.fixture(scope="module")
-def named_certificates():
-    certs = [realize_n_cycle(N) for N in range(3, 41)]
-    certs += [realize_n_specker(N) for N in range(3, 11)]
-    certs += [realize_misc(tag) for tag in sorted(MISC_SCENARIOS)]
-    return certs + list(realizer.atlas_certificates().values())
 
 
 def test_named_certificates_match_the_per_joint_build_load_and_digest(named_certificates):
