@@ -10,13 +10,10 @@ from .povm import (
     BlochVector,
     Effect,
     JointPovm,
-    OutcomeString,
     ValidationReport,
     apply_orthogonal,
-    bloch_vector,
     povms_from_json_dict,
     povms_to_json_dict,
-    relabel_joint,
     relabel_outcomes,
     unbiased_povm,
     validate_povm,
@@ -32,7 +29,6 @@ from .criteria import (
     best_chain_ordering,
     chain_margin,
     coplanar_chain_bound,
-    coplanar_same_purity_sufficient,
     fermat_torricelli,
     general_binary_sufficient,
     n_necessary_sufficient,
@@ -52,14 +48,11 @@ from .surgery import (
     build_general_binary_joint,
     build_planar_symmetric_joint,
     surgery_mtuple,
-    surgery_pair,
 )
 from .structures import (
     JmStructure,
     canonicalize,
     enumerate_structures,
-    is_isomorphic,
-    n_complete,
     n_cycle,
     n_specker,
     nm_compatible,

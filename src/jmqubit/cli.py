@@ -77,13 +77,20 @@ def parse_angle(text: str) -> float:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON document in the file path, or on stdin for '-', read as UTF-8
+    (RFC 8259, section 8.1). CliError: exit 65 when it cannot be read, 64
+    when it is not UTF-8, not JSON, or nested deeper than the parser
+    recurses."""
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+        if path == "-":
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+            text = sys.stdin.read()
+        else:
+            text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text)
     except OSError as exc:
         raise CliError(EXIT_PRECONDITION, f"cannot read {path}: {exc}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError(EXIT_BAD_JSON, f"malformed JSON in {path}: {exc}") from None
 
 
@@ -126,10 +133,10 @@ def _dumps(payload) -> str:
       and a certificate's `incompatible`, a certificate's `povms`): each
       key's values are encoded as one column, and the records are filled
       into one template.
-    A JointPovm is written as json.dumps writes its to_json_dict(), from its
-    canonical text (_joint_text). Anything else (a dict with a non-str key,
-    a subclass of a scalar type, an unknown type) is handed to json.dumps
-    itself and indented to its place.
+    A JointPovm is written as json.dumps writes its to_json_dict(), by its
+    indented_text. Anything else (a dict with a non-str key, a subclass of a
+    scalar type, an unknown type) is handed to json.dumps itself and
+    indented to its place.
     """
     chunks: list = []
     _layout(payload, "\n", chunks)
@@ -174,10 +181,7 @@ def _layout(x, newline: str, chunks: list) -> None:
             chunks += (newline, "}")
             return
     if isinstance(x, JointPovm):
-        if len(x.masks):
-            chunks.append(_joint_text(x, newline))
-        else:  # no effect, so not the grammar _joint_text reads
-            _layout(x.to_json_dict(), newline, chunks)
+        chunks.append(x.indented_text(newline))
         return
     # JSON strings hold no raw newline, so every newline is layout
     chunks.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", newline))
@@ -222,25 +226,6 @@ def _records(x, newline: str):
     return list(map(template.__mod__, zip(*columns)))
 
 
-def _joint_text(joint: JointPovm, newline: str) -> str:
-    """json.dumps(joint.to_json_dict(), indent=2, sort_keys=True), indented
-    to its place, made from the joint's canonical text by a fixed chain of
-    replacements. That text's grammar is fixed, {"effects": {"<digits>":
-    {"alpha": a, "bloch": [x, y, z]}, ...}, "n": n} with at least one effect
-    and finite floats by repr, which hold no comma, space, bracket, brace or
-    quote, so each pattern matches only where it is meant to."""
-    nl2, nl4, nl6, nl8 = (newline + " " * k for k in (2, 4, 6, 8))
-    text = (
-        joint.canonical_text.replace(', "bloch": [', f',{nl6}"bloch": [{nl8}')
-        .replace(']}, "', f'{nl6}]{nl4}}},{nl4}"')
-        .replace(']}}, "n": ', f'{nl6}]{nl4}}}{nl2}}},{nl2}"n": ')
-        .replace(", ", "," + nl8)
-        .replace('{"alpha": ', f'{{{nl6}"alpha": ')
-        .replace('{"effects": {', f'{{{nl2}"effects": {{{nl4}', 1)
-    )
-    return text[:-1] + newline + "}"
-
-
 def _print_stdout(text: str) -> None:
     """Print text to stdout and flush it. When the reader has closed the
     pipe (`jmqubit realize ... | head`), stdout's file descriptor is pointed
@@ -255,12 +240,20 @@ def _print_stdout(text: str) -> None:
         os.close(devnull)
 
 
-def _emit(payload, out: str | None, summary: str) -> None:
-    text = _dumps(payload)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
+def _write(text: str, out: str | None) -> None:
+    """text and a newline to the file out, or to stdout when out is not
+    given; CliError (exit 65) when the file cannot be written."""
+    if not out:
         _print_stdout(text)
+        return
+    try:
+        Path(out).write_text(text + "\n")
+    except OSError as exc:
+        raise CliError(EXIT_PRECONDITION, f"cannot write {out}: {exc}") from None
+
+
+def _emit(payload, out: str | None, summary: str) -> None:
+    _write(_dumps(payload), out)
     print(summary, file=sys.stderr)
 
 
@@ -303,10 +296,7 @@ def cmd_check(args) -> int:
 def cmd_joint(args) -> int:
     povms = _load_povms(args.input)
     if args.constructor == "chain":
-        try:
-            joint, relab = build_general_binary_joint(povms)
-        except ValueError as exc:
-            raise CliError(EXIT_PRECONDITION, str(exc)) from None
+        joint, relab = build_general_binary_joint(povms)
         summary = (
             f"joint: chain construction, order {list(relab.order)}, "
             f"flips {list(relab.flips)}"
@@ -334,24 +324,19 @@ def cmd_joint(args) -> int:
 
 def _realize_from_name(args) -> realizer.RealizationCertificate:
     name = args.structure
-    try:
-        if name in REALIZE_N_CAP:
-            cap = REALIZE_N_CAP[name]
-            if args.n is None:
-                raise CliError(EXIT_PRECONDITION, f"{name} needs --n")
-            if args.n > cap:
-                raise CliError(EXIT_PRECONDITION, f"{name} --n {args.n} exceeds the cap of {cap}")
-            realize = realizer.realize_n_cycle if name == "n-cycle" else realizer.realize_n_specker
-            return realize(args.n, args.eta)
-        if name.startswith("four-vertex-"):
-            atlas_id = int(name[len("four-vertex-"):])
-            return realizer.realize_four_vertex(atlas_id, args.variant, args.eta)
-        if name in realizer.MISC_SCENARIOS:
-            return realizer.realize_misc(name, args.eta)
-    except CliError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc)) from None
+    if name in REALIZE_N_CAP:
+        cap = REALIZE_N_CAP[name]
+        if args.n is None:
+            raise CliError(EXIT_PRECONDITION, f"{name} needs --n")
+        if args.n > cap:
+            raise CliError(EXIT_PRECONDITION, f"{name} --n {args.n} exceeds the cap of {cap}")
+        realize = realizer.realize_n_cycle if name == "n-cycle" else realizer.realize_n_specker
+        return realize(args.n, args.eta)
+    if name.startswith("four-vertex-"):
+        atlas_id = int(name[len("four-vertex-"):])
+        return realizer.realize_four_vertex(atlas_id, args.variant, args.eta)
+    if name in realizer.MISC_SCENARIOS:
+        return realizer.realize_misc(name, args.eta)
     known = (
         ["n-cycle", "n-specker"]
         + [f"four-vertex-{i}" for i in realizer.ATLAS_IDS]
@@ -402,10 +387,13 @@ def cmd_atlas(args) -> int:
     summary = "atlas: 20-entry manifest (use --out DIR for certificates)"
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError(EXIT_PRECONDITION, f"cannot write {out_dir}: {exc}") from None
         payloads = {"manifest": manifest, **{k: c.to_json_dict(joint_objects=True) for k, c in certs.items()}}
         for name, payload in payloads.items():
-            (out_dir / f"{name}.json").write_text(_dumps(payload) + "\n")
+            _write(_dumps(payload), str(out_dir / f"{name}.json"))
         summary = f"atlas: manifest + {len(certs)} certificates written to {out_dir}"
     _emit(manifest, None, summary)
     return EXIT_OK
@@ -438,10 +426,7 @@ def cmd_bounds(args) -> int:
         )
         rows.append("family,n,lo,hi")
         for n in _parse_n_range(args.n):
-            try:
-                lo, hi = window(n)
-            except ValueError as exc:
-                raise CliError(EXIT_PRECONDITION, str(exc)) from None
+            lo, hi = window(n)
             rows.append(f"{args.family},{n},{lo!r},{hi!r}")
     elif args.family == "pair-angle":
         if not args.angle:
@@ -452,11 +437,7 @@ def cmd_bounds(args) -> int:
             rows.append(f"pair-angle,{phi!r},{pair_same_purity_bound(phi)!r}")
     else:
         raise CliError(EXIT_PRECONDITION, f"unknown family {args.family!r}")
-    text = "\n".join(rows)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        _print_stdout(text)
+    _write("\n".join(rows), args.out)
     print(f"bounds: {len(rows) - 1} row(s) for family {args.family}", file=sys.stderr)
     return EXIT_OK
 

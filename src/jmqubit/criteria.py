@@ -435,17 +435,6 @@ def coplanar_chain_bound(angles) -> float:
     return 1.0 / (sins + math.cos(alphas[-1] / 2.0))
 
 
-def coplanar_same_purity_sufficient(angles, eta: float) -> Verdict:
-    """Coplanar unbiased same-purity POVMs at line angles (0, a_1, ..., a_{N-1})."""
-    alphas = [float(a) for a in angles]
-    if any(b <= a for a, b in zip([0.0] + alphas, alphas)):
-        raise ValueError("angles must be strictly increasing and positive")
-    if alphas and alphas[-1] >= math.pi:
-        raise ValueError("total span must stay below pi")
-    strength = IFF if len(alphas) + 1 in (1, 2, 3) else SUFFICIENT_ONLY
-    return _verdict(coplanar_chain_bound(alphas) - eta, strength, "coplanar-chain")
-
-
 def pair_same_purity_bound(phi: float) -> float:
     return 1.0 / (abs(math.sin(phi / 2.0)) + abs(math.cos(phi / 2.0)))
 

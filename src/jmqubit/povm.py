@@ -28,14 +28,6 @@ _JSON_NUMBERS = frozenset((int, float))  # bool, a subclass of int, is not one
 BlochVector = np.ndarray  # shape (3,) float64
 
 
-def bloch_vector(x: float, y: float = 0.0, z: float = 0.0) -> BlochVector:
-    """Build a Bloch vector as a float64 array."""
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("Bloch vector components must be finite")
-    return v
-
-
 def _as_bloch(v) -> BlochVector:
     """v as a new float64 array of 3 finite components."""
     a = np.array(v, dtype=float)
@@ -208,52 +200,6 @@ def require_valid_povms(povms) -> None:
         report = validate_povm(p)
         if not report:
             raise ValueError(f"POVM {k} is not a valid POVM: {report.violations}")
-
-
-class OutcomeString:
-    """Length-N string over {+1,-1}, encoded as a bitmask.
-
-    Bit k-1 is set iff x_k = +1 (measurements counted from position 1).
-    """
-
-    __slots__ = ("n", "mask")
-
-    def __init__(self, n: int, mask: int):
-        if n < 1:
-            raise ValueError("length must be >= 1")
-        if mask < 0 or mask >> n:
-            raise ValueError("mask out of range for length")
-        self.n = n
-        self.mask = mask
-
-    @classmethod
-    def from_signs(cls, signs: Sequence[int]) -> "OutcomeString":
-        mask = 0
-        for k, s in enumerate(signs):
-            if s == 1:
-                mask |= 1 << k
-            elif s != -1:
-                raise ValueError("signs must be +1 or -1")
-        return cls(len(signs), mask)
-
-    def signs(self) -> tuple:
-        return tuple(1 if self.mask >> k & 1 else -1 for k in range(self.n))
-
-    def negate(self) -> "OutcomeString":
-        return OutcomeString(self.n, self.mask ^ ((1 << self.n) - 1))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OutcomeString)
-            and self.n == other.n
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.mask))
-
-    def __repr__(self):
-        return f"OutcomeString({self.n}, 0b{self.mask:0{self.n}b})"
 
 
 def _read_only(a, dtype) -> np.ndarray:
@@ -488,9 +434,9 @@ class JointPovm:
         violations = _violations(self.masks, *self._spectrum, (0, len(self.masks)), tol)[0]
         return ValidationReport(not violations, violations)
 
-    def effect(self, key) -> Effect:
-        mask = key.mask if isinstance(key, OutcomeString) else int(key)
-        return self.effects.get(mask, ZERO_EFFECT)
+    def effect(self, mask: int) -> Effect:
+        """The effect at an outcome mask, the zero effect where none is stored."""
+        return self.effects.get(int(mask), ZERO_EFFECT)
 
     def marginal_povm(self, k: int) -> BinaryQubitPovm:
         """Single-measurement marginal as a BinaryQubitPovm (k is 1-based)."""
@@ -526,13 +472,33 @@ class JointPovm:
     def canonical_text(self) -> str:
         """json.dumps(self.to_json_dict(), sort_keys=True) byte for byte,
         written directly and once per joint: outcome keys sorted as strings,
-        floats by repr. The digest hashes it, and the CLI writes its indented
-        form."""
+        floats by repr. The digest hashes it, and indented_text lays it out."""
         effects = sorted(zip(map(str, self.masks.tolist()), self.rows.tolist()))
         body = ", ".join(
             f'"{key}": {{"alpha": {a!r}, "bloch": [{x!r}, {y!r}, {z!r}]}}' for key, (a, x, y, z) in effects
         )
         return f'{{"effects": {{{body}}}, "n": {self.n}}}'
+
+    def indented_text(self, newline: str) -> str:
+        """json.dumps(self.to_json_dict(), indent=2, sort_keys=True) with
+        each of its newlines written as newline, which indents the joint to
+        its place in a larger document. Made from canonical_text by a fixed
+        chain of replacements: that text's grammar is {"effects":
+        {"<digits>": {"alpha": a, "bloch": [x, y, z]}, ...}, "n": n}, with
+        finite floats by repr, which hold no comma, space, bracket, brace or
+        quote, so each pattern matches only where it is meant to."""
+        nl2, nl4, nl6, nl8 = (newline + " " * k for k in (2, 4, 6, 8))
+        if not len(self.masks):
+            return f'{{{nl2}"effects": {{}},{nl2}"n": {self.n}{newline}}}'
+        text = (
+            self.canonical_text.replace(', "bloch": [', f',{nl6}"bloch": [{nl8}')
+            .replace(']}, "', f'{nl6}]{nl4}}},{nl4}"')
+            .replace(']}}, "n": ', f'{nl6}]{nl4}}}{nl2}}},{nl2}"n": ')
+            .replace(", ", "," + nl8)
+            .replace('{"alpha": ', f'{{{nl6}"alpha": ')
+            .replace('{"effects": {', f'{{{nl2}"effects": {{{nl4}', 1)
+        )
+        return text[:-1] + newline + "}"
 
     def to_json_dict(self) -> dict:
         return {
@@ -557,16 +523,6 @@ def relabel_outcomes(p: BinaryQubitPovm, swap: bool) -> BinaryQubitPovm:
     if not swap:
         return p
     return BinaryQubitPovm(-p.bias, -p.bloch)
-
-
-def relabel_joint(j: JointPovm, swaps: Sequence[bool]) -> JointPovm:
-    """Per-measurement outcome swaps; outcome keys permute accordingly."""
-    if len(swaps) != j.n:
-        raise ValueError("one swap flag per measurement")
-    flip_mask = sum(1 << k for k, s in enumerate(swaps) if s)
-    if flip_mask == 0:
-        return j
-    return JointPovm(j.n, j.masks ^ flip_mask, j.rows)
 
 
 def _check_orthogonal(O: np.ndarray) -> np.ndarray:

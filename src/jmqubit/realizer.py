@@ -75,14 +75,16 @@ ID6_NOGO_NOTE = (
 # ---------------------------------------------------------------------------
 # geometry helpers for the composite decider
 
+_COPLANAR_TOL = 1e-9  # for coplanar Bloch vectors and for equal purities
 
-def _coplanar_line_angles(povms, tol: float = 1e-9) -> Optional[list]:
+
+def _coplanar_line_angles(povms) -> Optional[list]:
     """Sorted line angles in [0, pi) if the Bloch vectors are coplanar, on
     Python floats. With e the unit longest vector and n the largest cross
     product of e with a vector, made exactly normal to e and unit, the rows A
-    are coplanar when |A n| <= tol * max(1, longest length): never looser
-    than the SVD test s[2] <= tol * max(1, s[0]), since |A n| >= s[2].
-    Angles are measured in the frame (e, n x e)."""
+    are coplanar when |A n| <= tol * max(1, longest length), tol =
+    _COPLANAR_TOL: never looser than the SVD test s[2] <= tol * max(1, s[0]),
+    since |A n| >= s[2]. Angles are measured in the frame (e, n x e)."""
     rows = [p.components for p in povms]
     etas = [p.eta for p in povms]
     longest = max(etas)
@@ -100,7 +102,7 @@ def _coplanar_line_angles(povms, tol: float = 1e-9) -> Optional[list]:
     if size == 0.0:  # every vector a multiple of e
         return [0.0] * len(rows)
     nx, ny, nz = nx / size, ny / size, nz / size
-    if math.hypot(*(nx * x + ny * y + nz * z for x, y, z in rows)) > tol * max(1.0, longest):
+    if math.hypot(*(nx * x + ny * y + nz * z for x, y, z in rows)) > _COPLANAR_TOL * max(1.0, longest):
         return None
     fx, fy, fz = ny * ez - nz * ey, nz * ex - nx * ez, nx * ey - ny * ex
     angles = []
@@ -110,12 +112,12 @@ def _coplanar_line_angles(povms, tol: float = 1e-9) -> Optional[list]:
     return sorted(angles)
 
 
-def _unbiased_purity(povms, tol: float = 1e-9) -> Optional[float]:
+def _unbiased_purity(povms) -> Optional[float]:
     """Common purity of unbiased same-purity POVMs, else None."""
     if not all(p.is_unbiased for p in povms):
         return None
     etas = [p.eta for p in povms]
-    return sum(etas) / len(etas) if max(etas) - min(etas) <= tol else None
+    return sum(etas) / len(etas) if max(etas) - min(etas) <= _COPLANAR_TOL else None
 
 
 # ---------------------------------------------------------------------------
@@ -616,14 +618,16 @@ MIXED_PURITY_THETA = math.radians(22.5)  # admissible interval is (15, 30] degre
 NON_COPLANAR_ALPHA = math.radians(30.0)
 
 
-def mixed_purity_window(theta: float = MIXED_PURITY_THETA) -> tuple:
+def mixed_purity_window() -> tuple:
     """Common-purity window for the three coplanar POVMs of the mixed recipe."""
+    theta = MIXED_PURITY_THETA
     lo = 1.0 / (math.sin(theta) + math.cos(theta))  # keep E2,E3 incompatible
     hi = 1.0 / (math.sin(theta / 2) + math.cos(theta / 2))  # keep E1,Ek compatible
     return (lo, hi)
 
 
-def mixed_purity_povms(theta: float = MIXED_PURITY_THETA, eta: float = SQ23) -> list:
+def mixed_purity_povms(eta: float = SQ23) -> list:
+    theta = MIXED_PURITY_THETA
     return [
         unbiased_povm(eta, [1.0, 0.0, 0.0]),
         unbiased_povm(eta, [math.cos(theta), math.sin(theta), 0.0]),
@@ -632,16 +636,18 @@ def mixed_purity_povms(theta: float = MIXED_PURITY_THETA, eta: float = SQ23) -> 
     ]
 
 
-def non_coplanar_window(alpha: float = NON_COPLANAR_ALPHA) -> tuple:
+def non_coplanar_window() -> tuple:
+    alpha = NON_COPLANAR_ALPHA
     phi = math.acos(math.cos(alpha) ** 2)  # angle between E4 and E2/E3
     lo = 1.0 / (math.sin(phi / 2) + math.cos(phi / 2))
     hi = 1.0 / (math.sin(alpha / 2) + math.cos(alpha / 2))
     return (lo, hi)
 
 
-def non_coplanar_povms(alpha: float = NON_COPLANAR_ALPHA, eta: Optional[float] = None) -> list:
+def non_coplanar_povms(eta: Optional[float] = None) -> list:
+    alpha = NON_COPLANAR_ALPHA
     if eta is None:
-        lo, hi = non_coplanar_window(alpha)
+        lo, hi = non_coplanar_window()
         eta = 0.5 * (lo + hi)
     return [
         unbiased_povm(eta, [1.0, 0.0, 0.0]),
@@ -679,16 +685,16 @@ def realize_four_vertex(
         )
     if variant == "mixed-purity":
         window = mixed_purity_window()
-        povms = mixed_purity_povms(eta=eta if eta is not None else SQ23)
+        used_eta = eta if eta is not None else SQ23
+        povms = mixed_purity_povms(used_eta)
         recipe = {
             "kind": "mixed-purity",
             "theta_degrees": math.degrees(MIXED_PURITY_THETA),
         }
-        used_eta = eta if eta is not None else SQ23
     elif variant == "non-coplanar":
         window = non_coplanar_window()
         used_eta = eta if eta is not None else 0.5 * (window[0] + window[1])
-        povms = non_coplanar_povms(eta=used_eta)
+        povms = non_coplanar_povms(used_eta)
         recipe = {
             "kind": "non-coplanar",
             "alpha_degrees": math.degrees(NON_COPLANAR_ALPHA),

@@ -1,6 +1,7 @@
 """Joint-measurability structures: downward-closed hypergraphs of compatible
-subsets, stored by their maximal compatible sets, plus canonical forms and
-isomorphism for small vertex counts."""
+subsets, stored by their maximal compatible sets, plus canonical forms for
+small vertex counts. Two structures are isomorphic exactly when their
+`canonicalize` forms are equal."""
 
 from __future__ import annotations
 
@@ -57,13 +58,6 @@ class JmStructure:
         s = frozenset(subset)
         return any(s <= m for m in self.maximal)
 
-    def all_compatible_sets(self) -> set:
-        out = set()
-        for m in self.maximal:
-            for r in range(1, len(m) + 1):
-                out.update(map(frozenset, itertools.combinations(sorted(m), r)))
-        return out
-
     def minimal_non_faces(self) -> tuple:
         """The minimal subsets contained in no maximal set (the negative
         border), as sorted 1-based tuples in the order structure_of visits
@@ -119,10 +113,6 @@ def nm_compatible(N: int, M: int) -> JmStructure:
     )
 
 
-def n_complete(N: int) -> JmStructure:
-    return nm_compatible(N, 2)
-
-
 def n_specker(N: int) -> JmStructure:
     """Every (N-1)-subset compatible, full set incompatible."""
     if N < 2:
@@ -145,12 +135,6 @@ def canonicalize(s: JmStructure) -> tuple:
         if best is None or key < best:
             best = key
     return tuple(map(tuple, best))
-
-
-def is_isomorphic(a: JmStructure, b: JmStructure) -> bool:
-    if a.n_vertices != b.n_vertices:
-        return False
-    return canonicalize(a) == canonicalize(b)
 
 
 def enumerate_structures(n: int) -> list:

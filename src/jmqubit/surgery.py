@@ -1,7 +1,7 @@
 """Explicit joint-POVM constructors.
 
 Covers the optimal joint for a full planar symmetric family, the marginal-
-surgery recipes for pairs and M-element subsets of such a family, the general
+surgery recipe for M-element subsets of such a family, the general
 coplanar same-purity chain construction, and the fully general (possibly
 biased) chain construction; the last three build the same chain joint, each
 after its own bound check. Every constructor checks its closed-form purity
@@ -23,7 +23,7 @@ from .criteria import (
     planar_nwise_bound,
     planar_subset_bound,
 )
-from .povm import BinaryQubitPovm, JointPovm
+from .povm import N_CAP, BinaryQubitPovm, JointPovm
 
 BOUND_SLACK = 1e-12
 
@@ -77,12 +77,6 @@ def build_planar_symmetric_joint(fam: PlanarSymmetricFamily) -> JointPovm:
     return JointPovm(N, masks, rows)
 
 
-def _run_masks(n: int, p: int) -> tuple:
-    """Bitmasks of (+1 x p, -1 x (n-p)) and its negation."""
-    plus = (1 << p) - 1
-    return plus, plus ^ ((1 << n) - 1)
-
-
 def build_coplanar_same_purity_joint(angles, eta: float) -> JointPovm:
     """Joint POVM for N coplanar unbiased same-purity POVMs at line angles
     (0, a_1, ..., a_{N-1}), all in [0, pi): the chain joint.
@@ -122,13 +116,6 @@ def surgery_mtuple(N: int, subset, eta: float, povms=None) -> JointPovm:
     return _chain_joint(povms)[0]
 
 
-def surgery_pair(N: int, k1: int, k2: int, eta: float) -> JointPovm:
-    """Marginal-surgery joint for the pair (E_k1, E_k2), k1 < k2."""
-    if k1 >= k2:
-        raise ValueError("need k1 < k2")
-    return surgery_mtuple(N, [k1, k2], eta)
-
-
 @dataclass(frozen=True)
 class AppliedRelabeling:
     """Normalization applied inside the general chain constructor: the POVM
@@ -166,8 +153,11 @@ def _chain_joint(povms) -> tuple:
     -1 x (N - p)) and their negations, with Bloch parts +-t_p, t_p =
     (a_p - a_{p+1})/2, and the two all-equal effects along +-(a_1 + a_N)/2.
     All 2N rows are built as one array; masks are distinct and rows finite by
-    construction.
+    construction. ValueError past N_CAP measurements, which a JointPovm
+    cannot hold.
     """
+    if len(povms) > N_CAP:
+        raise ValueError(f"a joint POVM holds at most {N_CAP} measurements, got {len(povms)}")
     b, a, order = _chain_form(povms)
     N = len(order)
     bias = [b[i] for i in order]

@@ -370,6 +370,81 @@ def test_realize_unknown_structure_exits_65(capsys):
     assert "known" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["realize", "--structure", "n-cycle", "--n", "5", "--eta", "0.1"],
+            "eta 0.1 outside the window (0.7159209561595877, 0.7936044933348412]",
+        ),
+        (["realize", "--structure", "four-vertex-x"], "invalid literal for int() with base 10: 'x'"),
+        (["realize", "--structure", "four-vertex-33"], "atlas id must be 1..20"),
+        (["joint", "PAIR"], "chain inequality violated by 0.545584412271571"),
+        (["bounds", "--family", "n-cycle", "--n", "2"], "cycle needs N >= 3"),
+    ],
+    ids=["realize-eta", "realize-id-text", "realize-id-range", "joint-chain", "bounds-window"],
+)
+def test_value_errors_exit_65_with_their_message(tmp_path, capsys, argv, message):
+    pair = write_povms(tmp_path, [{"bias": 0.0, "bloch": [0.9, 0, 0]}, {"bias": 0.0, "bloch": [0, 0.9, 0]}])
+    code, out, err = run(capsys, *(pair if a == "PAIR" else a for a in argv))
+    assert (code, out, err) == (65, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["check", "POVMS"], "."),
+        (["joint", "POVMS"], "missing/joint.json"),
+        (["realize", "--structure", "n-cycle", "--n", "5"], "missing/c5.json"),
+        (["verify", str(DATA / "5-cycle.json")], "."),
+        (["bounds", "--family", "n-cycle", "--n", "3..5"], "."),
+        (["atlas"], "taken"),  # a file where the directory belongs
+    ],
+    ids=["check", "joint", "realize", "verify", "bounds", "atlas"],
+)
+def test_unwritable_out_exits_65(tmp_path, capsys, argv, out):
+    povms = write_povms(tmp_path, [{"bias": 0.0, "bloch": [0.5, 0, 0]}, {"bias": 0.0, "bloch": [0, 0.5, 0]}])
+    (tmp_path / "taken").write_text("")
+    out = str(tmp_path / out)
+    code, stdout, err = run(capsys, *(povms if a == "POVMS" else a for a in argv), "--out", out)
+    assert code == 65 and stdout == ""
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+@pytest.mark.parametrize(
+    "data", [b"[" * 200_000 + b"]" * 200_000, b"\xff\xfe{"], ids=["nested", "not-utf8"]
+)
+def test_deep_or_undecodable_json_exits_64(tmp_path, capsys, command, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 64 and out == ""
+    assert err.startswith(f"error: malformed JSON in {path}: ")
+
+
+def test_stdin_is_read_as_utf8():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "jmqubit.cli", "check", "-"],
+        input=b"\xff\xfe{", capture_output=True, env=env, timeout=120,
+    )
+    assert done.returncode == 64 and done.stdout == b""
+    assert done.stderr.startswith(b"error: malformed JSON in -: 'utf-8' codec can't decode"), done.stderr
+
+
+def test_joint_refuses_more_measurements_than_a_joint_holds(tmp_path, capsys):
+    povms = [{"bias": 0.0, "bloch": [0.01, 0, 0]}] * 21
+    code, out, err = run(capsys, "joint", write_povms(tmp_path, povms))
+    assert (code, out) == (65, "")
+    assert err == "error: a joint POVM holds at most 20 measurements, got 21\n"
+    out_path = tmp_path / "joint.json"
+    code, _, _ = run(capsys, "joint", write_povms(tmp_path, povms[:20]), "--out", str(out_path))
+    assert code == 0
+    joint = JointPovm.from_json_dict(json.loads(out_path.read_text()))
+    assert joint.n == 20 and joint.marginal_error(povms_from_json_dict({"povms": povms[:20]})) <= EPS_MARG
+
+
 @pytest.mark.parametrize("family", sorted(cli.REALIZE_N_CAP))
 def test_realize_n_cap(tmp_path, capsys, family):
     cap = cli.REALIZE_N_CAP[family]

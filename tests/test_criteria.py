@@ -17,7 +17,6 @@ from jmqubit import (
     build_general_binary_joint,
     chain_margin,
     coplanar_chain_bound,
-    coplanar_same_purity_sufficient,
     fermat_torricelli,
     general_binary_sufficient,
     n_necessary_sufficient,
@@ -552,13 +551,6 @@ def test_coplanar_chain_bound_matches_subset_bound():
     assert coplanar_chain_bound(angles) == pytest.approx(
         planar_subset_bound(N, ks), abs=1e-15
     )
-
-
-def test_coplanar_sufficient_rejects_bad_angles():
-    with pytest.raises(ValueError):
-        coplanar_same_purity_sufficient([0.5, 0.4], 0.5)
-    with pytest.raises(ValueError):
-        coplanar_same_purity_sufficient([0.5, math.pi], 0.5)
 
 
 def test_pair_same_purity_bound_values():

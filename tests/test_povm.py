@@ -12,12 +12,9 @@ from jmqubit import (
     BinaryQubitPovm,
     Effect,
     JointPovm,
-    OutcomeString,
     apply_orthogonal,
-    bloch_vector,
     povms_from_json_dict,
     povms_to_json_dict,
-    relabel_joint,
     relabel_outcomes,
     unbiased_povm,
     validate_povm,
@@ -42,7 +39,7 @@ def test_effect_validity_boundaries():
 
 
 def test_povm_effects_and_completeness():
-    p = BinaryQubitPovm(0.2, bloch_vector(0.3, 0.4, 0.0))
+    p = BinaryQubitPovm(0.2, [0.3, 0.4, 0.0])
     plus, minus = p.effect(1), p.effect(-1)
     assert plus.alpha == pytest.approx(1.2)
     assert minus.alpha == pytest.approx(0.8)
@@ -90,15 +87,6 @@ def test_unbiased_povm_normalizes_direction():
     assert p.is_unbiased
     with pytest.raises(ValueError):
         unbiased_povm(0.5, [0, 0, 0])
-
-
-def test_outcome_string_roundtrip():
-    s = OutcomeString.from_signs([1, -1, 1])
-    assert s.mask == 0b101
-    assert s.signs() == (1, -1, 1)
-    assert s.negate().signs() == (-1, 1, -1)
-    with pytest.raises(ValueError):
-        OutcomeString(2, 4)
 
 
 def _product_joint(p1, p2):
@@ -216,7 +204,7 @@ def test_joint_arrays_are_read_only_and_shared():
     assert j.rows[0, 0] == 1.0
     with pytest.raises(ValueError):
         j.rows[0, 0] = 5.0
-    assert relabel_joint(j, [True]).rows is j.rows
+    assert apply_orthogonal(j, np.eye(3)).masks is j.masks
 
 
 def _random_sparse_joint(rng, n):
@@ -243,7 +231,7 @@ def reference_marginalize(joint, keep):
     return out
 
 
-def test_marginalize_and_relabel_match_per_effect_reference(rng):
+def test_marginalize_matches_per_effect_reference(rng):
     for n in range(1, 7):
         for _ in range(3):
             joint = _random_sparse_joint(rng, n)
@@ -255,14 +243,6 @@ def test_marginalize_and_relabel_match_per_effect_reference(rng):
                     for mask, eff in got.effects.items():
                         assert abs(eff.alpha - ref[mask].alpha) <= 1e-15
                         assert np.max(np.abs(eff.bloch - ref[mask].bloch)) <= 1e-15
-            swaps = [bool(s) for s in rng.integers(0, 2, size=n)]
-            flip = sum(1 << k for k, s in enumerate(swaps) if s)
-            relabeled = relabel_joint(joint, swaps).effects
-            expected = {mask ^ flip: eff for mask, eff in joint.effects.items()}
-            assert set(relabeled) == set(expected)
-            for mask, eff in relabeled.items():
-                assert eff.alpha == expected[mask].alpha
-                assert np.array_equal(eff.bloch, expected[mask].bloch)
 
 
 def test_marginalize_argument_checks():
@@ -279,7 +259,7 @@ def test_relabel_outcomes_and_joint_agree():
     p1 = BinaryQubitPovm(0.1, [0.5, 0, 0])
     p2 = BinaryQubitPovm(-0.2, [0.3, 0, 0])
     j = _product_joint(p1, p2)
-    rj = relabel_joint(j, [True, False])
+    rj = JointPovm(2, j.masks ^ 0b01, j.rows)  # measurement 1's outcomes swapped
     rp = relabel_outcomes(p1, True)
     m = rj.marginal_povm(1)
     assert m.bias == pytest.approx(rp.bias, abs=1e-12)

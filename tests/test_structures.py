@@ -14,8 +14,6 @@ from jmqubit import (
     Verdict,
     canonicalize,
     enumerate_structures,
-    is_isomorphic,
-    n_complete,
     n_cycle,
     n_specker,
     nm_compatible,
@@ -49,32 +47,21 @@ def test_named_structures():
     assert not c.is_compatible({1, 3})
     sp = n_specker(3)
     assert sp.is_compatible({1, 2}) and not sp.is_compatible({1, 2, 3})
-    assert n_complete(4).maximal == nm_compatible(4, 2).maximal
     with pytest.raises(ValueError):
         n_cycle(2)
-
-
-def test_all_compatible_sets_downward_closed():
-    s = n_specker(4)
-    fam = s.all_compatible_sets()
-    for m in fam:
-        for r in range(1, len(m)):
-            for sub in itertools.combinations(sorted(m), r):
-                assert frozenset(sub) in fam
 
 
 def test_canonicalize_invariant_under_relabeling():
     s = JmStructure.from_sets(4, [{1, 2}, {2, 3}, {1, 2, 4}])
     # relabeled under the permutation 1<->4, 2<->3
     relabeled = JmStructure.from_sets(4, [{3, 4}, {2, 3}, {1, 3, 4}])
-    assert is_isomorphic(s, relabeled)
     assert canonicalize(s) == canonicalize(relabeled)
 
 
 def test_is_isomorphic_distinguishes():
     path = JmStructure.from_sets(4, [{1, 2}, {2, 3}])
     disjoint = JmStructure.from_sets(4, [{1, 2}, {3, 4}])
-    assert not is_isomorphic(path, disjoint)
+    assert canonicalize(path) != canonicalize(disjoint)
 
 
 def test_enumerate_small():

@@ -14,7 +14,6 @@ from jmqubit import (
     planar_nwise_bound,
     planar_subset_bound,
     surgery_mtuple,
-    surgery_pair,
     unbiased_povm,
 )
 from jmqubit.surgery import BOUND_SLACK
@@ -209,15 +208,6 @@ def test_chain_constructors_bound_slack(rng):
         surgery_mtuple(N, ks, bound + 0.5 * BOUND_SLACK)
         with pytest.raises(ValueError):
             surgery_mtuple(N, ks, bound + 2e-12)
-
-
-def test_surgery_pair_matches_mtuple():
-    j1 = surgery_pair(5, 2, 4, 0.7)
-    j2 = surgery_mtuple(5, [2, 4], 0.7)
-    for mask in j2.effects:
-        assert j1.effect(mask).alpha == pytest.approx(j2.effect(mask).alpha, abs=1e-15)
-    with pytest.raises(ValueError):
-        surgery_pair(5, 4, 2, 0.7)
 
 
 def test_surgery_bound_enforced():
