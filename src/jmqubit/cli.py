@@ -6,14 +6,17 @@ verify (certificate -> report), atlas (20-entry manifest), bounds (closed-form
 threshold tables as CSV).
 
 Exit codes: 0 success/verified, 2 verification failure, 3 undecided or
-inconclusive outcomes, 64 malformed JSON input, 65 precondition violation.
-JSON goes to stdout (floats serialized via shortest round-trip repr); a short
-human-readable summary goes to stderr.
+inconclusive outcomes, 64 malformed JSON input or a usage error (sysexits'
+EX_USAGE; argparse's own 2 would read as a failed verify), 65 precondition
+violation. JSON goes to stdout (floats serialized via shortest round-trip
+repr); a short human-readable summary goes to stderr.
 
-The argparse parser is built once per process, on the first ``main`` call.
-``main`` dispatches by subcommand name: it looks up ``cmd_<name>`` on this
-module at call time, so a function replaced on the module (by a test or a
-tracer) is the one that runs.
+The argparse parsers are built once per process. ``main`` hands the arguments
+after a subcommand's name straight to that subcommand's parser, so one parser
+level runs; the top-level parser runs only for ``--help`` and for a missing or
+unknown subcommand. ``main`` looks up ``cmd_<name>`` on this module at call
+time, so a function replaced on the module (by a test or a tracer) is the one
+that runs.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .surgery import build_general_binary_joint
 EXIT_OK = 0
 EXIT_FAIL = 2
 EXIT_UNDECIDED = 3
-EXIT_BAD_JSON = 64
+EXIT_BAD_JSON = EXIT_USAGE = 64
 EXIT_PRECONDITION = 65
 
 # Largest `realize --n` per family. An n-cycle certificate grows as N^2
@@ -275,8 +278,9 @@ def cmd_check(args) -> int:
     n = len(povms)
     decider = _decider_for_mode(povms, args.mode)
     struct = structure_of(povms, decider)
+    maximal = struct.sorted_maximal()
     payload = {
-        "structure": struct.to_json_dict(),
+        "structure": {"n": n, "maximal": maximal},
         "undecided": sorted(map(sorted, struct.undecided)),
         "incompatible": [
             {"subset": list(s), "criterion": v.criterion_id, "margin": v.margin}
@@ -287,8 +291,7 @@ def cmd_check(args) -> int:
     _emit(
         payload,
         args.out,
-        f"check: {n} POVMs, maximal compatible sets "
-        f"{struct.sorted_maximal()}, {n_und} undecided subset(s)",
+        f"check: {n} POVMs, maximal compatible sets {maximal}, {n_und} undecided subset(s)",
     )
     return EXIT_UNDECIDED if n_und else EXIT_OK
 
@@ -442,9 +445,18 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, exiting EXIT_USAGE on a usage error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> tuple:
+    """The top-level parser, and the subcommands' parsers by name."""
+    parser = _Parser(
         prog="jmqubit",
         description="joint-measurability toolbox for binary qubit POVMs",
     )
@@ -491,11 +503,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angle", action="append",
                    help="angle with deg/rad suffix (repeatable, pair-angle only)")
     p.add_argument("--out")
-    return parser
+    for name, p in sub.choices.items():
+        p.set_defaults(command=name)
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subcommands = build_parser()
+    sub = subcommands.get(argv[0]) if argv else None
+    args = sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:

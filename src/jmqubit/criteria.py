@@ -182,18 +182,6 @@ def _total_distance(P: list, y) -> float:
     return total
 
 
-def _floats(values):
-    """values, a list or array of numbers, as a list of Python floats; None
-    unless they form a 1-D sequence. A list is read without an array round
-    trip."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError):
-        return None
-
-
 def _float_rows(rows):
     """rows, a list or array of shape (m, 3), as m lists [x, y, z] of Python
     floats; None for any other shape. A list is read without an array round
@@ -339,16 +327,25 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
 def triple_unbiased(etas, ns) -> Verdict:
     """Three unbiased POVMs: compatible iff the FT objective of the four
     derived points v0 = -sum(eta_i n_i), v_j = -2 eta_j n_j - v0 is <= 4.
-    etas and ns may be lists of Python floats or arrays, of shapes (3,) and
-    (3, 3)."""
-    etas, ns = _floats(etas), _float_rows(ns)
-    if etas is None or ns is None or len(etas) != 3 or len(ns) != 3:
-        raise ValueError("need 3 purities and 3 unit vectors")
-    # a_j = eta_j n_j, v0 = -(a_1 + a_2 + a_3) and v_j = -2 a_j - v0
-    a = [(e * x, e * y, e * z) for e, (x, y, z) in zip(etas, ns)]
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = a
+    etas and ns may be lists of numbers or arrays, of shapes (3,) and (3, 3);
+    each number is converted to a float once, and the points are built from
+    them in one pass."""
+    if isinstance(etas, np.ndarray):
+        etas = etas.tolist()
+    if isinstance(ns, np.ndarray):
+        ns = ns.tolist()
+    try:
+        (e1, e2, e3), ((x1, y1, z1), (x2, y2, z2), (x3, y3, z3)) = etas, ns
+        e1, e2, e3 = float(e1), float(e2), float(e3)
+        # a_j = eta_j n_j, v0 = -(a_1 + a_2 + a_3) and v_j = -2 a_j - v0
+        x1, y1, z1 = e1 * float(x1), e1 * float(y1), e1 * float(z1)
+        x2, y2, z2 = e2 * float(x2), e2 * float(y2), e2 * float(z2)
+        x3, y3, z3 = e3 * float(x3), e3 * float(y3), e3 * float(z3)
+    except (TypeError, ValueError):
+        raise ValueError("need 3 purities and 3 unit vectors") from None
     vx, vy, vz = -(x1 + x2 + x3), -(y1 + y2 + y3), -(z1 + z2 + z3)
-    pts = [[vx, vy, vz]] + [[-2.0 * x - vx, -2.0 * y - vy, -2.0 * z - vz] for x, y, z in a]
+    pts = [[vx, vy, vz], [-2.0 * x1 - vx, -2.0 * y1 - vy, -2.0 * z1 - vz],
+           [-2.0 * x2 - vx, -2.0 * y2 - vy, -2.0 * z2 - vz], [-2.0 * x3 - vx, -2.0 * y3 - vy, -2.0 * z3 - vz]]
     try:
         y = fermat_torricelli(pts)
     except FtConvergenceError as exc:

@@ -189,15 +189,20 @@ REGISTRY = {
     "n-wise-sufficient": _n_wise,
     "biased-chain": _biased_chain,
 }
-# the functions that return None for a subset holding a biased POVM, which
-# the closed-form decider therefore never asks about one
-_UNBIASED_ONLY = frozenset((_pair_unbiased, _triple_ft, _coplanar_same_purity, _n_wise))
-# each function once; the closed-form decider runs the chain last, itself,
-# and sends pairs straight to pair-general, an iff criterion for every pair
-_CRITERIA_BEFORE_CHAIN = tuple(
-    f for f in dict.fromkeys(REGISTRY.values()) if f not in (_biased_chain, _pair_general)
-)
-_CRITERIA_FOR_BIASED = tuple(f for f in _CRITERIA_BEFORE_CHAIN if f not in _UNBIASED_ONLY)
+# The closed-form decider's table: by subset shape, the REGISTRY functions
+# that can decide such a subset, in REGISTRY order; the chain, last in
+# REGISTRY, runs after them. pair-general and triple-ft answer every pair and
+# every unbiased triple with an iff verdict, so nothing after them is asked,
+# and all but pair-general and the chain return None on a biased POVM.
+_DECIDER_TABLE = {
+    shape: tuple(f for f in dict.fromkeys(REGISTRY.values()) if f in can_decide)
+    for shape, can_decide in (
+        ("pair", {_pair_general}),
+        ("unbiased triple", {_triple_ft}),
+        ("unbiased", {_coplanar_same_purity, _n_wise}),  # any other size
+        ("biased", ()),  # three or more
+    )
+}
 
 
 def closed_form_decider(povms):
@@ -205,11 +210,11 @@ def closed_form_decider(povms):
 
     Returns a callable mapping a sorted 1-based index tuple to the deciding
     Verdict: that of the first applicable REGISTRY function that decides the
-    subset or is an iff criterion, else the chain's Unknown verdict.
-    Applicability is settled once per set: a pair goes straight to
-    pair-general, and a subset holding a biased POVM (one test against the
-    set's biased indices) skips the _UNBIASED_ONLY functions, which would
-    return None for it.
+    subset or is an iff criterion, else the chain's Unknown verdict. Only the
+    functions that _DECIDER_TABLE lists for the subset's shape are asked (a
+    pair; an all-unbiased triple or set of another size; a set of three or
+    more holding a biased POVM, told by one test against the set's biased
+    indices): the others would return None or never be reached.
 
     A chain failure is inherited: adding a POVM never lengthens the chain's
     best path (the candidate orders of a set restrict to those of each
@@ -223,16 +228,16 @@ def closed_form_decider(povms):
 
     def decide(combo) -> Verdict:
         sub = [povms[i - 1] for i in combo]
-        if len(combo) == 2:
-            return _pair_general(sub)
-        before_chain = _CRITERIA_BEFORE_CHAIN if biased.isdisjoint(combo) else _CRITERIA_FOR_BIASED
-        for criterion in before_chain:
+        n = len(combo)
+        shape = ("pair" if n == 2 else "biased" if not biased.isdisjoint(combo)
+                 else "unbiased triple" if n == 3 else "unbiased")
+        for criterion in _DECIDER_TABLE[shape]:
             v = criterion(sub)
             if v is not None and (v.decision != UNKNOWN or v.strength == IFF):
                 return v
         v = None
-        if len(combo) >= 4:
-            for j in range(len(combo)):
+        if n >= 4:
+            for j in range(n):
                 v = chain_failed.get(combo[:j] + combo[j + 1:])
                 if v is not None:
                     break

@@ -113,6 +113,85 @@ def test_no_state_carries_across_parses(tmp_path, capsys, monkeypatch):
     assert modes == ["oracle", "closed-form"]
 
 
+# main hands the arguments after a subcommand's name to that subcommand's
+# parser: the Namespace must be the one the top-level parser gives. Each
+# subcommand with its defaults, every option, and - as its input.
+_ARGVS = [
+    ["check"],
+    ["check", "-"],
+    ["check", "p.json", "--mode", "both", "--out", "o.json"],
+    ["check", "--mode=oracle", "-"],
+    ["joint"],
+    ["joint", "-", "--constructor", "oracle", "--out", "j.json"],
+    ["realize", "--structure", "n-cycle"],
+    ["realize", "--structure", "four-vertex-6", "--n", "5", "--eta", "0.7",
+     "--variant", "non-coplanar", "--out", "c.json"],
+    ["verify"],
+    ["verify", "-", "--mode", "both", "--out", "r.json"],
+    ["verify", "c.json", "--mode", "oracle"],
+    ["atlas"],
+    ["atlas", "--out", "dir"],
+    ["bounds", "--family", "pair-angle"],
+    ["bounds", "--family", "planar-symmetric", "--n", "3..8", "--out", "b.csv"],
+    ["bounds", "--family=pair-angle", "--angle", "30deg", "--angle", "1rad"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=[" ".join(a) for a in _ARGVS])
+def test_main_parses_as_the_top_level_parser(monkeypatch, argv):
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(args) or 0)
+    assert main(list(argv)) == 0
+    top_level, _ = cli.build_parser()
+    [args] = seen
+    assert args == top_level.parse_args(argv)
+    assert args.command == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--bogus", "x.json"],
+        ["bogus"],
+        [],
+        ["--bogus"],
+        ["realize", "--structure", "n-cycle", "--n", "abc"],
+        ["check", "--mode", "nope"],
+        ["bounds"],  # --family is required
+        ["check", "a.json", "b.json"],
+    ],
+    ids=["unknown-flag", "unknown-subcommand", "no-subcommand", "top-level-flag",
+         "n-not-int", "bad-choice", "missing-required", "extra-argument"],
+)
+def test_usage_errors_exit_64(capsys, argv):
+    # 64 is sysexits' EX_USAGE; argparse's own 2 is the code of a failed verify
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: jmqubit") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["bounds", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: jmqubit")
+
+
+def test_usage_error_exits_64_as_a_process():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv in (["check", "--bogus", "x.json"], ["bogus"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "jmqubit.cli", *argv],
+            capture_output=True, env=env, text=True, timeout=120,
+        )
+        assert done.returncode == 64, done.stderr
+        assert done.stdout == "" and "Traceback" not in done.stderr
+
+
 def test_check_single_povm_trivially_compatible(tmp_path, capsys):
     path = write_povms(tmp_path, [{"bias": 0.0, "bloch": [0.5, 0, 0]}])
     code, out, _ = run(capsys, "check", path)

@@ -22,6 +22,7 @@ from jmqubit import (
     n_cycle_window,
     n_specker,
     n_specker_window,
+    povms_from_json_dict,
     atlas_manifest,
     realize_four_vertex,
     realize_misc,
@@ -32,7 +33,7 @@ from jmqubit import (
     verify_certificate,
 )
 from jmqubit import realizer
-from jmqubit.criteria import pair_unbiased, planar_symmetric_nwise
+from jmqubit.criteria import IFF, pair_unbiased, planar_symmetric_nwise
 from jmqubit.realizer import (
     MISC_SCENARIOS,
     UNDECIDED_INTERVAL_N5,
@@ -503,16 +504,30 @@ def test_coplanar_same_purity_decisions_match_svd_reference(kind, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form decider's dispatch: a pair goes straight to pair-general, and
-# a subset holding a biased POVM skips the unbiased-only REGISTRY functions.
-# That skips nothing that could decide, since each of them returns None for
-# such a subset.
+# the closed-form decider's table: by subset shape, the REGISTRY functions it
+# asks before the chain. Every function it leaves out for a shape returns None
+# on such a subset or comes after an iff criterion that answers it, so the
+# decider returns what a scan of the whole REGISTRY returns.
+
+
+def _shape(sub) -> str:
+    if len(sub) == 2:
+        return "pair"
+    if not all(p.is_unbiased for p in sub):
+        return "biased"
+    return "unbiased triple" if len(sub) == 3 else "unbiased"
 
 
 def test_registry_functions_are_all_classified():
-    every = set(realizer.REGISTRY.values())
-    assert realizer._UNBIASED_ONLY <= every
-    assert every - realizer._UNBIASED_ONLY == {realizer._pair_general, realizer._biased_chain}
+    # every REGISTRY function is in the table for some shape, but the chain,
+    # which the decider runs after the table, and pair-unbiased, which
+    # pair-general shadows; each shape lists its functions in REGISTRY order
+    order = list(dict.fromkeys(realizer.REGISTRY.values()))
+    listed = set().union(*realizer._DECIDER_TABLE.values())
+    assert set(order) - listed == {realizer._pair_unbiased, realizer._biased_chain}
+    assert set(realizer._DECIDER_TABLE) == {"pair", "unbiased triple", "unbiased", "biased"}
+    for functions in realizer._DECIDER_TABLE.values():
+        assert list(functions) == sorted(functions, key=order.index)
 
 
 # sets the unbiased-only criteria apply to until one POVM carries a bias: one
@@ -547,12 +562,15 @@ def test_unbiased_only_registry_functions_skip_biased_subsets(case):
             sub = [povms[i] for i in combo]
             if all(p.is_unbiased for p in sub):
                 continue
-            for f in realizer._UNBIASED_ONLY:
+            # the functions the table leaves out for this shape, but the chain
+            skipped = set(realizer.REGISTRY.values()) - {realizer._biased_chain}
+            skipped -= set(realizer._DECIDER_TABLE[_shape(sub)])
+            for f in skipped:
                 assert f(sub) is None, (f.__name__, [p.bias for p in sub])
             if size <= 3:
                 # with the biases dropped, pair-unbiased or triple-ft applies
                 plain = [unbiased[i] for i in combo]
-                assert any(f(plain) is not None for f in realizer._UNBIASED_ONLY)
+                assert any(f(plain) is not None for f in skipped)
 
 
 @settings(max_examples=100)
@@ -574,3 +592,81 @@ def test_closed_form_decider_matches_the_full_registry_walk(case):
             assert (v.decision, v.criterion_id) == (ref.decision, ref.criterion_id), combo
             if v.decision != UNKNOWN:  # an Unknown chain verdict may be inherited
                 assert v.margin == ref.margin
+
+
+def _registry_scan(povms):
+    """The closed-form decider without its table: each REGISTRY function once,
+    in REGISTRY order, skipping None and stopping at a verdict that decides or
+    is iff, the chain last. The chain step inherits a one-smaller subset's
+    Unknown chain verdict, as the decider's does. Returns decide(combo) ->
+    (verdict, the functions asked before the chain)."""
+    functions = list(dict.fromkeys(realizer.REGISTRY.values()))
+    chain = functions.pop()
+    assert chain is realizer._biased_chain
+    failed = {}
+
+    def decide(combo):
+        sub = [povms[i - 1] for i in combo]
+        for k, f in enumerate(functions):
+            v = f(sub)
+            if v is not None and (v.decision != UNKNOWN or v.strength == IFF):
+                return v, functions[: k + 1]
+        smaller = [combo[:j] + combo[j + 1:] for j in range(len(combo))] if len(combo) >= 4 else []
+        v = next((failed[s] for s in smaller if s in failed), None) or chain(sub)
+        if v.decision == UNKNOWN:
+            failed[combo] = v
+        return v, functions
+
+    return decide
+
+
+def _check_table_against_registry_scan(povms) -> int:
+    """Every subset of two or more, level by level: the decider's verdict is
+    the scan's, bit for bit (equal reprs), and each function the scan asked
+    that the table leaves out for the subset's shape returned None."""
+    decide, scan = closed_form_decider(povms), _registry_scan(povms)
+    count = 0
+    for size in range(2, len(povms) + 1):
+        for combo in itertools.combinations(range(1, len(povms) + 1), size):
+            sub = [povms[i - 1] for i in combo]
+            ref, asked = scan(combo)
+            assert repr(decide(combo)) == repr(ref), combo
+            listed = realizer._DECIDER_TABLE[_shape(sub)]
+            for f in asked:
+                if f not in listed:
+                    assert f(sub) is None, (f.__name__, combo)
+            count += 1
+    return count
+
+
+def test_decider_table_matches_the_registry_scan_on_the_golden_pool():
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / "decide_golden.json"
+    sets = json.loads(golden.read_text())["sets"]
+    assert len(sets) == 240
+    count = sum(_check_table_against_registry_scan(povms_from_json_dict(e)) for e in sets)
+    assert count == sum(2 ** len(e["povms"]) - len(e["povms"]) - 1 for e in sets)
+
+
+# 2-7 POVMs, biased and unbiased mixed: purities shared or not, Bloch vectors
+# coplanar or not, so that every shape and every criterion comes up
+_mixed_sets = st.integers(2, 7).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.sampled_from([0.0, 0.0, 0.0, 2e-12, -2e-12, 0.05, -0.2]), min_size=n, max_size=n),
+        st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n),
+        st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+        st.lists(st.one_of(st.none(), st.floats(0.3, 0.75)), min_size=n, max_size=n),
+        st.floats(0.3, 0.75),
+        st.booleans(),
+    )
+)
+
+
+@settings(max_examples=100)
+@given(_mixed_sets)
+def test_decider_table_matches_the_registry_scan_on_mixed_sets(case):
+    biases, angles, heights, own_etas, eta, coplanar = case
+    povms = []
+    for b, a, h, own in zip(biases, angles, heights, own_etas):
+        v = np.array([math.cos(a), math.sin(a), 0.0 if coplanar else h])
+        povms.append(BinaryQubitPovm(b, (eta if own is None else own) * v / np.linalg.norm(v)))
+    _check_table_against_registry_scan(povms)
