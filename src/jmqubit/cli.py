@@ -34,7 +34,7 @@ from pathlib import Path
 from . import oracle as oracle_mod
 from . import realizer
 from .criteria import UNKNOWN, pair_same_purity_bound, planar_nwise_bound
-from .povm import EPS_MARG, JointPovm, povms_from_json_dict, require_valid_povms
+from .povm import EPS_MARG, JointPovm, povms_from_json_dict
 from .structures import structure_of
 from .surgery import build_general_binary_joint
 
@@ -105,7 +105,6 @@ def _load_povms(path: str):
         raise CliError(EXIT_PRECONDITION, f"bad POVM-set schema: {exc}") from None
     if not povms:
         raise CliError(EXIT_PRECONDITION, "POVM set is empty")
-    require_valid_povms(povms)
     return povms
 
 

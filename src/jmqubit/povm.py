@@ -175,31 +175,17 @@ class ValidationReport:
         return self.ok
 
 
+_VALID = ValidationReport(True)  # frozen, so one instance serves every valid POVM
+
+
 def validate_povm(p: BinaryQubitPovm, tol: float = EPS_PSD) -> ValidationReport:
-    """Report-style check of the POVM constraints |b| <= 1 - |a| etc., from
-    the effects' eigenvalues (1 +- b +- |a|)/2."""
-    violations = []
-    b, a = p.bias, p.eta
-    if abs(b) - (1.0 - a) > tol:
-        violations.append(("bias-bound |b| <= 1-|a|", abs(b) - (1.0 - a)))
-    for out in (1, -1):
-        alpha = 1.0 + out * b
-        if 0.5 * (alpha - a) < -tol:
-            violations.append((f"effect({out:+d}) PSD", -0.5 * (alpha - a)))
-        if 0.5 * (alpha + a) > 1.0 + tol:
-            violations.append((f"effect({out:+d}) <= I", 0.5 * (alpha + a) - 1.0))
-    comp = abs((1.0 + b) + (1.0 - b) - 2.0)  # the Bloch parts a - a cancel exactly
-    if comp > tol:
-        violations.append(("completeness", comp))
-    return ValidationReport(not violations, tuple(violations))
-
-
-def require_valid_povms(povms) -> None:
-    """ValueError naming the first POVM that fails validate_povm."""
-    for k, p in enumerate(povms, 1):
-        report = validate_povm(p)
-        if not report:
-            raise ValueError(f"POVM {k} is not a valid POVM: {report.violations}")
+    """Report-style check of |b| <= 1 - |a|, the POVM constraint that binds:
+    with effect eigenvalues (1 +- b +- |a|)/2, an effect not PSD or not <= I
+    breaks it by over 2 tol, and (1 + b) + (1 - b) = 2 by construction."""
+    excess = abs(p.bias) - (1.0 - p.eta)
+    if excess > tol:
+        return ValidationReport(False, (("bias-bound |b| <= 1-|a|", excess),))
+    return _VALID
 
 
 def _read_only(a, dtype) -> np.ndarray:
@@ -556,13 +542,17 @@ def povms_to_json_dict(povms: Sequence[BinaryQubitPovm]) -> dict:
 def povms_from_json_dict(d: dict) -> list:
     """The POVMs of {"povms": [{"bias": ..., "bloch": [x, y, z]}, ...]}.
     ValueError naming the field when a bias or a Bloch component is not a
-    JSON number: float() would read the string "0.25", and false as 0."""
+    JSON number (float() would read the string "0.25", and false as 0), and
+    naming the POVM, 1-based, when it fails validate_povm."""
     povms = []
-    for entry in d["povms"]:
+    for k, entry in enumerate(d["povms"], 1):
         bias, bloch = entry["bias"], entry["bloch"]
         if type(bias) not in _JSON_NUMBERS:
             raise ValueError(f"POVM bias must be a JSON number, got {bias!r}")
         if type(bloch) is not list or not _JSON_NUMBERS.issuperset(map(type, bloch)):
             raise ValueError(f"POVM bloch must be an array of JSON numbers, got {bloch!r}")
-        povms.append(BinaryQubitPovm(bias, bloch))
+        p = BinaryQubitPovm(bias, bloch)
+        if not (report := validate_povm(p)):
+            raise ValueError(f"POVM {k} is not a valid POVM: {report.violations}")
+        povms.append(p)
     return povms

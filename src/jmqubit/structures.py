@@ -1,6 +1,7 @@
 """Joint-measurability structures: downward-closed hypergraphs of compatible
 subsets, stored by their maximal compatible sets, plus canonical forms for
-small vertex counts. Two structures are isomorphic exactly when their
+small vertex counts and one representative of every isomorphism class on up
+to five vertices. Two structures are isomorphic exactly when their
 `canonicalize` forms are equal."""
 
 from __future__ import annotations
@@ -121,48 +122,39 @@ def n_specker(N: int) -> JmStructure:
 
 
 def canonicalize(s: JmStructure) -> tuple:
-    """Lexicographically minimal maximal-set family over vertex permutations."""
+    """Lexicographically minimal maximal-set family, sorted by (size, set), over vertex permutations."""
     n = s.n_vertices
     if n > ISO_CAP:
         raise ValueError(f"canonicalization capped at {ISO_CAP} vertices")
-    base = [tuple(sorted(m)) for m in s.maximal]
-    best = None
-    for perm in itertools.permutations(range(1, n + 1)):
-        relabeled = sorted(
-            tuple(sorted(perm[v - 1] for v in m)) for m in base
-        )
-        key = sorted(relabeled, key=lambda t: (len(t), t))
-        if best is None or key < best:
-            best = key
-    return tuple(map(tuple, best))
+    return tuple(min(
+        sorted((tuple(sorted(perm[v - 1] for v in m)) for m in s.maximal), key=lambda t: (len(t), t))
+        for perm in itertools.permutations(range(1, n + 1))
+    ))
 
 
 def enumerate_structures(n: int) -> list:
-    """All non-isomorphic downward-closed structures on n vertices (n small).
-
-    Brute force over subsets of the size->=2 power set, keeping the downward
-    closed families; returns one representative JmStructure per class.
-    """
-    if n > 4:
-        raise ValueError("exhaustive enumeration intended for n <= 4")
-    bigs = [
-        frozenset(c)
-        for r in range(2, n + 1)
-        for c in itertools.combinations(range(1, n + 1), r)
-    ]
-    reps = {}
-    for bits in range(1 << len(bigs)):
-        chosen = {bigs[i] for i in range(len(bigs)) if bits >> i & 1}
-        if any(
-            frozenset(sub) not in chosen
-            for e in chosen
-            for r in range(2, len(e))
-            for sub in itertools.combinations(sorted(e), r)
-        ):
-            continue
-        s = JmStructure.from_sets(n, chosen)
-        reps.setdefault(canonicalize(s), s)
-    return [reps[k] for k in sorted(reps)]
+    """One representative JmStructure per isomorphism class on n <= 5
+    vertices, in canonicalize order. Labelled structures, bitmasks over the
+    subsets of size >= 2 by size then lexicographically, grow one subset at a
+    time by structure_of's rule: an r-set joins only when all its
+    (r-1)-subsets are in. Visited in increasing order, a structure is kept
+    unless it relabels one kept, so each class keeps its smallest bitmask."""
+    if n > 5:
+        raise ValueError("exhaustive enumeration capped at n <= 5")
+    vertices = range(1, n + 1)
+    bigs = [frozenset(c) for r in range(2, n + 1) for c in itertools.combinations(vertices, r)]
+    bit = {s: 1 << i for i, s in enumerate(bigs)}
+    families = [0]
+    for s in bigs:
+        families += [f | bit[s] for f in families if len(s) == 2 or all(f & bit[s - {v}] for v in s)]
+    met, reps = set(), []
+    for f in sorted(families):
+        if f not in met:
+            members = [s for s in bigs if f & bit[s]]
+            perms = itertools.permutations(vertices)
+            met.update(sum(bit[frozenset(p[v - 1] for v in s)] for s in members) for p in perms)
+            reps.append(JmStructure.from_sets(n, members))
+    return sorted(reps, key=canonicalize)
 
 
 def structure_of(povms, decider: Callable) -> JmStructure:

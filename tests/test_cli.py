@@ -296,6 +296,25 @@ def test_check_rejects_invalid_povm_exits_65(tmp_path, capsys, povm):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_povm_outside_bias_bound_exits_65_naming_it(tmp_path, capsys, command):
+    # |b| + |a| = 0.3 + 0.8 > 1: the effect E(+1) has eigenvalue (1.3 + 0.8)/2 > 1
+    bad = {"bias": 0.3, "bloch": [0.0, 0.8, 0.0]}
+    if command == "check":
+        good = [{"bias": 0.0, "bloch": [0.5, 0, 0]}, {"bias": 0.0, "bloch": [0, 0.5, 0]}]
+        path = write_povms(tmp_path, [*good, bad])
+    else:
+        _, out, _ = run(capsys, "realize", "--structure", "n-cycle", "--n", "4")
+        d = json.loads(out)
+        d["povms"][2] = bad
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(d))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (65, "")
+    assert "POVM 3 is not a valid POVM" in err and "bias-bound |b| <= 1-|a|" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "povm, field",
     [

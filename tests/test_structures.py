@@ -70,6 +70,54 @@ def test_enumerate_small():
     assert len(enumerate_structures(4)) == 20
 
 
+def _brute_force_structures(n):
+    """Reference: every family of subsets of size >= 2 in increasing bitmask
+    order, kept when downward closed; the first of each class represents it,
+    and the classes come in canonical order."""
+    bigs = [
+        frozenset(c)
+        for r in range(2, n + 1)
+        for c in itertools.combinations(range(1, n + 1), r)
+    ]
+    reps = {}
+    for bits in range(1 << len(bigs)):
+        chosen = {bigs[i] for i in range(len(bigs)) if bits >> i & 1}
+        if any(
+            frozenset(sub) not in chosen
+            for e in chosen
+            for r in range(2, len(e))
+            for sub in itertools.combinations(sorted(e), r)
+        ):
+            continue
+        s = JmStructure.from_sets(n, chosen)
+        reps.setdefault(canonicalize(s), s)
+    return [reps[k] for k in sorted(reps)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_enumerate_matches_brute_force(n):
+    got, want = enumerate_structures(n), _brute_force_structures(n)
+    assert [s.sorted_maximal() for s in got] == [s.sorted_maximal() for s in want]
+    assert got == want
+
+
+def test_enumerate_five_vertices():
+    reps = enumerate_structures(5)
+    forms = [canonicalize(s) for s in reps]
+    assert len(reps) == 180
+    assert len(set(forms)) == 180
+    assert forms == sorted(forms)
+    known = set(forms)
+    rng = random.Random(5)
+    for _ in range(200):
+        assert canonicalize(_random_structure(5, rng)) in known
+
+
+def test_enumerate_refuses_six_vertices():
+    with pytest.raises(ValueError):
+        enumerate_structures(6)
+
+
 def test_structure_of_with_stub_decider():
     # compatible: all pairs, the triple {1,2,3}; everything else incompatible
     def decider(combo):
@@ -229,7 +277,7 @@ def _assert_border(s: JmStructure) -> tuple:
     return border
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_minimal_non_faces_of_all_small_structures(n):
     for s in enumerate_structures(n):
         _assert_border(s)
