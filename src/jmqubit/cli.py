@@ -34,7 +34,7 @@ from pathlib import Path
 from . import oracle as oracle_mod
 from . import realizer
 from .criteria import UNKNOWN, pair_same_purity_bound, planar_nwise_bound
-from .povm import EPS_MARG, JointPovm, povms_from_json_dict
+from .povm import EPS_MARG, InvalidPovmError, JointPovm, povms_from_json_dict
 from .structures import structure_of
 from .surgery import build_general_binary_joint
 
@@ -97,12 +97,19 @@ def _load_json(path: str) -> dict:
         raise CliError(EXIT_BAD_JSON, f"malformed JSON in {path}: {exc}") from None
 
 
-def _load_povms(path: str):
-    d = _load_json(path)
+def _from_json(load, d, what: str):
+    """load(d). CliError, exit 65, when d does not follow the schema or holds
+    a POVM out of range; the second is a bad value, not a schema fault."""
     try:
-        povms = povms_from_json_dict(d)
+        return load(d)
+    except InvalidPovmError as exc:
+        raise CliError(EXIT_PRECONDITION, str(exc)) from None
     except SCHEMA_ERRORS as exc:
-        raise CliError(EXIT_PRECONDITION, f"bad POVM-set schema: {exc}") from None
+        raise CliError(EXIT_PRECONDITION, f"bad {what} schema: {exc}") from None
+
+
+def _load_povms(path: str):
+    povms = _from_json(povms_from_json_dict, _load_json(path), "POVM-set")
     if not povms:
         raise CliError(EXIT_PRECONDITION, "POVM set is empty")
     return povms
@@ -360,11 +367,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    d = _load_json(args.input)
-    try:
-        cert = realizer.RealizationCertificate.from_json_dict(d)
-    except SCHEMA_ERRORS as exc:
-        raise CliError(EXIT_PRECONDITION, f"bad certificate schema: {exc}") from None
+    cert = _from_json(realizer.RealizationCertificate.from_json_dict, _load_json(args.input), "certificate")
     report = realizer.verify_certificate(cert, args.mode)
     payload = {
         "ok": report.ok,

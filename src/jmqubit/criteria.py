@@ -360,6 +360,35 @@ def triple_unbiased(etas, ns) -> Verdict:
     return _verdict(4.0 - _total_distance(pts, y.tolist()), IFF, "triple-ft")
 
 
+def triple_anchor_values(a1, a2, a3) -> tuple:
+    """f(v0), f(v1), f(v2), f(v3): the FT objective of triple_unbiased's four
+    points at those points, from the Bloch vectors a_j = eta_j n_j as three
+    floats each. v_i - v_j = 2(a_j - a_i) and v0 - v_i = -2(a_j + a_k), so
+    f(v0) = 2(|a1+a2| + |a1+a3| + |a2+a3|) and
+    f(v_i) = 2(|a_j+a_k| + |a_i-a_j| + |a_i-a_k|): six pair norms."""
+    x2, y2, z2 = a2
+    x3, y3, z3 = a3
+    minus2, minus3 = (-x2, -y2, -z2), (-x3, -y3, -z3)
+    s12, s13, s23 = math.dist(a1, minus2), math.dist(a1, minus3), math.dist(a2, minus3)
+    d12, d13, d23 = math.dist(a1, a2), math.dist(a1, a3), math.dist(a2, a3)
+    return (
+        2.0 * (s12 + s13 + s23),
+        2.0 * (s23 + d12 + d13),
+        2.0 * (s13 + d12 + d23),
+        2.0 * (s12 + d13 + d23),
+    )
+
+
+def triple_anchor(a1, a2, a3) -> Verdict:
+    """Sufficient condition for three unbiased POVMs with Bloch vectors a_j:
+    the FT objective at one of triple_unbiased's data points is <= 4. Any
+    value of the objective bounds its minimum from above, so this margin is
+    at most that of the minimum; it never proves incompatibility. Each f(v_i) is the
+    chain inequality on one ordering of the triple, f(v0) the same with one
+    outcome flipped."""
+    return _verdict(4.0 - min(triple_anchor_values(a1, a2, a3)), SUFFICIENT_ONLY, "triple-anchor")
+
+
 # ---------------------------------------------------------------------------
 # N-POVM bounds, common purity
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,14 +29,23 @@ _JSON_NUMBERS = frozenset((int, float))  # bool, a subclass of int, is not one
 BlochVector = np.ndarray  # shape (3,) float64
 
 
-def _as_bloch(v) -> BlochVector:
-    """v as a new float64 array of 3 finite components."""
-    a = np.array(v, dtype=float)
-    if a.shape != (3,):
+def _bloch_floats(v) -> tuple:
+    """v as three finite Python floats. A list, as JSON gives it, is
+    converted item by item; anything else as numpy converts it to float64."""
+    if type(v) is not list:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (3,):
+            raise ValueError("Bloch vector must have 3 components")
+        v = v.tolist()
+    elif len(v) != 3:
         raise ValueError("Bloch vector must have 3 components")
-    if not all(map(math.isfinite, a.tolist())):
+    x, y, z = map(float, v)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("Bloch vector components must be finite")
-    return a
+    return x, y, z
+
+
+_pack_bloch = struct.Struct("3d").pack  # three native doubles, float64's layout
 
 
 @dataclass(frozen=True)
@@ -47,7 +57,7 @@ class Effect:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "bloch", _as_bloch(self.bloch))
+        object.__setattr__(self, "bloch", np.array(_bloch_floats(self.bloch)))
 
     def min_eigenvalue(self) -> float:
         return 0.5 * (self.alpha - float(np.linalg.norm(self.bloch)))
@@ -75,7 +85,7 @@ class _computed_once:
     """functools.cached_property without its lock: the first access stores
     the value in the instance's __dict__, which later accesses read. Before
     Python 3.12, cached_property takes a lock on each first access, about 1
-    us, and the closed-form decider reads five such values per POVM."""
+    us, and the closed-form decider reads four such values per POVM."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
@@ -89,18 +99,22 @@ class _computed_once:
 
 @dataclass(frozen=True)
 class BinaryQubitPovm:
-    """Binary qubit POVM with effects (1/2)((1 +- b)I +- a.sigma)."""
+    """Binary qubit POVM with effects (1/2)((1 +- b)I +- a.sigma).
+
+    `components`, the Bloch vector as a tuple of three Python floats for the
+    closed-form criteria's scalar loops, is set at construction from the
+    one conversion that also builds `bloch`."""
 
     bias: float
     bloch: BlochVector
 
     def __post_init__(self):
         object.__setattr__(self, "bias", float(self.bias))
-        # a read-only copy: eta and components are computed once, so bloch
-        # must never change
-        bloch = _as_bloch(self.bloch)
-        bloch.flags.writeable = False
-        object.__setattr__(self, "bloch", bloch)
+        components = _bloch_floats(self.bloch)
+        # a read-only copy, over an immutable bytes buffer: the components
+        # and eta are computed once, so bloch must never change
+        object.__setattr__(self, "bloch", np.frombuffer(_pack_bloch(*components)))
+        self.__dict__["components"] = components
         if not math.isfinite(self.bias):
             raise ValueError("bias must be finite")
 
@@ -115,12 +129,6 @@ class BinaryQubitPovm:
         if x * x + y * y + z * z > 1e308:
             return math.hypot(x, y, z)  # inf past the largest float
         return math.sqrt(self.bloch.dot(self.bloch))  # np.linalg.norm's 1-D formula
-
-    @_computed_once
-    def components(self) -> tuple:
-        """The Bloch vector as a tuple of three Python floats, for the
-        closed-form criteria's scalar loops. Computed once per instance."""
-        return tuple(self.bloch.tolist())
 
     @_computed_once
     def is_unbiased(self) -> bool:
@@ -159,7 +167,7 @@ class BinaryQubitPovm:
 
 def unbiased_povm(eta: float, direction) -> BinaryQubitPovm:
     """Unbiased POVM with purity eta along a unit direction."""
-    n = _as_bloch(direction)
+    n = np.array(_bloch_floats(direction))
     norm = np.linalg.norm(n)
     if norm == 0:
         raise ValueError("direction must be nonzero")
@@ -173,6 +181,11 @@ class ValidationReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+class InvalidPovmError(ValueError):
+    """A POVM read from JSON that fails validate_povm: a bad value, where
+    the other ValueErrors of the loaders are schema faults."""
 
 
 _VALID = ValidationReport(True)  # frozen, so one instance serves every valid POVM
@@ -543,7 +556,7 @@ def povms_from_json_dict(d: dict) -> list:
     """The POVMs of {"povms": [{"bias": ..., "bloch": [x, y, z]}, ...]}.
     ValueError naming the field when a bias or a Bloch component is not a
     JSON number (float() would read the string "0.25", and false as 0), and
-    naming the POVM, 1-based, when it fails validate_povm."""
+    InvalidPovmError naming the POVM, 1-based, when it fails validate_povm."""
     povms = []
     for k, entry in enumerate(d["povms"], 1):
         bias, bloch = entry["bias"], entry["bloch"]
@@ -553,6 +566,6 @@ def povms_from_json_dict(d: dict) -> list:
             raise ValueError(f"POVM bloch must be an array of JSON numbers, got {bloch!r}")
         p = BinaryQubitPovm(bias, bloch)
         if not (report := validate_povm(p)):
-            raise ValueError(f"POVM {k} is not a valid POVM: {report.violations}")
+            raise InvalidPovmError(f"POVM {k} is not a valid POVM: {report.violations}")
         povms.append(p)
     return povms

@@ -38,6 +38,7 @@ from .criteria import (
     planar_pair_bound,
     planar_subset_bound,
     planar_symmetric_nwise,
+    triple_anchor,
     triple_unbiased,
 )
 from .povm import (
@@ -143,6 +144,12 @@ def _pair_unbiased(sub) -> Optional[Verdict]:
     return pair_unbiased(sub[0].eta, sub[0].direction, sub[1].eta, sub[1].direction)
 
 
+def _triple_anchor(sub) -> Optional[Verdict]:
+    if len(sub) != 3 or not all(p.is_unbiased for p in sub):
+        return None
+    return triple_anchor(sub[0].components, sub[1].components, sub[2].components)
+
+
 def _triple_ft(sub) -> Optional[Verdict]:
     if len(sub) != 3 or not all(p.is_unbiased for p in sub):
         return None
@@ -186,6 +193,7 @@ def _biased_chain(sub) -> Verdict:
 REGISTRY = {
     "pair-general": _pair_general,
     "pair-unbiased": _pair_unbiased,
+    "triple-anchor": _triple_anchor,
     "triple-ft": _triple_ft,
     "planar-symmetric-nwise": _coplanar_same_purity,
     "coplanar-chain": _coplanar_same_purity,
@@ -196,13 +204,15 @@ REGISTRY = {
 # The closed-form decider's table: by subset shape, the REGISTRY functions
 # that can decide such a subset, in REGISTRY order; the chain, last in
 # REGISTRY, runs after them. pair-general and triple-ft answer every pair and
-# every unbiased triple with an iff verdict, so nothing after them is asked,
-# and all but pair-general and the chain return None on a biased POVM.
+# every unbiased triple with an iff verdict, so nothing after them is asked;
+# triple-anchor, the FT objective at its four data points, settles most
+# compatible triples before triple-ft's solve. All but pair-general and the
+# chain return None on a biased POVM.
 _DECIDER_TABLE = {
     shape: tuple(f for f in dict.fromkeys(REGISTRY.values()) if f in can_decide)
     for shape, can_decide in (
         ("pair", {_pair_general}),
-        ("unbiased triple", {_triple_ft}),
+        ("unbiased triple", {_triple_anchor, _triple_ft}),
         ("unbiased", {_coplanar_same_purity, _n_wise}),  # any other size
         ("biased", ()),  # three or more
     )

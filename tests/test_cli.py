@@ -311,7 +311,8 @@ def test_povm_outside_bias_bound_exits_65_naming_it(tmp_path, capsys, command):
         path.write_text(json.dumps(d))
     code, out, err = run(capsys, command, str(path))
     assert (code, out) == (65, "")
-    assert "POVM 3 is not a valid POVM" in err and "bias-bound |b| <= 1-|a|" in err
+    # a value out of range, not a schema fault
+    assert err.startswith("error: POVM 3 is not a valid POVM") and "bias-bound |b| <= 1-|a|" in err
     assert err.count("\n") == 1
 
 
@@ -568,6 +569,21 @@ def test_verify_failure_exits_2(tmp_path, capsys):
     assert json.loads(out2)["ok"] is False
 
 
+def test_verify_rejects_triple_anchor_as_incompatibility_proof_exits_2(tmp_path, capsys):
+    # triple-anchor is sufficient-only: it never proves a triple incompatible
+    code, out, _ = run(capsys, "realize", "--structure", "5-triple-cycle")
+    d = json.loads(out)
+    entry = next(e for e in d["evidence"]["incompatible"] if e["criterion"] == "triple-ft")
+    entry["criterion"] = "triple-anchor"
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(d))
+    code, out2, _ = run(capsys, "verify", str(path))
+    assert code == 2
+    report = json.loads(out2)
+    assert report["ok"] is False
+    assert report["issues"] == [f"criterion triple-anchor does not prove {entry['subset']} incompatible"]
+
+
 def _set_incompat_subset(subset):
     def tamper(d):
         d["evidence"]["incompatible"][0]["subset"] = subset
@@ -607,26 +623,29 @@ def _effects_list(d):
     joint["effects"] = list(joint["effects"].values())  # an array, not an object of masks
 
 
+_SCHEMA = "error: bad certificate schema"
+
+
 @pytest.mark.parametrize(
-    "tamper",
+    "tamper, prefix",
     [
-        _set_incompat_subset([2, 9]),  # index beyond n = 4
-        _set_incompat_subset([0, 2]),  # index 0 would read the last POVM
-        _set_incompat_subset([2, 2]),
-        _set_incompat_subset([1.0, 3]),
-        _set_povm,
-        _shrink_joint,
-        _set_structure_n,
-        _nan_witness,
-        _duplicate_mask,
-        _effects_list,
+        (_set_incompat_subset([2, 9]), _SCHEMA),  # index beyond n = 4
+        (_set_incompat_subset([0, 2]), _SCHEMA),  # index 0 would read the last POVM
+        (_set_incompat_subset([2, 2]), _SCHEMA),
+        (_set_incompat_subset([1.0, 3]), _SCHEMA),
+        (_set_povm, "error: POVM 1 is not a valid POVM"),  # a bad value, not a schema fault
+        (_shrink_joint, _SCHEMA),
+        (_set_structure_n, _SCHEMA),
+        (_nan_witness, _SCHEMA),
+        (_duplicate_mask, _SCHEMA),
+        (_effects_list, _SCHEMA),
     ],
     ids=[
         "index-high", "index-zero", "duplicate", "non-integer", "invalid-povm", "joint-size",
         "structure-n", "nan-witness", "duplicate-mask", "effects-list",
     ],
 )
-def test_verify_rejects_malformed_certificate_exits_65(tmp_path, capsys, tamper):
+def test_verify_rejects_malformed_certificate_exits_65(tmp_path, capsys, tamper, prefix):
     code, out, _ = run(capsys, "realize", "--structure", "n-cycle", "--n", "4")
     d = json.loads(out)
     tamper(d)
@@ -635,7 +654,7 @@ def test_verify_rejects_malformed_certificate_exits_65(tmp_path, capsys, tamper)
     code, out, err = run(capsys, "verify", str(path))
     assert code == 65
     assert out == ""
-    assert err.startswith("error: bad certificate schema")
+    assert err.startswith(prefix)
 
 
 def _set_joint_n(value):

@@ -899,6 +899,58 @@ def test_pair_general_continuous_across_projective_branch(axis, b2, eta2, direct
         assert near.decision == branch.decision, (n2, near.margin, branch.margin)
 
 
+# unbiased triples at (1 +- delta) times the FT threshold: the FT objective is
+# homogeneous of degree 1 in the Bloch vectors, so scaling the purities by
+# 4 / min f puts the minimum at 4. Axis directions and their opposites bring
+# parallel and antiparallel pairs, whose minimum sits at or next to a data point.
+_triple_direction = st.sampled_from([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]) | _vector
+
+
+def _is_ft_minimizer(points, y) -> bool:
+    """The subgradient test at y: the unit vectors from y toward the other
+    points sum to at most the number of points at y, up to the residual
+    fermat_torricelli accepts."""
+    rx = ry = rz = 0.0
+    at = 0
+    for p in points:
+        d = math.dist(p, y)
+        if d < 1e-14:
+            at += 1
+            continue
+        rx, ry, rz = rx + (p[0] - y[0]) / d, ry + (p[1] - y[1]) / d, rz + (p[2] - y[2]) / d
+    return math.hypot(rx, ry, rz) <= at + 1e-6
+
+
+@given(
+    st.lists(_triple_direction, min_size=3, max_size=3),
+    st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
+    st.floats(1e-9, 1e-2),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_triple_anchor_agrees_with_triple_ft_at_its_threshold(vectors, weights, delta, side):
+    ns = [[x / math.hypot(*v) for x in v] for v in vectors]
+    at_one = triple_unbiased(weights, ns)
+    assume(at_one.decision != UNKNOWN)
+    etas = [w * 4.0 / (4.0 - at_one.margin) * (1.0 + side * delta) for w in weights]
+    ft = triple_unbiased(etas, ns)
+    # triple_unbiased's points, built as it builds them
+    a = [[e * x for x in n] for e, n in zip(etas, ns)]
+    v0 = [-(a[0][c] + a[1][c] + a[2][c]) for c in range(3)]
+    points = [v0] + [[-2.0 * aj[c] - v0[c] for c in range(3)] for aj in a]
+    values = criteria.triple_anchor_values(*a)
+    for p, value in zip(points, values):
+        assert abs(value - criteria._total_distance(points, p)) <= 1e-14
+    anchor = criteria.triple_anchor(*a)
+    assert anchor == (anchor.decision, "sufficient-only", 4.0 - min(values), "triple-anchor")
+    assert anchor.decision != INCOMPATIBLE
+    # a value of the objective bounds its minimum, so triple-anchor proves
+    # compatibility only where triple-ft does and its margin is never larger;
+    # the one exception is a solve that stops short of the minimum, at a
+    # point that fails the subgradient test
+    if (anchor.is_compatible and ft.is_incompatible) or anchor.margin > ft.margin + 1e-12:
+        assert not _is_ft_minimizer(points, criteria.fermat_torricelli(points).tolist()), (anchor, ft)
+
+
 def test_sufficient_only_failure_is_unknown():
     ps = [unbiased_povm(0.99, random_unit(np.random.default_rng(k))) for k in range(4)]
     v = general_binary_sufficient(ps)

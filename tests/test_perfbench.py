@@ -87,6 +87,59 @@ def test_chain_failures_are_inherited_on_the_golden_pool(golden, monkeypatch):
     assert len(inherited) == 2540 + 7 - 1344
 
 
+def test_triple_anchor_settles_triples_as_triple_ft_does(golden):
+    # triple-anchor is the FT objective at triple_unbiased's four data
+    # points, an upper bound on its minimum: its margin is at most
+    # triple-ft's, and the decider's answer is triple-ft's, bit for bit
+    # wherever triple-anchor leaves the triple to it
+    count = anchored = 0
+    for _, povms in golden:
+        decide = closed_form_decider(povms)
+        for combo in itertools.combinations(range(1, len(povms) + 1), 3):
+            sub = [povms[i - 1] for i in combo]
+            ft = realizer._triple_ft(sub)
+            if ft is None:
+                continue
+            anchor, v = realizer._triple_anchor(sub), decide(combo)
+            assert anchor.margin <= ft.margin + 1e-12, combo
+            assert v.decision == ft.decision, combo
+            if v.criterion_id == "triple-anchor":
+                assert v == anchor
+                anchored += 1
+            else:
+                assert repr(v) == repr(ft), combo  # the same bits, NaN included
+            count += 1
+    assert count == 3900 and anchored > 0
+
+
+def test_triple_anchor_spares_most_ft_solves_on_the_golden_pool(golden, monkeypatch):
+    # per walk over the pool, 934 of the 1,629 all-unbiased triples are
+    # settled at a data point and 695 reach the Fermat-Torricelli solve
+    calls = {"triple": 0, "ft": 0}
+
+    def counted(key, f):
+        def run(*args):
+            calls[key] += 1
+            return f(*args)
+
+        return run
+
+    monkeypatch.setattr(realizer, "triple_unbiased", counted("triple", triple_unbiased))
+    monkeypatch.setattr(criteria, "fermat_torricelli", counted("ft", criteria.fermat_torricelli))
+    anchored = 0
+    for _, povms in golden:
+        decide = closed_form_decider(povms)
+
+        def recording(combo):
+            nonlocal anchored
+            v = decide(combo)
+            anchored += v.criterion_id == "triple-anchor"
+            return v
+
+        structure_of(povms, recording)
+    assert (calls["triple"], calls["ft"], anchored) == (695, 695, 934)
+
+
 def _array_units(sub) -> np.ndarray:
     """Unit Bloch rows as numpy divides them, (1, 0, 0) for a zero vector."""
     return np.array([p.bloch / p.eta if p.eta > 0 else [1.0, 0.0, 0.0] for p in sub])

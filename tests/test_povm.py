@@ -321,12 +321,14 @@ def test_eta_is_cached_and_not_a_field(rng):
 
 
 def test_components_are_cached_python_floats(rng):
-    for bloch in rng.normal(size=(20, 3)) * 0.3:
+    for bloch in [*rng.normal(size=(20, 3)) * 0.3, [0.1, -2, 0.3], (0.25, 0.5, -0.125)]:
         p = BinaryQubitPovm(-0.1, bloch)
-        assert "components" not in vars(p)
-        assert p.components == tuple(p.bloch)  # bit for bit
-        assert all(type(x) is float for x in p.components)
-        assert vars(p)["components"] is p.components  # computed once
+        components = vars(p)["components"]  # set at construction
+        assert p.components is components
+        assert components == tuple(p.bloch) == tuple(np.array(bloch, dtype=float))  # bit for bit
+        assert all(type(x) is float for x in components)
+        assert p.bloch.dtype == np.float64 and p.bloch.shape == (3,)
+        assert not p.bloch.flags.writeable
 
 
 def test_bloch_is_a_read_only_copy():
