@@ -341,9 +341,9 @@ def _realize_from_name(args) -> realizer.RealizationCertificate:
             raise CliError(EXIT_PRECONDITION, f"{name} --n {args.n} exceeds the cap of {cap}")
         realize = realizer.realize_n_cycle if name == "n-cycle" else realizer.realize_n_specker
         return realize(args.n, args.eta)
-    if name.startswith("four-vertex-"):
-        atlas_id = int(name[len("four-vertex-"):])
-        return realizer.realize_four_vertex(atlas_id, args.variant, args.eta)
+    atlas_id = name[len("four-vertex-"):]
+    if name.startswith("four-vertex-") and atlas_id.isdecimal():
+        return realizer.realize_four_vertex(int(atlas_id), args.variant, args.eta)
     if name in realizer.MISC_SCENARIOS:
         return realizer.realize_misc(name, args.eta)
     known = (
@@ -405,14 +405,14 @@ def cmd_atlas(args) -> int:
 
 
 def _parse_n_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        rng = range(int(lo), int(hi) + 1)
-        if not rng:
-            raise CliError(EXIT_PRECONDITION, f"empty range {text!r}")
-        return rng
-    n = int(text)
-    return range(n, n + 1)
+    lo, dots, hi = text.partition("..")
+    try:
+        rng = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise CliError(EXIT_PRECONDITION, f"bad --n range {text!r}") from None
+    if not rng:
+        raise CliError(EXIT_PRECONDITION, f"empty range {text!r}")
+    return rng
 
 
 def cmd_bounds(args) -> int:

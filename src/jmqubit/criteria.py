@@ -127,50 +127,6 @@ def _solve_sym3(a, b, c, d, e, f, rx, ry, rz) -> tuple:
     )
 
 
-def _anchor_model_minimizer(P: list, j: int, R: tuple, w: float) -> list:
-    """Minimizer p_j + h of the local model w|h| - R.h + h.H h/2 at a
-    non-optimal anchor (|R| > w), H = sum_i (I - u_i u_i^T)/d_i the Hessian
-    of the distances to the points other than p_j.
-
-    Stationarity gives h = (H + mu I)^-1 R with |h| = w/mu. F(mu) =
-    w/|h(mu)| - mu is concave, and F <= 0 from mu0 = w s/(|R| - w) on, with
-    s = sum_i 1/d_i >= lam_max(H), because |h| >= |R|/(lam_max + mu). Newton
-    from mu0 descends onto the root; F' needs h.(H + mu I)^-1 h, so a step
-    takes two 3x3 solves.
-    """
-    qx, qy, qz = P[j]
-    s = hxx = hxy = hxz = hyy = hyz = hzz = 0.0
-    for px, py, pz in P:
-        dx, dy, dz = px - qx, py - qy, pz - qz
-        d = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if d < 1e-14:
-            continue  # p_j and the points coinciding with it
-        inv = 1.0 / d
-        ux, uy, uz = dx * inv, dy * inv, dz * inv
-        s += inv
-        wx, wy, wz = ux * inv, uy * inv, uz * inv
-        hxx += wx * ux
-        hxy += wx * uy
-        hxz += wx * uz
-        hyy += wy * uy
-        hyz += wy * uz
-        hzz += wz * uz
-    rx, ry, rz = R
-    mu = w * s / (math.sqrt(rx * rx + ry * ry + rz * rz) - w)
-    for _ in range(100):
-        # the diagonal of H + mu I
-        mxx, myy, mzz = s - hxx + mu, s - hyy + mu, s - hzz + mu
-        hx, hy, hz = _solve_sym3(mxx, -hxy, -hxz, myy, -hyz, mzz, rx, ry, rz)
-        s2 = hx * hx + hy * hy + hz * hz
-        q = math.sqrt(s2)
-        F = w / q - mu
-        if F >= -1e-14 * mu:
-            break
-        gx, gy, gz = _solve_sym3(mxx, -hxy, -hxz, myy, -hyz, mzz, hx, hy, hz)
-        mu -= F / (w * (hx * gx + hy * gy + hz * gz) / (q * s2) - 1.0)
-    return [qx + hx, qy + hy, qz + hz]
-
-
 def _total_distance(P: list, y) -> float:
     """sum_i |y - p_i| for lists of Python floats, summed in point order:
     the same bits as numpy's row norms and sum."""
@@ -209,9 +165,11 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     half the distance to the nearest point and halved until f decreases; one
     pass over the points per iteration gives the distances, the gradient and
     the six Hessian entries. It starts from the centroid or, if f is lower
-    there, from the minimizer of the local model at the anchor with the
-    smallest |R_j|: when |R_j| is barely above 1 the minimizer sits very close
-    to that anchor, and the local model finds it.
+    there, from one closed-form step off the anchor p_j with the smallest
+    |R_j|: along u = R_j/|R_j|, the steepest descent from p_j, to the
+    minimizer of f's quadratic model along that line. When |R_j| is barely
+    above 1 + dup_j the minimizer sits close to p_j, in the direction u, and
+    the step lands next to it; the model needs no solve.
 
     Returns once |grad f| <= 1e-9, or when no step decreases f any more. After
     max_iter steps a point with |grad f| <= 1e-6 is still accepted; otherwise
@@ -249,10 +207,25 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     m = len(P)
     y = [cx / m, cy / m, cz / m]
     f = _total_distance(P, y)
-    y_model = _anchor_model_minimizer(P, j_best, R_best, w_best)
-    f_model = _total_distance(P, y_model)
-    if f_model < f:
-        y, f = y_model, f_model
+    # the line start p_j + t u, u = R_j/|R_j|: t minimizes the model
+    # (w - |R|) t + t^2 u.H u/2 of f along u, with u.H u = sum_i (1 - (u.e_i)^2)/d_i
+    # over the unit vectors e_i toward the other points; u.H u is 0 when they
+    # all lie on the line, and the centroid stays
+    qx, qy, qz = P[j_best]
+    ux, uy, uz = R_best[0] / best, R_best[1] / best, R_best[2] / best
+    curv = 0.0
+    for px, py, pz in P:
+        dx, dy, dz = px - qx, py - qy, pz - qz
+        d = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if d >= 1e-14:
+            c = (ux * dx + uy * dy + uz * dz) / d
+            curv += (1.0 - c * c) / d
+    if curv > 0.0:
+        t = (best - w_best) / curv
+        y_line = [qx + t * ux, qy + t * uy, qz + t * uz]
+        f_line = _total_distance(P, y_line)
+        if f_line < f:
+            y, f = y_line, f_line
 
     for _ in range(max_iter):
         yx, yy, yz = y

@@ -30,8 +30,9 @@ from jmqubit.cli import main, parse_angle
 from jmqubit.povm import EPS_MARG
 
 DATA = Path(__file__).parent / "data"
-# the stored certificates; data/oracle_runs.json holds oracle answers
-CERTIFICATES = sorted(p for p in DATA.glob("*.json") if p.name != "oracle_runs.json")
+# the stored certificates that verify; data/oracle_runs.json holds oracle
+# answers, and data/near-parallel-triple-ft.json a certificate verify rejects
+CERTIFICATES = sorted(DATA.glob("5-*.json"))
 
 
 def run(capsys, *argv):
@@ -469,6 +470,11 @@ def test_realize_unknown_structure_exits_65(capsys):
     assert "known" in err
 
 
+KNOWN_STRUCTURES = (
+    ["n-cycle", "n-specker"] + [f"four-vertex-{i}" for i in range(1, 21)] + sorted(realizer.MISC_SCENARIOS)
+)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -476,12 +482,13 @@ def test_realize_unknown_structure_exits_65(capsys):
             ["realize", "--structure", "n-cycle", "--n", "5", "--eta", "0.1"],
             "eta 0.1 outside the window (0.7159209561595877, 0.7936044933348412]",
         ),
-        (["realize", "--structure", "four-vertex-x"], "invalid literal for int() with base 10: 'x'"),
+        (["realize", "--structure", "four-vertex-x"], f"unknown structure 'four-vertex-x'; known: {KNOWN_STRUCTURES}"),
         (["realize", "--structure", "four-vertex-33"], "atlas id must be 1..20"),
         (["joint", "PAIR"], "chain inequality violated by 0.545584412271571"),
         (["bounds", "--family", "n-cycle", "--n", "2"], "cycle needs N >= 3"),
+        (["bounds", "--family", "planar-symmetric", "--n", "3.."], "bad --n range '3..'"),
     ],
-    ids=["realize-eta", "realize-id-text", "realize-id-range", "joint-chain", "bounds-window"],
+    ids=["realize-eta", "realize-id-text", "realize-id-range", "joint-chain", "bounds-window", "bounds-open-range"],
 )
 def test_value_errors_exit_65_with_their_message(tmp_path, capsys, argv, message):
     pair = write_povms(tmp_path, [{"bias": 0.0, "bloch": [0.9, 0, 0]}, {"bias": 0.0, "bloch": [0, 0.9, 0]}])
@@ -582,6 +589,16 @@ def test_verify_rejects_triple_anchor_as_incompatibility_proof_exits_2(tmp_path,
     report = json.loads(out2)
     assert report["ok"] is False
     assert report["issues"] == [f"criterion triple-anchor does not prove {entry['subset']} incompatible"]
+
+
+def test_verify_rejects_triple_ft_entry_on_nearly_parallel_povms_exits_2(capsys):
+    # three nearly parallel unbiased POVMs, compatible, with a well-formed
+    # triple-ft entry claiming [1, 2, 3] incompatible: four data points in two
+    # tight clusters, where the Fermat-Torricelli solve must not crash
+    code, out, err = run(capsys, "verify", str(DATA / "near-parallel-triple-ft.json"))
+    assert code == 2 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["issues"] == ["criterion triple-ft does not prove [1, 2, 3] incompatible"]
 
 
 def _set_incompat_subset(subset):

@@ -30,7 +30,7 @@ from jmqubit import (
     triple_unbiased,
     unbiased_povm,
 )
-from jmqubit import criteria
+from jmqubit import criteria, oracle, realizer
 from jmqubit.criteria import FtConvergenceError
 from conftest import random_orthogonal, random_unit
 
@@ -179,9 +179,11 @@ def test_ft_non_convergence_raises_and_triple_is_unknown(monkeypatch, caplog):
     assert "residual" in record.getMessage()
 
 
-# The numpy start of the solver, replaced in src/ by scalar loops and kept
-# here for reference_fermat_torricelli: the anchor test for all points at
-# once, and the local-model minimizer in the eigenbasis of the Hessian.
+# The solver's previous start, kept here for reference_fermat_torricelli as
+# an independent check: the anchor test for all points at once, and the
+# local-model minimizer in the eigenbasis of the Hessian. src/ now starts from
+# one closed-form line step, so the two are compared on objective values, to
+# 1e-14, not bit for bit.
 
 
 def _unit_sums(pts: np.ndarray) -> tuple:
@@ -921,6 +923,20 @@ def _is_ft_minimizer(points, y) -> bool:
     return math.hypot(rx, ry, rz) <= at + 1e-6
 
 
+def _threshold_triple(ns, weights, delta, side):
+    """(etas, points): purities w_k * 4 / min f * (1 + side * delta), so
+    the FT minimum sits at (1 + side * delta) * 4, and triple_unbiased's
+    points, built as it builds them; None when triple_unbiased cannot score
+    the weights."""
+    at_one = triple_unbiased(weights, ns)
+    if at_one.decision == UNKNOWN:
+        return None
+    etas = [w * 4.0 / (4.0 - at_one.margin) * (1.0 + side * delta) for w in weights]
+    a = [[e * x for x in n] for e, n in zip(etas, ns)]
+    v0 = [-(a[0][c] + a[1][c] + a[2][c]) for c in range(3)]
+    return etas, [v0] + [[-2.0 * aj[c] - v0[c] for c in range(3)] for aj in a]
+
+
 @given(
     st.lists(_triple_direction, min_size=3, max_size=3),
     st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
@@ -929,14 +945,11 @@ def _is_ft_minimizer(points, y) -> bool:
 )
 def test_triple_anchor_agrees_with_triple_ft_at_its_threshold(vectors, weights, delta, side):
     ns = [[x / math.hypot(*v) for x in v] for v in vectors]
-    at_one = triple_unbiased(weights, ns)
-    assume(at_one.decision != UNKNOWN)
-    etas = [w * 4.0 / (4.0 - at_one.margin) * (1.0 + side * delta) for w in weights]
+    triple = _threshold_triple(ns, weights, delta, side)
+    assume(triple is not None)
+    etas, points = triple
     ft = triple_unbiased(etas, ns)
-    # triple_unbiased's points, built as it builds them
     a = [[e * x for x in n] for e, n in zip(etas, ns)]
-    v0 = [-(a[0][c] + a[1][c] + a[2][c]) for c in range(3)]
-    points = [v0] + [[-2.0 * aj[c] - v0[c] for c in range(3)] for aj in a]
     values = criteria.triple_anchor_values(*a)
     for p, value in zip(points, values):
         assert abs(value - criteria._total_distance(points, p)) <= 1e-14
@@ -944,11 +957,55 @@ def test_triple_anchor_agrees_with_triple_ft_at_its_threshold(vectors, weights, 
     assert anchor == (anchor.decision, "sufficient-only", 4.0 - min(values), "triple-anchor")
     assert anchor.decision != INCOMPATIBLE
     # a value of the objective bounds its minimum, so triple-anchor proves
-    # compatibility only where triple-ft does and its margin is never larger;
-    # the one exception is a solve that stops short of the minimum, at a
-    # point that fails the subgradient test
-    if (anchor.is_compatible and ft.is_incompatible) or anchor.margin > ft.margin + 1e-12:
-        assert not _is_ft_minimizer(points, criteria.fermat_torricelli(points).tolist()), (anchor, ft)
+    # compatibility only where triple-ft does and its margin is never larger
+    assert not (anchor.is_compatible and ft.is_incompatible), (anchor, ft)
+    assert anchor.margin <= ft.margin + 1e-12, (anchor, ft)
+
+
+def test_triple_ft_next_to_two_nearly_coinciding_points():
+    # x and -x at purities 0.969 and 0.949 put v0 and v3 0.04 apart, with
+    # f(v0) = 4.00001 and f(v3) = 3.99919; the minimum, 3.99830, is off both,
+    # and a solve that stops at v0 reads the triple as incompatible
+    n3 = np.array([0.6711, -0.7542, -0.6405])
+    etas = [0.96937, 0.94931, 0.29071]
+    ns = [EX, -EX, n3 / np.linalg.norm(n3)]
+    v = triple_unbiased(etas, ns)
+    assert v.decision == COMPATIBLE and v.margin == pytest.approx(0.0017, abs=1e-4), v
+    povms = [unbiased_povm(e, n) for e, n in zip(etas, ns)]
+    assert oracle.checked_decision(oracle.decide(povms), povms) == COMPATIBLE
+
+
+def test_ft_solver_reaches_the_minimum_at_triple_thresholds():
+    # the property test's draws, seeded: 30 % of the directions are +-x or y
+    rng = np.random.default_rng(29)
+    axes = [EX, -EX, EY]
+    checked = 0
+    for _ in range(2000):
+        ns = [(axes[rng.integers(3)] if rng.random() < 0.3 else random_unit(rng)).tolist() for _ in range(3)]
+        weights = rng.uniform(0.2, 1.0, size=3).tolist()
+        delta, side = 10.0 ** rng.uniform(-9, -2), (1.0 if rng.random() < 0.5 else -1.0)
+        triple = _threshold_triple(ns, weights, delta, side)
+        if triple is None:
+            continue
+        points = triple[1]
+        assert _is_ft_minimizer(points, fermat_torricelli(points).tolist()), (ns, weights, delta, side)
+        checked += 1
+    assert checked >= 1990
+
+
+def test_triple_ft_answers_nearly_parallel_povms():
+    # +-axis plus noise of size eps: four points in two tight clusters, or
+    # all four nearly on one line
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        axis = random_unit(rng)
+        eps = 10.0 ** rng.uniform(-9, -2)
+        sub = []
+        for _ in range(3):
+            d = (1.0 if rng.random() < 0.5 else -1.0) * axis + eps * rng.normal(size=3)
+            sub.append(BinaryQubitPovm(0.0, rng.uniform(0.2, 1.0) * d / np.linalg.norm(d)))
+        v = realizer.REGISTRY["triple-ft"](sub)
+        assert v.decision != UNKNOWN, (sub, v)
 
 
 def test_sufficient_only_failure_is_unknown():
