@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -92,19 +92,20 @@ NEWTON_RIDGE = 1e-12
 ARMIJO = 1e-4
 
 
-@dataclass(frozen=True)
-class OracleParams:
+class OracleParams(NamedTuple):
     max_iter: int = 200  # Newton steps
     witness_tol: float = 1e-8
 
 
+# a dataclass, not a named tuple: perfbench derives verdicts from it with
+# dataclasses.replace
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     status: str
     residual: float
     iterations: int  # Newton steps
     witness: Optional[JointPovm] = None
-    params: OracleParams = field(default_factory=OracleParams)
+    params: OracleParams = OracleParams()
     # Farkas dual proving infeasibility; left out of ==, which an array breaks
     dual: Optional[np.ndarray] = field(default=None, compare=False)
 
@@ -322,8 +323,7 @@ def checked_decision(res: FeasibilityVerdict, povms) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class SweepMismatch:
+class SweepMismatch(NamedTuple):
     eta: float
     criterion_decision: str
     oracle_status: str

@@ -16,8 +16,7 @@ import functools
 import itertools
 import math
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,16 +47,40 @@ def _bloch_floats(v) -> tuple:
 _pack_bloch = struct.Struct("3d").pack  # three native doubles, float64's layout
 
 
-@dataclass(frozen=True)
-class Effect:
+class _ReadOnly:
+    """Base of Effect and BinaryQubitPovm: the fields named in _fields are
+    written once, into __dict__, by __init__ and read-only after; repr and
+    == are a frozen dataclass's. Not a tuple, which numpy and the JSON
+    writer would read as a sequence."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(map(vars(self).get, self._fields)) == tuple(map(vars(other).get, self._fields))
+
+    __hash__ = None  # as a frozen dataclass's: the bloch array is unhashable
+
+
+class Effect(_ReadOnly):
     """One POVM element, (1/2)(alpha*I + bloch.sigma)."""
 
-    alpha: float
-    bloch: BlochVector
+    _fields = ("alpha", "bloch")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "bloch", np.array(_bloch_floats(self.bloch)))
+    def __init__(self, alpha: float, bloch: BlochVector):
+        vars(self).update(alpha=float(alpha), bloch=np.array(_bloch_floats(bloch)))
 
     def min_eigenvalue(self) -> float:
         return 0.5 * (self.alpha - float(np.linalg.norm(self.bloch)))
@@ -97,26 +120,23 @@ class _computed_once:
         return value
 
 
-@dataclass(frozen=True)
-class BinaryQubitPovm:
+class BinaryQubitPovm(_ReadOnly):
     """Binary qubit POVM with effects (1/2)((1 +- b)I +- a.sigma).
 
     `components`, the Bloch vector as a tuple of three Python floats for the
     closed-form criteria's scalar loops, is set at construction from the
     one conversion that also builds `bloch`."""
 
-    bias: float
-    bloch: BlochVector
+    _fields = ("bias", "bloch")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bias", float(self.bias))
-        components = _bloch_floats(self.bloch)
+    def __init__(self, bias: float, bloch: BlochVector):
+        bias = float(bias)
+        components = _bloch_floats(bloch)
+        if not math.isfinite(bias):
+            raise ValueError("bias must be finite")
         # a read-only copy, over an immutable bytes buffer: the components
         # and eta are computed once, so bloch must never change
-        object.__setattr__(self, "bloch", np.frombuffer(_pack_bloch(*components)))
-        self.__dict__["components"] = components
-        if not math.isfinite(self.bias):
-            raise ValueError("bias must be finite")
+        vars(self).update(bias=bias, bloch=np.frombuffer(_pack_bloch(*components)), components=components)
 
     @_computed_once
     def eta(self) -> float:
@@ -174,8 +194,7 @@ def unbiased_povm(eta: float, direction) -> BinaryQubitPovm:
     return BinaryQubitPovm(0.0, (eta / norm) * n)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple = ()
 
@@ -188,7 +207,7 @@ class InvalidPovmError(ValueError):
     the other ValueErrors of the loaders are schema faults."""
 
 
-_VALID = ValidationReport(True)  # frozen, so one instance serves every valid POVM
+_VALID = ValidationReport(True)  # immutable, so one instance serves every valid POVM
 
 
 def validate_povm(p: BinaryQubitPovm, tol: float = EPS_PSD) -> ValidationReport:
@@ -552,13 +571,34 @@ def povms_to_json_dict(povms: Sequence[BinaryQubitPovm]) -> dict:
     }
 
 
+_JSON_KINDS = {
+    dict: "an object", list: "an array", str: "a string", int: "a number",
+    float: "a number", bool: "a boolean", type(None): "null",
+}
+
+
+def _json_kind(x) -> str:
+    """What JSON value x is, for a message: "an array", "a string", ..."""
+    return _JSON_KINDS.get(type(x), type(x).__name__)
+
+
 def povms_from_json_dict(d: dict) -> list:
     """The POVMs of {"povms": [{"bias": ..., "bloch": [x, y, z]}, ...]}.
-    ValueError naming the field when a bias or a Bloch component is not a
-    JSON number (float() would read the string "0.25", and false as 0), and
+    ValueError naming the field when d is not a JSON object, its povms not
+    an array of objects, or a bias or a Bloch component not a JSON number
+    (float() would read the string "0.25", and false as 0), and
     InvalidPovmError naming the POVM, 1-based, when it fails validate_povm."""
+    if type(d) is not dict:
+        raise ValueError(f"POVM set must be a JSON object, got {_json_kind(d)}")
+    entries = d["povms"]
+    if type(entries) is not list:
+        raise ValueError(f'POVM set field "povms" must be an array of objects, got {_json_kind(entries)}')
     povms = []
-    for k, entry in enumerate(d["povms"], 1):
+    for k, entry in enumerate(entries, 1):
+        if type(entry) is not dict:
+            raise ValueError(
+                f'POVM set field "povms" must be an array of objects; POVM {k} is {_json_kind(entry)}'
+            )
         bias, bloch = entry["bias"], entry["bloch"]
         if type(bias) not in _JSON_NUMBERS:
             raise ValueError(f"POVM bias must be a JSON number, got {bias!r}")

@@ -16,8 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import oracle as oracle_mod
 from .criteria import (
@@ -285,23 +284,20 @@ def oracle_decider(povms):
 # certificates
 
 
-@dataclass(frozen=True)
-class CompatEvidence:
+class CompatEvidence(NamedTuple):
     subset: tuple  # 1-based positions into the certificate's POVM list
     constructor: str
     digest: str
     joint: JointPovm
 
 
-@dataclass(frozen=True)
-class IncompatEvidence:
+class IncompatEvidence(NamedTuple):
     subset: tuple
     criterion: str
     margin: float
 
 
-@dataclass(frozen=True)
-class RealizationCertificate:
+class RealizationCertificate(NamedTuple):
     label: str
     povms: tuple
     eta: float
@@ -704,7 +700,7 @@ def realize_four_vertex(
     if variant == "mixed-purity":
         window = mixed_purity_window()
         used_eta = eta if eta is not None else SQ23
-        povms = mixed_purity_povms(used_eta)
+        make_povms = mixed_purity_povms
         recipe = {
             "kind": "mixed-purity",
             "theta_degrees": math.degrees(MIXED_PURITY_THETA),
@@ -712,15 +708,17 @@ def realize_four_vertex(
     elif variant == "non-coplanar":
         window = non_coplanar_window()
         used_eta = eta if eta is not None else 0.5 * (window[0] + window[1])
-        povms = non_coplanar_povms(used_eta)
+        make_povms = non_coplanar_povms
         recipe = {
             "kind": "non-coplanar",
             "alpha_degrees": math.degrees(NON_COPLANAR_ALPHA),
         }
     else:
         raise ValueError("variant must be 'mixed-purity' or 'non-coplanar'")
-    if not window[0] < used_eta <= window[1]:
-        raise ValueError(f"eta {used_eta} outside the window {window}")
+    lo, hi = window
+    if not lo < used_eta <= hi:
+        raise ValueError(f"eta {used_eta} outside the window ({lo}, {hi}]")
+    povms = make_povms(used_eta)
     return _certificate(
         "four-vertex-6",
         povms,
@@ -793,8 +791,7 @@ def atlas_manifest(certs: Optional[dict] = None) -> dict:
 # verification
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
     issues: tuple = ()
     inconclusive: tuple = ()

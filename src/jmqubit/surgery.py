@@ -12,7 +12,7 @@ the requested POVMs to 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,19 +28,27 @@ from .povm import N_CAP, BinaryQubitPovm, JointPovm
 BOUND_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class PlanarSymmetricFamily:
-    """N unbiased POVMs of common purity whose Bloch lines dissect the plane
-    equiangularly: n_k = (cos (k-1)pi/N, sin (k-1)pi/N, 0)."""
-
+class _PlanarSymmetricFields(NamedTuple):
     n: int
     eta: float
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class PlanarSymmetricFamily(_PlanarSymmetricFields):
+    """N unbiased POVMs of common purity whose Bloch lines dissect the plane
+    equiangularly: n_k = (cos (k-1)pi/N, sin (k-1)pi/N, 0)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, eta: float):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if not 0.0 < self.eta <= 1.0:
+        if not 0.0 < eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
+        return super().__new__(cls, n, eta)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks as well
+        return cls(*iterable)
 
     def direction(self, k: int) -> np.ndarray:
         if not 1 <= k <= self.n:
@@ -116,8 +124,7 @@ def surgery_mtuple(N: int, subset, eta: float, povms=None) -> JointPovm:
     return _chain_joint(povms)[0]
 
 
-@dataclass(frozen=True)
-class AppliedRelabeling:
+class AppliedRelabeling(NamedTuple):
     """Normalization applied inside the general chain constructor: the POVM
     placed at chain position i is input index order[i], with its outcomes
     flipped when flips[i] is set. The returned joint is already mapped back

@@ -9,22 +9,29 @@ orthogonal and only the rotations act faithfully, so reflections are excluded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SymmetryElement:
-    """Group element c^r * s^f with c a rotation by pi/N and s the x-axis flip."""
-
+class _SymmetryElementFields(NamedTuple):
     rotation_steps: int
     reflection: bool
 
-    def __post_init__(self):
-        if self.rotation_steps < 0:
+
+class SymmetryElement(_SymmetryElementFields):
+    """Group element c^r * s^f with c a rotation by pi/N and s the x-axis flip."""
+
+    __slots__ = ()
+
+    def __new__(cls, rotation_steps: int, reflection: bool):
+        if rotation_steps < 0:
             raise ValueError("rotation_steps must be non-negative (reduce mod N)")
+        return super().__new__(cls, rotation_steps, reflection)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks as well
+        return cls(*iterable)
 
 
 IDENTITY = SymmetryElement(0, False)

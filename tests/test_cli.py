@@ -297,6 +297,23 @@ def test_check_rejects_invalid_povm_exits_65(tmp_path, capsys, povm):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "POVM set must be a JSON object, got an array"),
+        ({"povms": "ab"}, 'POVM set field "povms" must be an array of objects, got a string'),
+        ({"povms": {}}, 'POVM set field "povms" must be an array of objects, got an object'),
+        ({"povms": [{"bias": 0.0, "bloch": [0.5, 0, 0]}, 7]}, 'POVM set field "povms" must be an array of objects; POVM 2 is a number'),
+    ],
+    ids=["array", "povms-string", "povms-object", "povm-number"],
+)
+def test_check_rejects_misshapen_povm_set_exits_65(tmp_path, capsys, doc, message):
+    path = tmp_path / "povms.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (65, "", f"error: bad POVM-set schema: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["check", "verify"])
 def test_povm_outside_bias_bound_exits_65_naming_it(tmp_path, capsys, command):
     # |b| + |a| = 0.3 + 0.8 > 1: the effect E(+1) has eigenvalue (1.3 + 0.8)/2 > 1
@@ -482,13 +499,32 @@ KNOWN_STRUCTURES = (
             ["realize", "--structure", "n-cycle", "--n", "5", "--eta", "0.1"],
             "eta 0.1 outside the window (0.7159209561595877, 0.7936044933348412]",
         ),
+        (
+            ["realize", "--structure", "four-vertex-6", "--eta", "inf"],
+            "eta inf outside the window (0.7653668647301796, 0.8504300947672565]",
+        ),
+        (
+            ["realize", "--structure", "four-vertex-6", "--eta", "nan"],
+            "eta nan outside the window (0.7653668647301796, 0.8504300947672565]",
+        ),
+        (
+            ["realize", "--structure", "four-vertex-6", "--variant", "non-coplanar", "--eta", "inf"],
+            "eta inf outside the window (0.7758146081336156, 0.8164965809277261]",
+        ),
+        (
+            ["realize", "--structure", "four-vertex-6", "--variant", "non-coplanar", "--eta", "nan"],
+            "eta nan outside the window (0.7758146081336156, 0.8164965809277261]",
+        ),
         (["realize", "--structure", "four-vertex-x"], f"unknown structure 'four-vertex-x'; known: {KNOWN_STRUCTURES}"),
         (["realize", "--structure", "four-vertex-33"], "atlas id must be 1..20"),
         (["joint", "PAIR"], "chain inequality violated by 0.545584412271571"),
         (["bounds", "--family", "n-cycle", "--n", "2"], "cycle needs N >= 3"),
         (["bounds", "--family", "planar-symmetric", "--n", "3.."], "bad --n range '3..'"),
     ],
-    ids=["realize-eta", "realize-id-text", "realize-id-range", "joint-chain", "bounds-window", "bounds-open-range"],
+    ids=[
+        "realize-eta", "realize-6-inf", "realize-6-nan", "realize-6-non-coplanar-inf", "realize-6-non-coplanar-nan",
+        "realize-id-text", "realize-id-range", "joint-chain", "bounds-window", "bounds-open-range",
+    ],
 )
 def test_value_errors_exit_65_with_their_message(tmp_path, capsys, argv, message):
     pair = write_povms(tmp_path, [{"bias": 0.0, "bloch": [0.9, 0, 0]}, {"bias": 0.0, "bloch": [0, 0.9, 0]}])

@@ -7,7 +7,6 @@ json.dumps. The block code must give the same bytes, digests and issues.
 """
 
 import copy
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -258,8 +257,8 @@ def test_tampered_joints_verify_with_the_per_joint_issues(stored_certificates, k
                     entry["digest"] = reference_digest(ref_joint)
                 cert = RealizationCertificate.from_json_dict(t)
                 assert_same_joint(cert.compatible[j].joint, ref_joint)
-                ref_cert = dataclasses.replace(cert, compatible=tuple(
-                    dataclasses.replace(e, joint=reference_from_json(x["joint"], 1e-8))
+                ref_cert = cert._replace(compatible=tuple(
+                    e._replace(joint=reference_from_json(x["joint"], 1e-8))
                     for e, x in zip(cert.compatible, t["evidence"]["compatible"])
                 ))
                 rep = verify_certificate(cert)

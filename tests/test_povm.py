@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -307,7 +307,10 @@ def test_json_roundtrips_bit_exact():
 
 
 def test_eta_is_cached_and_not_a_field(rng):
-    assert [f.name for f in dataclasses.fields(BinaryQubitPovm)] == ["bias", "bloch"]
+    assert list(inspect.signature(BinaryQubitPovm).parameters) == ["bias", "bloch"]
+    p = BinaryQubitPovm(0.25, [0.5, 0, 0])
+    p.eta, p.direction  # cached values are not fields either
+    assert repr(p) == "BinaryQubitPovm(bias=0.25, bloch=array([0.5, 0. , 0. ]))"
     for bloch in rng.normal(size=(20, 3)) * 0.3:
         p = BinaryQubitPovm(0.1, bloch)
         assert "eta" not in vars(p)

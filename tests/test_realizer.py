@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -175,11 +174,11 @@ def test_verify_oracle_mode_cross_checks():
 def test_verify_oracle_mode_reports_contradictions():
     cert = realize_n_cycle(4)
     # [1, 3] is a non-adjacent (incompatible) pair, [1, 2] an adjacent one
-    compat = (dataclasses.replace(cert.compatible[0], subset=(1, 3)),) + cert.compatible[1:]
-    incompat = (dataclasses.replace(cert.incompatible[0], subset=(1, 2)),) + cert.incompatible[1:]
+    compat = (cert.compatible[0]._replace(subset=(1, 3)),) + cert.compatible[1:]
+    incompat = (cert.incompatible[0]._replace(subset=(1, 2)),) + cert.incompatible[1:]
     for tampered, claim in (
-        (dataclasses.replace(cert, compatible=compat), "compatibility of [1, 3]"),
-        (dataclasses.replace(cert, incompatible=incompat), "incompatibility of [1, 2]"),
+        (cert._replace(compatible=compat), "compatibility of [1, 3]"),
+        (cert._replace(incompatible=incompat), "incompatibility of [1, 2]"),
     ):
         rep = verify_certificate(tampered, "oracle")
         assert not rep.ok
