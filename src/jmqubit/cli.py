@@ -104,6 +104,8 @@ def _from_json(load, d, what: str):
         return load(d)
     except InvalidPovmError as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
+    except KeyError as exc:  # the loaders look fields up by name
+        raise CliError(EXIT_PRECONDITION, f'bad {what} schema: missing field "{exc.args[0]}"') from None
     except SCHEMA_ERRORS as exc:
         raise CliError(EXIT_PRECONDITION, f"bad {what} schema: {exc}") from None
 
@@ -512,6 +514,11 @@ def build_parser() -> tuple:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value such as -1e-3 or -inf after --eta for an option;
+    # joined to the flag it reaches realize's window check
+    for i in range(len(argv) - 2, 0, -1):
+        if argv[i] == "--eta":
+            argv[i:i + 2] = [f"--eta={argv[i + 1]}"]
     parser, subcommands = build_parser()
     sub = subcommands.get(argv[0]) if argv else None
     args = sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)

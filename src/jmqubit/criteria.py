@@ -9,6 +9,7 @@ resolve toward Compatible, matching the half-open purity intervals
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -359,7 +360,12 @@ def triple_anchor(a1, a2, a3) -> Verdict:
     at most that of the minimum; it never proves incompatibility. Each f(v_i) is the
     chain inequality on one ordering of the triple, f(v0) the same with one
     outcome flipped."""
-    return _verdict(4.0 - min(triple_anchor_values(a1, a2, a3)), SUFFICIENT_ONLY, "triple-anchor")
+    return triple_anchor_from_values(triple_anchor_values(a1, a2, a3))
+
+
+def triple_anchor_from_values(values) -> Verdict:
+    """triple_anchor's verdict from the four values of triple_anchor_values."""
+    return _verdict(4.0 - min(values), SUFFICIENT_ONLY, "triple-anchor")
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +500,23 @@ def general_binary_sufficient(povms) -> Verdict:
     return _verdict(chain_margin(povms), strength, "biased-chain")
 
 
+@functools.lru_cache(maxsize=None)
+def _all_tied_orders(N: int) -> tuple:
+    """The permutations of range(N) with seq[0] < seq[-1], in itertools
+    order; N is at most best_chain_ordering's cap."""
+    return tuple(seq for seq in itertools.permutations(range(N)) if seq[0] < seq[-1])
+
+
 def _tie_group_orders(b: list, order: list):
     """The candidate orders, as tuples of indices: the stable sort order
     with every group of tied b permuted independently, the first group
     varying slowest and each group's permutations in itertools order. When
-    all b tie, a path's reversal is again a candidate with the same margin,
-    and only the one with seq[0] < seq[-1] is kept."""
+    all b tie, the stable sort order is range(N), a path's reversal is
+    again a candidate with the same margin, and only the one with
+    seq[0] < seq[-1] is kept."""
     groups = [tuple(run) for _, run in itertools.groupby(order, key=b.__getitem__)]
     if len(groups) == 1:
-        return (seq for seq in itertools.permutations(order) if seq[0] < seq[-1])
+        return _all_tied_orders(len(order))
     return (sum(parts, ()) for parts in itertools.product(*map(itertools.permutations, groups)))
 
 
@@ -543,9 +557,10 @@ def best_chain_ordering(povms) -> tuple:
     the only candidate, scored as chain_margin scores it. Otherwise every
     candidate of _tie_group_orders is scored on Python floats from one
     table of pair distances, and the first best wins. All |bias| tied is
-    the worst case, N!/2 candidates: about 15-35 us at N = 4, 0.2-0.3 ms at
-    N = 6, 2.5 ms at N = 7 (2,520 candidates) and 10-17 ms at N = 8
-    (20,160).
+    the worst case, N!/2 candidates, whose list is built once per N: about
+    13 us at N = 4, 0.12-0.16 ms at N = 6, 0.8-0.9 ms at N = 7 (2,520
+    candidates) and 7-8 ms at N = 8 (20,160), by timeit on one core of an
+    Intel Xeon.
 
     Returns (perm, verdict): chain_margin([povms[i] for i in perm]) is the
     verdict's margin, bit for bit.

@@ -24,6 +24,7 @@ from .criteria import (
     IFF,
     INCOMPATIBLE,
     SUFFICIENT_ONLY,
+    TIE,
     UNKNOWN,
     Verdict,
     _verdict,
@@ -38,6 +39,8 @@ from .criteria import (
     planar_subset_bound,
     planar_symmetric_nwise,
     triple_anchor,
+    triple_anchor_from_values,
+    triple_anchor_values,
     triple_unbiased,
 )
 from .povm import (
@@ -205,8 +208,9 @@ REGISTRY = {
 # REGISTRY, runs after them. pair-general and triple-ft answer every pair and
 # every unbiased triple with an iff verdict, so nothing after them is asked;
 # triple-anchor, the FT objective at its four data points, settles most
-# compatible triples before triple-ft's solve. All but pair-general and the
-# chain return None on a biased POVM.
+# compatible triples before triple-ft's solve; the decider runs that row
+# itself, from one set of anchor values. All but pair-general and the chain
+# return None on a biased POVM.
 _DECIDER_TABLE = {
     shape: tuple(f for f in dict.fromkeys(REGISTRY.values()) if f in can_decide)
     for shape, can_decide in (
@@ -216,6 +220,10 @@ _DECIDER_TABLE = {
         ("biased", ()),  # three or more
     )
 }
+# A triple's chain value f(v_i) > 4 + 2 TIE puts its chain margin
+# (4 - f(v_i))/2 below -TIE; the slack covers the rounding of the values
+# and of a superset's path sum.
+_TRIPLE_CHAIN_GUARD = 2.0 * TIE + 1e-13
 
 
 def closed_form_decider(povms):
@@ -231,19 +239,35 @@ def closed_form_decider(povms):
 
     A chain failure is inherited: adding a POVM never lengthens the chain's
     best path (the candidate orders of a set restrict to those of each
-    subset), so a set of four or more with a one-smaller subset that this
-    decider answered Unknown by biased-chain fails the chain too. Its chain
-    step is not scored but returns that subset's verdict, whose margin is
-    the failing subset's, an upper bound on this set's slack.
+    subset), so a set of four or more with a one-smaller subset that failed
+    the chain fails it too. Its chain step is not scored but returns that
+    subset's verdict, whose margin is an upper bound on this set's slack.
+    A subset failed the chain when this decider answered it Unknown by
+    biased-chain, or when it is an unbiased triple whose three chain values
+    f(v1), f(v2), f(v3) from triple_anchor_values all exceed 4 by more than
+    _TRIPLE_CHAIN_GUARD: (4 - f(v_i))/2 is the chain margin of the order
+    with i in the middle, and such a triple is recorded with an Unknown
+    biased-chain verdict of margin (4 - min f(v_i))/2. The chain flips the
+    outcomes of a POVM with a negative bias, even one within the unbiased
+    tolerance, and flipping one or two of the three makes f(v0) a chain
+    value; such a triple needs all four values past the guard. The values
+    and triple-anchor's verdict are computed once per triple.
     """
-    chain_failed = {}  # subset -> the Unknown verdict it was answered by biased-chain
+    chain_failed = {}  # subset -> the Unknown biased-chain verdict it failed the chain with
     biased = frozenset(i for i, p in enumerate(povms, 1) if not p.is_unbiased)
+    flipped = frozenset(i for i, p in enumerate(povms, 1) if p.bias < 0.0)  # the chain flips their outcomes
 
     def decide(combo) -> Verdict:
         sub = [povms[i - 1] for i in combo]
         n = len(combo)
-        shape = ("pair" if n == 2 else "biased" if not biased.isdisjoint(combo)
-                 else "unbiased triple" if n == 3 else "unbiased")
+        if n == 3 and biased.isdisjoint(combo):
+            values = triple_anchor_values(sub[0].components, sub[1].components, sub[2].components)
+            chain = min(values[1:] if flipped.isdisjoint(combo) else values)
+            if chain > 4.0 + _TRIPLE_CHAIN_GUARD:
+                chain_failed[combo] = Verdict(UNKNOWN, SUFFICIENT_ONLY, (4.0 - chain) / 2.0, "biased-chain")
+            v = triple_anchor_from_values(values)
+            return v if v.decision != UNKNOWN else _triple_ft(sub)
+        shape = "pair" if n == 2 else "biased" if not biased.isdisjoint(combo) else "unbiased"
         for criterion in _DECIDER_TABLE[shape]:
             v = criterion(sub)
             if v is not None and (v.decision != UNKNOWN or v.strength == IFF):

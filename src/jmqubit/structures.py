@@ -174,12 +174,20 @@ def structure_of(povms, decider: Callable) -> JmStructure:
     maximal sets are the compatible sets (singletons included) that nothing
     covered, and the undecided sets listed are those nothing covered.
 
+    Candidates come from the level below: each visited set s that is not
+    incompatible records succ[s], the vertices k > max(s) whose extension
+    s + (k,) was visited and not decided incompatible. A set c of the next
+    level is extended by the k > max(c) in succ[c - e] for every e in c
+    (succ of the empty set holds every vertex), in increasing k: exactly the
+    k whose one-smaller subsets of c + (k,) all survived.
+
     The decider sees sorted tuples; the walk's own bookkeeping is on int
     bitmasks, vertex k being bit k - 1.
     """
     n = len(povms)
     bit = [0] + [1 << (k - 1) for k in range(1, n + 1)]
     level = [((k,), bit[k]) for k in range(1, n + 1)]  # visited, not incompatible; sorted
+    succ = {0: (1 << n) - 1}  # mask -> bitmask of its surviving extensions
     compatible = list(level)
     incompatible = []
     undecided: dict = {}  # mask -> tuple
@@ -199,30 +207,30 @@ def structure_of(povms, decider: Callable) -> JmStructure:
                     cover(s)
 
     while level:
-        alive = {m for _, m in level}
         previous, level = level, []
         for s, sm in previous:
-            # d | bk is c = s + (k,) without an element of s; c without k is s, alive
-            drops = [sm ^ bit[e] for e in s]
-            for k in range(s[-1] + 1, n + 1):
-                bk = bit[k]
-                for d in drops:
-                    if d | bk not in alive:
-                        break
+            candidates = succ[0] >> s[-1] << s[-1]  # the k > max(s)
+            for e in s:
+                candidates &= succ[sm ^ bit[e]]
+            survivors = 0
+            while candidates:
+                bk = candidates & -candidates
+                candidates ^= bk
+                c, m = s + (bk.bit_length(),), sm | bk
+                v = decider(c)
+                if v.decision == INCOMPATIBLE:
+                    incompatible.append((c, v))
+                    continue
+                if v.decision == COMPATIBLE:
+                    compatible.append((c, m))
+                    cover(m)
+                elif v.decision == UNKNOWN:
+                    undecided[m] = c
                 else:
-                    c, m = s + (k,), sm | bk
-                    v = decider(c)
-                    if v.decision == INCOMPATIBLE:
-                        incompatible.append((c, v))
-                        continue
-                    if v.decision == COMPATIBLE:
-                        compatible.append((c, m))
-                        cover(m)
-                    elif v.decision == UNKNOWN:
-                        undecided[m] = c
-                    else:
-                        raise ValueError(f"decider returned {v!r}")
-                    level.append((c, m))
+                    raise ValueError(f"decider returned {v!r}")
+                survivors |= bk
+                level.append((c, m))
+            succ[sm] = survivors
     maximal = frozenset(frozenset(c) for c, m in compatible if m not in covered)
     undecided = frozenset(frozenset(u) for m, u in undecided.items() if m not in covered)
     return JmStructure(n, maximal, undecided, tuple(incompatible))

@@ -304,8 +304,10 @@ def test_check_rejects_invalid_povm_exits_65(tmp_path, capsys, povm):
         ({"povms": "ab"}, 'POVM set field "povms" must be an array of objects, got a string'),
         ({"povms": {}}, 'POVM set field "povms" must be an array of objects, got an object'),
         ({"povms": [{"bias": 0.0, "bloch": [0.5, 0, 0]}, 7]}, 'POVM set field "povms" must be an array of objects; POVM 2 is a number'),
+        ({}, 'missing field "povms"'),
+        ({"povms": [{"bloch": [0.5, 0, 0]}]}, 'missing field "bias"'),
     ],
-    ids=["array", "povms-string", "povms-object", "povm-number"],
+    ids=["array", "povms-string", "povms-object", "povm-number", "no-povms", "no-bias"],
 )
 def test_check_rejects_misshapen_povm_set_exits_65(tmp_path, capsys, doc, message):
     path = tmp_path / "povms.json"
@@ -500,6 +502,18 @@ KNOWN_STRUCTURES = (
             "eta 0.1 outside the window (0.7159209561595877, 0.7936044933348412]",
         ),
         (
+            ["realize", "--structure", "n-cycle", "--n", "5", "--eta", "-1e-3"],
+            "eta -0.001 outside the window (0.7159209561595877, 0.7936044933348412]",
+        ),
+        (
+            ["realize", "--structure", "n-cycle", "--n", "5", "--eta=-1e-3"],
+            "eta -0.001 outside the window (0.7159209561595877, 0.7936044933348412]",
+        ),
+        (
+            ["realize", "--structure", "n-cycle", "--n", "5", "--eta", "-inf"],
+            "eta -inf outside the window (0.7159209561595877, 0.7936044933348412]",
+        ),
+        (
             ["realize", "--structure", "four-vertex-6", "--eta", "inf"],
             "eta inf outside the window (0.7653668647301796, 0.8504300947672565]",
         ),
@@ -522,7 +536,7 @@ KNOWN_STRUCTURES = (
         (["bounds", "--family", "planar-symmetric", "--n", "3.."], "bad --n range '3..'"),
     ],
     ids=[
-        "realize-eta", "realize-6-inf", "realize-6-nan", "realize-6-non-coplanar-inf", "realize-6-non-coplanar-nan",
+        "realize-eta", "realize-eta-exponent", "realize-eta-joined", "realize-eta-minus-inf", "realize-6-inf", "realize-6-nan", "realize-6-non-coplanar-inf", "realize-6-non-coplanar-nan",
         "realize-id-text", "realize-id-range", "joint-chain", "bounds-window", "bounds-open-range",
     ],
 )
@@ -648,6 +662,10 @@ def _set_povm(d):
     d["povms"][0] = {"bias": 0.9, "bloch": [0.9, 0, 0]}  # |b| > 1 - |a|: not a POVM
 
 
+def _drop_eta(d):
+    del d["eta"]
+
+
 def _set_structure_n(d):
     d["structure"]["n"] = 6  # six vertices for four POVMs
 
@@ -692,10 +710,11 @@ _SCHEMA = "error: bad certificate schema"
         (_nan_witness, _SCHEMA),
         (_duplicate_mask, _SCHEMA),
         (_effects_list, _SCHEMA),
+        (_drop_eta, f'{_SCHEMA}: missing field "eta"\n'),
     ],
     ids=[
         "index-high", "index-zero", "duplicate", "non-integer", "invalid-povm", "joint-size",
-        "structure-n", "nan-witness", "duplicate-mask", "effects-list",
+        "structure-n", "nan-witness", "duplicate-mask", "effects-list", "no-eta",
     ],
 )
 def test_verify_rejects_malformed_certificate_exits_65(tmp_path, capsys, tamper, prefix):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from jmqubit import (
@@ -32,7 +32,7 @@ from jmqubit import (
 )
 from jmqubit import criteria, oracle, realizer
 from jmqubit.criteria import FtConvergenceError
-from conftest import random_orthogonal, random_unit
+from conftest import random_orthogonal, random_unit, triple_chain_failure
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -876,6 +876,52 @@ def test_chain_margin_never_rises_when_a_povm_is_added(case, bias_kind):
     for j in range(len(povms)):
         sub = povms[:j] + povms[j + 1:]
         assert best_chain_ordering(sub)[1].margin >= whole - 1e-14, (j, biases)
+
+
+# The closed-form decider records an unbiased triple whose chain values all
+# clear 4 by its guard as failing the chain, and every superset inherits that
+# failure. All-unbiased supersets are the tightest case, the chain's top term
+# being 2; biases within the unbiased tolerance, negative ones included, make
+# the chain flip outcomes. The triple is scaled so that its smallest chain
+# value lies 0-1e-9 or up to 1 past the guard; an added POVM sits on a segment
+# a_i -> a_j or a_i -> -a_j, where it lengthens no path, or anywhere.
+_unbiased_bias = st.sampled_from([0.0, 0.0, -0.0, 5e-13, -5e-13, -1e-12])
+_added = st.tuples(
+    st.integers(0, 2), st.integers(0, 2), st.sampled_from([1.0, -1.0]), st.floats(0.0, 1.0),
+    st.one_of(st.none(), _vector), _unbiased_bias,
+)
+
+
+@seed(2020)
+@settings(max_examples=300)
+@given(
+    st.lists(_vector, min_size=3, max_size=3),
+    st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
+    st.lists(_unbiased_bias, min_size=3, max_size=3),
+    st.one_of(st.floats(0.0, 1e-9), st.floats(0.0, 1.0)),
+    st.lists(_added, max_size=3),
+    st.permutations(range(6)),
+)
+def test_triple_chain_failure_holds_for_every_unbiased_superset(vectors, lengths, biases, past, added, shuffle):
+    a = [t * np.asarray(v) / np.linalg.norm(v) for v, t in zip(vectors, lengths)]
+    values = criteria.triple_anchor_values(*(tuple(x.tolist()) for x in a))
+    chain = min(values if any(b < 0.0 for b in biases) else values[1:])
+    scale = (4.0 + realizer._TRIPLE_CHAIN_GUARD + past) / chain
+    a = [scale * x for x in a]
+    assume(max(np.linalg.norm(x) for x in a) <= 1.0)
+    triple = [BinaryQubitPovm(b, x) for b, x in zip(biases, a)]
+    failed = triple_chain_failure(triple)
+    assume(failed is not None)  # rounding can leave a triple at the guard itself
+    extras = []
+    for i, j, sign, u, anywhere, b in added:
+        x = a[i] + u * (sign * a[j] - a[i]) if anywhere is None else u * np.asarray(anywhere) / np.linalg.norm(anywhere)
+        extras.append(BinaryQubitPovm(b, x))
+    for r in range(len(extras) + 1):
+        for more in itertools.combinations(extras, r):
+            superset = triple + list(more)
+            superset = [superset[k] for k in shuffle if k < len(superset)]
+            v = best_chain_ordering(superset)[1]
+            assert v.decision == UNKNOWN and v.margin <= failed.margin + 1e-14, (past, r, v)
 
 
 @given(

@@ -19,6 +19,7 @@ import pytest
 import jmqubit
 from jmqubit import UNKNOWN, closed_form_decider, povms_from_json_dict, structure_of, triple_unbiased
 from jmqubit import cli, criteria, oracle, povm, realizer, structures, surgery
+from conftest import triple_chain_failure
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 ORACLE_RUNS = Path(__file__).resolve().parent / "data" / "oracle_runs.json"
@@ -48,10 +49,12 @@ def test_golden_pool_structures_unchanged(golden):
 
 def test_chain_failures_are_inherited_on_the_golden_pool(golden, monkeypatch):
     # the decider scores the chain on a set of four or more only when no
-    # one-smaller subset failed it: per walk over the pool that is 1,344
-    # ordering searches and no N = 7 stable-order score, where scoring every
-    # set takes 2,540 and 7. Each inherited verdict is the failing subset's,
-    # and scoring the set itself fails the chain too.
+    # one-smaller subset failed it: one it answered Unknown by biased-chain,
+    # or an unbiased triple whose three chain values clear 4 by the guard.
+    # Per walk over the pool that is 1,194 ordering searches and no N = 7
+    # stable-order score, where scoring every set takes 2,540 and 7 (and the
+    # rule without triples 1,344). Each inherited verdict is the failing
+    # subset's, and scoring the set itself fails the chain too.
     order, stable = realizer.best_chain_ordering, realizer.general_binary_sufficient
     calls = {order: 0, stable: 0}
 
@@ -74,8 +77,10 @@ def test_chain_failures_are_inherited_on_the_golden_pool(golden, monkeypatch):
             if v.criterion_id != "biased-chain" or sum(calls.values()) > scored:
                 return v
             assert v.decision == UNKNOWN and len(combo) >= 4, (entry["id"], combo)
-            failing = [seen.get(combo[:j] + combo[j + 1:]) for j in range(len(combo))]
-            assert v in failing, (entry["id"], combo)
+            smaller = [combo[:j] + combo[j + 1:] for j in range(len(combo))]
+            failing = [seen.get(s) for s in smaller]
+            failing += [triple_chain_failure([povms[i - 1] for i in s]) for s in smaller]
+            assert repr(v) in map(repr, failing), (entry["id"], combo)
             sub = [povms[i - 1] for i in combo]
             own = order(sub)[1] if len(sub) <= 6 else stable(sub)
             assert own.decision == UNKNOWN and own.margin <= v.margin + 1e-14, (entry["id"], combo)
@@ -83,8 +88,8 @@ def test_chain_failures_are_inherited_on_the_golden_pool(golden, monkeypatch):
             return v
 
         structure_of(povms, recording)
-    assert (calls[order], calls[stable]) == (1344, 0)
-    assert len(inherited) == 2540 + 7 - 1344
+    assert (calls[order], calls[stable]) == (1194, 0)
+    assert len(inherited) == 2540 + 7 - 1194
 
 
 def test_triple_anchor_settles_triples_as_triple_ft_does(golden):

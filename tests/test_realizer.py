@@ -40,7 +40,7 @@ from jmqubit.realizer import (
     mixed_purity_povms,
     non_coplanar_povms,
 )
-from conftest import random_orthogonal
+from conftest import random_orthogonal, triple_chain_failure
 
 
 def test_cycle_and_specker_windows():
@@ -597,8 +597,10 @@ def _registry_scan(povms):
     """The closed-form decider without its table: each REGISTRY function once,
     in REGISTRY order, skipping None and stopping at a verdict that decides or
     is iff, the chain last. The chain step inherits a one-smaller subset's
-    Unknown chain verdict, as the decider's does. Returns decide(combo) ->
-    (verdict, the functions asked before the chain)."""
+    Unknown chain verdict, as the decider's does, and an unbiased triple
+    that fails all three chain orders by the guard is recorded with its
+    triple_chain_failure verdict. Returns decide(combo) -> (verdict, the
+    functions asked before the chain)."""
     functions = list(dict.fromkeys(realizer.REGISTRY.values()))
     chain = functions.pop()
     assert chain is realizer._biased_chain
@@ -606,6 +608,9 @@ def _registry_scan(povms):
 
     def decide(combo):
         sub = [povms[i - 1] for i in combo]
+        triple = triple_chain_failure(sub)
+        if triple is not None:
+            failed[combo] = triple
         for k, f in enumerate(functions):
             v = f(sub)
             if v is not None and (v.decision != UNKNOWN or v.strength == IFF):
@@ -636,6 +641,23 @@ def _check_table_against_registry_scan(povms) -> int:
                     assert f(sub) is None, (f.__name__, combo)
             count += 1
     return count
+
+
+def test_triple_chain_failure_follows_the_chains_outcome_flips():
+    # three POVMs at 120 degrees, purity 0.6, unbiased within 1e-12: their
+    # three chain orders all fail (f(v_i) = 5.36), but the chain flips POVM 1,
+    # whose bias is negative, and then the order through -a_1 costs
+    # f(v0) = 3.6. A fourth POVM on the segment a_2 -> -a_1 lengthens no
+    # path, so the four pass the chain, and the triple must pass nothing on
+    a = [(0.6 * math.cos(t), 0.6 * math.sin(t), 0.0) for t in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    middle = tuple((x - y) / 2 for x, y in zip(a[1], a[0]))
+    povms = [BinaryQubitPovm(b, v) for b, v in zip((-1e-13, 1e-13, 1e-13, 1e-13), a + [middle])]
+    decide = closed_form_decider(povms)
+    for combo in itertools.combinations(range(1, 5), 3):
+        decide(combo)
+    v = decide((1, 2, 3, 4))
+    assert v == realizer.best_chain_ordering(povms)[1]
+    assert (v.decision, v.criterion_id) == (COMPATIBLE, "biased-chain")
 
 
 def test_decider_table_matches_the_registry_scan_on_the_golden_pool():
