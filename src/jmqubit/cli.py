@@ -435,15 +435,13 @@ def cmd_bounds(args) -> int:
         for n in _parse_n_range(args.n):
             lo, hi = window(n)
             rows.append(f"{args.family},{n},{lo!r},{hi!r}")
-    elif args.family == "pair-angle":
+    else:  # pair-angle, the last of the family choices
         if not args.angle:
             raise CliError(EXIT_PRECONDITION, "pair-angle needs --angle (e.g. 90deg)")
         rows.append("family,angle_radians,bound")
         for text in args.angle:
             phi = parse_angle(text)
             rows.append(f"pair-angle,{phi!r},{pair_same_purity_bound(phi)!r}")
-    else:
-        raise CliError(EXIT_PRECONDITION, f"unknown family {args.family!r}")
     _write("\n".join(rows), args.out)
     print(f"bounds: {len(rows) - 1} row(s) for family {args.family}", file=sys.stderr)
     return EXIT_OK
@@ -514,11 +512,12 @@ def build_parser() -> tuple:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse takes a value such as -1e-3 or -inf after --eta for an option;
-    # joined to the flag it reaches realize's window check
+    # argparse takes a value such as -1e-3, -inf or -30deg after --eta or
+    # --angle for an option; joined to the flag it reaches the value checks.
+    # A following --option is left to argparse, which reports the missing value
     for i in range(len(argv) - 2, 0, -1):
-        if argv[i] == "--eta":
-            argv[i:i + 2] = [f"--eta={argv[i + 1]}"]
+        if argv[i] in ("--eta", "--angle") and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     parser, subcommands = build_parser()
     sub = subcommands.get(argv[0]) if argv else None
     args = sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)

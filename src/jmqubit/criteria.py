@@ -151,6 +151,63 @@ def _float_rows(rows):
         return None
 
 
+def _resultant(P: list, q) -> tuple:
+    """(|R|, R, w) at q: R the sum of the unit vectors from q toward the
+    points more than 1e-14 away, w the number of points within 1e-14 of q,
+    q itself among them when it is a point."""
+    qx, qy, qz = q
+    rx = ry = rz = 0.0
+    w = 0
+    for px, py, pz in P:
+        dx, dy, dz = px - qx, py - qy, pz - qz
+        d = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if d < 1e-14:
+            w += 1
+            continue
+        rx += dx / d
+        ry += dy / d
+        rz += dz / d
+    return math.sqrt(rx * rx + ry * ry + rz * rz), (rx, ry, rz), w
+
+
+def _line_step(P: list, q, norm: float, R, w: int):
+    """The step t u off the point q along u = R/|R|, the steepest descent
+    from q, to the minimizer of f's quadratic model (w - |R|) t + t^2 u.H u/2
+    along u, with u.H u = sum_i (1 - (u.e_i)^2)/d_i over the unit vectors e_i
+    toward the other points; None when they all lie on the line (u.H u = 0,
+    or below it by rounding)."""
+    qx, qy, qz = q
+    ux, uy, uz = R[0] / norm, R[1] / norm, R[2] / norm
+    curv = 0.0
+    for px, py, pz in P:
+        dx, dy, dz = px - qx, py - qy, pz - qz
+        d = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if d >= 1e-14:
+            c = (ux * dx + uy * dy + uz * dz) / d
+            curv += (1.0 - c * c) / d
+    if not curv > 0.0:
+        return None
+    t = (norm - w) / curv
+    return t * ux, t * uy, t * uz
+
+
+def _line_descent(P: list, q, f: float, scale: float):
+    """(y, f(y)) for y = q + s, s q's line step halved toward q until f(y)
+    is below f; None when q has no line step or it falls below the
+    resolution of q first."""
+    step = _line_step(P, q, *_resultant(P, q))
+    if step is None:
+        return None
+    (qx, qy, qz), (sx, sy, sz) = q, step
+    while math.sqrt(sx * sx + sy * sy + sz * sz) > 1e-15 * scale:
+        y = [qx + sx, qy + sy, qz + sz]
+        f_y = _total_distance(P, y)
+        if f_y < f:
+            return y, f_y
+        sx, sy, sz = 0.5 * sx, 0.5 * sy, 0.5 * sz
+    return None
+
+
 def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     """Minimizer of the total Euclidean distance f(y) = sum |y - p_i|.
 
@@ -158,19 +215,25 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     per-call dispatch would cost more than the arithmetic.
 
     A point p_j is returned when it passes the subgradient test
-    |R_j| <= 1 + dup_j + 1e-12, with R_j the sum of unit vectors from p_j
-    toward the other points and dup_j the number of points within 1e-14 of
-    it; the first passing point wins. Otherwise the minimizer is not a data
-    point, f is smooth there, and a damped Newton iteration runs on the
+    |R_j| <= w_j + 1e-12, with R_j the sum of unit vectors from p_j toward
+    the other points and w_j the number of points within 1e-14 of it, itself
+    included; the first passing point wins. Otherwise the minimizer is not a
+    data point, f is smooth there, and a damped Newton iteration runs on the
     closed-form Hessian sum_i (I - u_i u_i^T)/d_i. Each step is capped at
     half the distance to the nearest point and halved until f decreases; one
     pass over the points per iteration gives the distances, the gradient and
     the six Hessian entries. It starts from the centroid or, if f is lower
-    there, from one closed-form step off the anchor p_j with the smallest
-    |R_j|: along u = R_j/|R_j|, the steepest descent from p_j, to the
-    minimizer of f's quadratic model along that line. When |R_j| is barely
-    above 1 + dup_j the minimizer sits close to p_j, in the direction u, and
-    the step lands next to it; the model needs no solve.
+    there, from the line step off the anchor p_j with the smallest |R_j|:
+    along u = R_j/|R_j|, the steepest descent from p_j, to the minimizer of
+    f's quadratic model along that line (_line_step). When |R_j| is barely
+    above w_j the minimizer sits close to p_j, in the direction u, and the
+    step lands next to it; the model needs no solve.
+
+    f can decrease toward a data point that failed the test, and the capped
+    steps then halve the distance to it without end. So when the iterate
+    comes within 1e-9 * max|p| of a point, the iteration restarts from that
+    point's line step, halved toward it until f is below the iterate's
+    (_line_descent); at most one restart per point.
 
     Returns once |grad f| <= 1e-9, or when no step decreases f any more. After
     max_iter steps a point with |grad f| <= 1e-6 is still accepted; otherwise
@@ -182,23 +245,12 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
 
     # the anchor test, and the anchor with the smallest |R_j|
     best = math.inf
-    for j, (qx, qy, qz) in enumerate(P):
-        rx = ry = rz = 0.0
-        dup = -1  # p_j meets itself
-        for px, py, pz in P:
-            dx, dy, dz = px - qx, py - qy, pz - qz
-            d = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if d < 1e-14:
-                dup += 1
-                continue
-            rx += dx / d
-            ry += dy / d
-            rz += dz / d
-        norm = math.sqrt(rx * rx + ry * ry + rz * rz)
-        if norm <= 1.0 + dup + 1e-12:
-            return np.array(P[j])
+    for q in P:
+        norm, R, w = _resultant(P, q)
+        if norm <= w + 1e-12:
+            return np.array(q)
         if norm < best:
-            best, j_best, R_best, w_best = norm, j, (rx, ry, rz), 1.0 + dup
+            best, anchor = norm, (q, norm, R, w)
 
     # the centroid, and scale = max|p| > 0 (all-equal points are an anchor)
     cx = cy = cz = scale = 0.0
@@ -208,26 +260,15 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     m = len(P)
     y = [cx / m, cy / m, cz / m]
     f = _total_distance(P, y)
-    # the line start p_j + t u, u = R_j/|R_j|: t minimizes the model
-    # (w - |R|) t + t^2 u.H u/2 of f along u, with u.H u = sum_i (1 - (u.e_i)^2)/d_i
-    # over the unit vectors e_i toward the other points; u.H u is 0 when they
-    # all lie on the line, and the centroid stays
-    qx, qy, qz = P[j_best]
-    ux, uy, uz = R_best[0] / best, R_best[1] / best, R_best[2] / best
-    curv = 0.0
-    for px, py, pz in P:
-        dx, dy, dz = px - qx, py - qy, pz - qz
-        d = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if d >= 1e-14:
-            c = (ux * dx + uy * dy + uz * dz) / d
-            curv += (1.0 - c * c) / d
-    if curv > 0.0:
-        t = (best - w_best) / curv
-        y_line = [qx + t * ux, qy + t * uy, qz + t * uz]
+    step = _line_step(P, *anchor)  # None when the points are collinear: the centroid stays
+    if step is not None:
+        (qx, qy, qz), (sx, sy, sz) = anchor[0], step
+        y_line = [qx + sx, qy + sy, qz + sz]
         f_line = _total_distance(P, y_line)
         if f_line < f:
             y, f = y_line, f_line
 
+    restarts = m
     for _ in range(max_iter):
         yx, yy, yz = y
         # one pass: distances, gradient sum_i u_i and the Hessian
@@ -254,6 +295,13 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
                 dmin = d
         if math.sqrt(gx * gx + gy * gy + gz * gz) <= 1e-9:
             return np.array(y)
+        if dmin <= 1e-9 * scale and restarts:  # drawn to a point that failed the anchor test
+            restarts -= 1
+            near = min(P, key=lambda p: math.dist(p, y))
+            restart = _line_descent(P, near, f, scale)
+            if restart is not None:
+                y, f = restart
+                continue
         sx, sy, sz = _solve_sym3(
             s - hxx, -hxy, -hxz, s - hyy, -hyz, s - hzz, -gx, -gy, -gz
         )

@@ -203,23 +203,6 @@ REGISTRY = {
     "n-wise-sufficient": _n_wise,
     "biased-chain": _biased_chain,
 }
-# The closed-form decider's table: by subset shape, the REGISTRY functions
-# that can decide such a subset, in REGISTRY order; the chain, last in
-# REGISTRY, runs after them. pair-general and triple-ft answer every pair and
-# every unbiased triple with an iff verdict, so nothing after them is asked;
-# triple-anchor, the FT objective at its four data points, settles most
-# compatible triples before triple-ft's solve; the decider runs that row
-# itself, from one set of anchor values. All but pair-general and the chain
-# return None on a biased POVM.
-_DECIDER_TABLE = {
-    shape: tuple(f for f in dict.fromkeys(REGISTRY.values()) if f in can_decide)
-    for shape, can_decide in (
-        ("pair", {_pair_general}),
-        ("unbiased triple", {_triple_anchor, _triple_ft}),
-        ("unbiased", {_coplanar_same_purity, _n_wise}),  # any other size
-        ("biased", ()),  # three or more
-    )
-}
 # A triple's chain value f(v_i) > 4 + 2 TIE puts its chain margin
 # (4 - f(v_i))/2 below -TIE; the slack covers the rounding of the values
 # and of a superset's path sum.
@@ -230,12 +213,12 @@ def closed_form_decider(povms):
     """Composite decision procedure over the closed-form criteria.
 
     Returns a callable mapping a sorted 1-based index tuple to the deciding
-    Verdict: that of the first applicable REGISTRY function that decides the
-    subset or is an iff criterion, else the chain's Unknown verdict. Only the
-    functions that _DECIDER_TABLE lists for the subset's shape are asked (a
-    pair; an all-unbiased triple or set of another size; a set of three or
-    more holding a biased POVM, told by one test against the set's biased
-    indices): the others would return None or never be reached.
+    Verdict, by the subset's shape: a pair by pair-general; an all-unbiased
+    triple by triple-anchor, then triple-ft; an all-unbiased set of four or
+    more by the first of the coplanar same-purity and N-wise functions whose
+    verdict decides or is iff; anything else by the chain. The other
+    REGISTRY functions return None on these shapes or come after an iff
+    verdict.
 
     A chain failure is inherited: adding a POVM never lengthens the chain's
     best path (the candidate orders of a set restrict to those of each
@@ -260,18 +243,20 @@ def closed_form_decider(povms):
     def decide(combo) -> Verdict:
         sub = [povms[i - 1] for i in combo]
         n = len(combo)
-        if n == 3 and biased.isdisjoint(combo):
-            values = triple_anchor_values(sub[0].components, sub[1].components, sub[2].components)
-            chain = min(values[1:] if flipped.isdisjoint(combo) else values)
-            if chain > 4.0 + _TRIPLE_CHAIN_GUARD:
-                chain_failed[combo] = Verdict(UNKNOWN, SUFFICIENT_ONLY, (4.0 - chain) / 2.0, "biased-chain")
-            v = triple_anchor_from_values(values)
-            return v if v.decision != UNKNOWN else _triple_ft(sub)
-        shape = "pair" if n == 2 else "biased" if not biased.isdisjoint(combo) else "unbiased"
-        for criterion in _DECIDER_TABLE[shape]:
-            v = criterion(sub)
-            if v is not None and (v.decision != UNKNOWN or v.strength == IFF):
-                return v
+        if n == 2:
+            return _pair_general(sub)
+        if biased.isdisjoint(combo):
+            if n == 3:
+                values = triple_anchor_values(sub[0].components, sub[1].components, sub[2].components)
+                chain = min(values[1:] if flipped.isdisjoint(combo) else values)
+                if chain > 4.0 + _TRIPLE_CHAIN_GUARD:
+                    chain_failed[combo] = Verdict(UNKNOWN, SUFFICIENT_ONLY, (4.0 - chain) / 2.0, "biased-chain")
+                v = triple_anchor_from_values(values)
+                return v if v.decision != UNKNOWN else _triple_ft(sub)
+            for criterion in (_coplanar_same_purity, _n_wise):
+                v = criterion(sub)
+                if v is not None and (v.decision != UNKNOWN or v.strength == IFF):
+                    return v
         v = None
         if n >= 4:
             for j in range(n):

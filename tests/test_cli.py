@@ -21,6 +21,7 @@ from jmqubit import (
     JointPovm,
     RealizationCertificate,
     n_cycle,
+    pair_same_purity_bound,
     povms_from_json_dict,
     povms_to_json_dict,
     realize_n_cycle,
@@ -71,6 +72,21 @@ def test_bounds_pair_angle(capsys):
     assert code == 0
     value = float(out.strip().splitlines()[1].split(",")[2])
     assert value == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [["--angle", "-30deg"], ["--angle=-30deg"], ["--angle", "-1e-1"],
+     ["--angle", "-30deg", "--angle=10deg", "--angle", "-1e-1"]],
+    ids=["split", "joined", "split-exponent", "repeated"],
+)
+def test_bounds_pair_angle_takes_negative_angles(capsys, angles):
+    # argparse reads -30deg after --angle as an option unless main joins them
+    code, out, err = run(capsys, "bounds", "--family", "pair-angle", *angles)
+    texts = [a.partition("=")[2] or a for a in angles if a != "--angle"]
+    rows = [f"pair-angle,{phi!r},{pair_same_purity_bound(phi)!r}" for phi in map(parse_angle, texts)]
+    assert (code, out) == (0, "\n".join(["family,angle_radians,bound", *rows]) + "\n")
+    assert err == f"bounds: {len(rows)} row(s) for family pair-angle\n"
 
 
 @pytest.mark.parametrize(
@@ -160,9 +176,12 @@ def test_main_parses_as_the_top_level_parser(monkeypatch, argv):
         ["check", "--mode", "nope"],
         ["bounds"],  # --family is required
         ["check", "a.json", "b.json"],
+        ["bounds", "--family", "pair-angle", "--angle", "--angle=1rad"],
+        ["realize", "--structure", "n-cycle", "--n", "5", "--eta", "--out", "c.json"],
     ],
     ids=["unknown-flag", "unknown-subcommand", "no-subcommand", "top-level-flag",
-         "n-not-int", "bad-choice", "missing-required", "extra-argument"],
+         "n-not-int", "bad-choice", "missing-required", "extra-argument",
+         "angle-without-value", "eta-without-value"],
 )
 def test_usage_errors_exit_64(capsys, argv):
     # 64 is sysexits' EX_USAGE; argparse's own 2 is the code of a failed verify
@@ -534,15 +553,21 @@ KNOWN_STRUCTURES = (
         (["joint", "PAIR"], "chain inequality violated by 0.545584412271571"),
         (["bounds", "--family", "n-cycle", "--n", "2"], "cycle needs N >= 3"),
         (["bounds", "--family", "planar-symmetric", "--n", "3.."], "bad --n range '3..'"),
+        (["realize", "--structure", "n-cycle"], "n-cycle needs --n"),
+        (["check", "EMPTY"], "POVM set is empty"),
     ],
     ids=[
         "realize-eta", "realize-eta-exponent", "realize-eta-joined", "realize-eta-minus-inf", "realize-6-inf", "realize-6-nan", "realize-6-non-coplanar-inf", "realize-6-non-coplanar-nan",
         "realize-id-text", "realize-id-range", "joint-chain", "bounds-window", "bounds-open-range",
+        "realize-no-n", "check-empty",
     ],
 )
 def test_value_errors_exit_65_with_their_message(tmp_path, capsys, argv, message):
-    pair = write_povms(tmp_path, [{"bias": 0.0, "bloch": [0.9, 0, 0]}, {"bias": 0.0, "bloch": [0, 0.9, 0]}])
-    code, out, err = run(capsys, *(pair if a == "PAIR" else a for a in argv))
+    files = {
+        "PAIR": write_povms(tmp_path, [{"bias": 0.0, "bloch": [0.9, 0, 0]}, {"bias": 0.0, "bloch": [0, 0.9, 0]}]),
+        "EMPTY": write_povms(tmp_path, [], "empty.json"),
+    }
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
     assert (code, out, err) == (65, "", f"error: {message}\n")
 
 
@@ -624,6 +649,18 @@ def test_verify_failure_exits_2(tmp_path, capsys):
     code, out2, _ = run(capsys, "verify", str(path))
     assert code == 2
     assert json.loads(out2)["ok"] is False
+
+
+def test_verify_rejects_eta_outside_its_window_exits_2(tmp_path, capsys):
+    code, out, _ = run(capsys, "realize", "--structure", "n-cycle", "--n", "4")
+    d = json.loads(out)
+    lo, hi = d["eta_window"]
+    d["eta"] = hi + 0.01  # the POVMs and their witnesses stay as they are
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(d))
+    code, out2, _ = run(capsys, "verify", str(path))
+    assert code == 2
+    assert json.loads(out2)["issues"] == [f"eta {hi + 0.01} outside window ({lo}, {hi}]"]
 
 
 def test_verify_rejects_triple_anchor_as_incompatibility_proof_exits_2(tmp_path, capsys):

@@ -503,10 +503,18 @@ def test_coplanar_same_purity_decisions_match_svd_reference(kind, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form decider's table: by subset shape, the REGISTRY functions it
-# asks before the chain. Every function it leaves out for a shape returns None
-# on such a subset or comes after an iff criterion that answers it, so the
-# decider returns what a scan of the whole REGISTRY returns.
+# the closed-form decider's shape branches: by subset shape, the REGISTRY
+# functions it asks before the chain. Every function it leaves out for a
+# shape returns None on such a subset or comes after an iff criterion that
+# answers it, so the decider returns what a scan of the whole REGISTRY
+# returns.
+
+ASKED_BY_SHAPE = {
+    "pair": {realizer._pair_general},
+    "unbiased triple": {realizer._triple_anchor, realizer._triple_ft},
+    "unbiased": {realizer._coplanar_same_purity, realizer._n_wise},  # four or more
+    "biased": set(),  # three or more
+}
 
 
 def _shape(sub) -> str:
@@ -515,18 +523,6 @@ def _shape(sub) -> str:
     if not all(p.is_unbiased for p in sub):
         return "biased"
     return "unbiased triple" if len(sub) == 3 else "unbiased"
-
-
-def test_registry_functions_are_all_classified():
-    # every REGISTRY function is in the table for some shape, but the chain,
-    # which the decider runs after the table, and pair-unbiased, which
-    # pair-general shadows; each shape lists its functions in REGISTRY order
-    order = list(dict.fromkeys(realizer.REGISTRY.values()))
-    listed = set().union(*realizer._DECIDER_TABLE.values())
-    assert set(order) - listed == {realizer._pair_unbiased, realizer._biased_chain}
-    assert set(realizer._DECIDER_TABLE) == {"pair", "unbiased triple", "unbiased", "biased"}
-    for functions in realizer._DECIDER_TABLE.values():
-        assert list(functions) == sorted(functions, key=order.index)
 
 
 # sets the unbiased-only criteria apply to until one POVM carries a bias: one
@@ -561,9 +557,9 @@ def test_unbiased_only_registry_functions_skip_biased_subsets(case):
             sub = [povms[i] for i in combo]
             if all(p.is_unbiased for p in sub):
                 continue
-            # the functions the table leaves out for this shape, but the chain
+            # the functions the decider leaves out for this shape, but the chain
             skipped = set(realizer.REGISTRY.values()) - {realizer._biased_chain}
-            skipped -= set(realizer._DECIDER_TABLE[_shape(sub)])
+            skipped -= ASKED_BY_SHAPE[_shape(sub)]
             for f in skipped:
                 assert f(sub) is None, (f.__name__, [p.bias for p in sub])
             if size <= 3:
@@ -594,12 +590,12 @@ def test_closed_form_decider_matches_the_full_registry_walk(case):
 
 
 def _registry_scan(povms):
-    """The closed-form decider without its table: each REGISTRY function once,
-    in REGISTRY order, skipping None and stopping at a verdict that decides or
-    is iff, the chain last. The chain step inherits a one-smaller subset's
-    Unknown chain verdict, as the decider's does, and an unbiased triple
-    that fails all three chain orders by the guard is recorded with its
-    triple_chain_failure verdict. Returns decide(combo) -> (verdict, the
+    """The closed-form decider without its shape branches: each REGISTRY
+    function once, in REGISTRY order, skipping None and stopping at a verdict
+    that decides or is iff, the chain last. The chain step inherits a
+    one-smaller subset's Unknown chain verdict, as the decider's does, and an
+    unbiased triple that fails all three chain orders by the guard is
+    recorded with its triple_chain_failure verdict. Returns decide(combo) -> (verdict, the
     functions asked before the chain)."""
     functions = list(dict.fromkeys(realizer.REGISTRY.values()))
     chain = functions.pop()
@@ -624,10 +620,10 @@ def _registry_scan(povms):
     return decide
 
 
-def _check_table_against_registry_scan(povms) -> int:
+def _check_decider_against_registry_scan(povms) -> int:
     """Every subset of two or more, level by level: the decider's verdict is
     the scan's, bit for bit (equal reprs), and each function the scan asked
-    that the table leaves out for the subset's shape returned None."""
+    that the decider leaves out for the subset's shape returned None."""
     decide, scan = closed_form_decider(povms), _registry_scan(povms)
     count = 0
     for size in range(2, len(povms) + 1):
@@ -635,7 +631,7 @@ def _check_table_against_registry_scan(povms) -> int:
             sub = [povms[i - 1] for i in combo]
             ref, asked = scan(combo)
             assert repr(decide(combo)) == repr(ref), combo
-            listed = realizer._DECIDER_TABLE[_shape(sub)]
+            listed = ASKED_BY_SHAPE[_shape(sub)]
             for f in asked:
                 if f not in listed:
                     assert f(sub) is None, (f.__name__, combo)
@@ -660,11 +656,27 @@ def test_triple_chain_failure_follows_the_chains_outcome_flips():
     assert (v.decision, v.criterion_id) == (COMPATIBLE, "biased-chain")
 
 
+def test_decider_scores_seven_povms_by_the_stable_chain_order(monkeypatch):
+    # best_chain_ordering searches orders for up to six POVMs; seven go to
+    # general_binary_sufficient, which no benchmark task reaches
+    v = np.random.default_rng(0).normal(size=(7, 3))
+    povms = [BinaryQubitPovm(0.05 + 0.01 * k, 0.1 * v[k] / np.linalg.norm(v[k])) for k in range(7)]
+    asked = []
+    stable = realizer.general_binary_sufficient
+    monkeypatch.setattr(realizer, "general_binary_sufficient", lambda sub: asked.append(len(sub)) or stable(sub))
+    decide = closed_form_decider(povms)
+    struct = structure_of(povms, decide)
+    assert struct.maximal == {frozenset(range(1, 8))} and not struct.undecided
+    assert asked == [7]
+    v = decide(tuple(range(1, 8)))
+    assert v == stable(povms) and (v.decision, v.criterion_id) == (COMPATIBLE, "biased-chain")
+
+
 def test_decider_table_matches_the_registry_scan_on_the_golden_pool():
     golden = Path(__file__).resolve().parent.parent / "perfbench" / "decide_golden.json"
     sets = json.loads(golden.read_text())["sets"]
     assert len(sets) == 240
-    count = sum(_check_table_against_registry_scan(povms_from_json_dict(e)) for e in sets)
+    count = sum(_check_decider_against_registry_scan(povms_from_json_dict(e)) for e in sets)
     assert count == sum(2 ** len(e["povms"]) - len(e["povms"]) - 1 for e in sets)
 
 
@@ -690,4 +702,4 @@ def test_decider_table_matches_the_registry_scan_on_mixed_sets(case):
     for b, a, h, own in zip(biases, angles, heights, own_etas):
         v = np.array([math.cos(a), math.sin(a), 0.0 if coplanar else h])
         povms.append(BinaryQubitPovm(b, (eta if own is None else own) * v / np.linalg.norm(v)))
-    _check_table_against_registry_scan(povms)
+    _check_decider_against_registry_scan(povms)
