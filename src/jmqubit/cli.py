@@ -419,15 +419,13 @@ def _parse_n_range(text: str) -> range:
 
 def cmd_bounds(args) -> int:
     rows = []
+    if args.family != "pair-angle" and args.n is None:
+        raise CliError(EXIT_PRECONDITION, "bounds needs --n (e.g. 3..8)")
     if args.family == "planar-symmetric":
-        if args.n is None:
-            raise CliError(EXIT_PRECONDITION, "bounds needs --n (e.g. 3..8)")
         rows.append("family,n,bound")
         for n in _parse_n_range(args.n):
             rows.append(f"planar-symmetric,{n},{planar_nwise_bound(n)!r}")
     elif args.family in ("n-cycle", "n-specker"):
-        if args.n is None:
-            raise CliError(EXIT_PRECONDITION, "bounds needs --n (e.g. 3..8)")
         window = (
             realizer.n_cycle_window if args.family == "n-cycle" else realizer.n_specker_window
         )
@@ -466,7 +464,7 @@ def build_parser() -> tuple:
 
     p = sub.add_parser("check", help="structure and minimal incompatible sets of a POVM set")
     p.add_argument("input", nargs="?", default="-", help="POVM-set JSON file or - for stdin")
-    p.add_argument("--mode", choices=["closed-form", "oracle", "both"], default="closed-form")
+    p.add_argument("--mode", choices=realizer.MODES, default="closed-form")
     p.add_argument("--out")
 
     p = sub.add_parser("joint", help="construct an explicit joint POVM")
@@ -484,7 +482,7 @@ def build_parser() -> tuple:
     p.add_argument("--eta", type=float)
     p.add_argument(
         "--variant",
-        choices=["mixed-purity", "non-coplanar"],
+        choices=list(realizer.FOUR_VERTEX_6_VARIANTS),
         default="mixed-purity",
         help="recipe choice for four-vertex-6",
     )
@@ -492,7 +490,7 @@ def build_parser() -> tuple:
 
     p = sub.add_parser("verify", help="re-derive a certificate's evidence")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--mode", choices=["closed-form", "oracle", "both"], default="closed-form")
+    p.add_argument("--mode", choices=realizer.MODES, default="closed-form")
     p.add_argument("--out")
 
     p = sub.add_parser("atlas", help="four-vertex manifest and certificates")

@@ -233,7 +233,9 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     steps then halve the distance to it without end. So when the iterate
     comes within 1e-9 * max|p| of a point, the iteration restarts from that
     point's line step, halved toward it until f is below the iterate's
-    (_line_descent); at most one restart per point.
+    (_line_descent); at most one restart per point. An iterate within 1e-14
+    of a point, where f has no gradient, leaves that point's term out and
+    counts as at distance 0 from it.
 
     Returns once |grad f| <= 1e-9, or when no step decreases f any more. After
     max_iter steps a point with |grad f| <= 1e-6 is still accepted; otherwise
@@ -278,6 +280,9 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
         for px, py, pz in P:
             dx, dy, dz = yx - px, yy - py, yz - pz
             d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if d < 1e-14:  # y is on this point, as in _resultant: skip it and restart
+                dmin = 0.0
+                continue
             inv = 1.0 / d
             ux, uy, uz = dx * inv, dy * inv, dz * inv
             gx += ux
@@ -330,13 +335,7 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
             if length <= 1e-15 * scale:
                 return np.array(y)  # f no longer decreases in floating point
         y, f = y_new, f_new
-    yx, yy, yz = y
-    gx = gy = gz = 0.0
-    for px, py, pz in P:
-        dx, dy, dz = yx - px, yy - py, yz - pz
-        d = math.sqrt(dx * dx + dy * dy + dz * dz)
-        gx, gy, gz = gx + dx / d, gy + dy / d, gz + dz / d
-    residual = math.sqrt(gx * gx + gy * gy + gz * gz)
+    residual = _resultant(P, y)[0]  # |grad f|: the resultant's terms are the gradient's, negated
     if residual <= 1e-6:
         return np.array(y)
     raise FtConvergenceError(residual)
@@ -465,8 +464,7 @@ def planar_symmetric_nwise(N: int, eta: float) -> Verdict:
 
 
 def planar_pair_bound(N: int, gap: int) -> float:
-    x = gap * math.pi / (2 * N)
-    return 1.0 / (math.sin(x) + math.cos(x))
+    return planar_subset_bound(N, (0, gap))
 
 
 def planar_subset_bound(N: int, subset) -> float:

@@ -91,10 +91,14 @@ DUAL_SLACK = 1e-12
 NEWTON_RIDGE = 1e-12
 ARMIJO = 1e-4
 
+# a witness's PSD and marginal tolerance: on extremal input the oracle proves
+# its joints within this only, so the certificate loader reads them back at it
+WITNESS_TOL = 1e-8
+
 
 class OracleParams(NamedTuple):
     max_iter: int = 200  # Newton steps
-    witness_tol: float = 1e-8
+    witness_tol: float = WITNESS_TOL
 
 
 # a dataclass, not a named tuple: perfbench derives verdicts from it with
@@ -160,7 +164,7 @@ def _system(N: int) -> tuple:
     ((N+1)^2, 16) sum out as H, NEWTON_RIDGE I, and the warm start less its
     per-call part G T. The N = 12 entry holds 6.6 MB, 5.5 MB of it the
     products, and all twelve 11.6 MB."""
-    M, _ = _marginal_system(N, np.arange(1 << N))
+    M = _marginal_system(N, np.arange(1 << N))
     G = M.T @ np.linalg.inv(M @ M.T)
     Mb = M.reshape(N + 1, -1, min(64, 1 << N))
     mm = np.einsum("kbj,lbj->bklj", Mb, Mb).reshape(Mb.shape[1], -1, Mb.shape[2])
@@ -283,7 +287,7 @@ def _witness_from(V: np.ndarray, keep: np.ndarray, n: int) -> JointPovm:
     return JointPovm._from_checked(n, np.flatnonzero(keep), V[keep])
 
 
-def verify_witness(witness: JointPovm, povms, tol: float = 1e-8) -> bool:
+def verify_witness(witness: JointPovm, povms, tol: float = WITNESS_TOL) -> bool:
     """Witness must be a valid joint POVM whose marginals match the targets."""
     return witness.validate(tol).ok and witness.marginal_error(povms) <= tol
 

@@ -12,8 +12,8 @@ A joint POVM is two read-only arrays, its distinct outcome masks and one
 
 from __future__ import annotations
 
-import functools
 import itertools
+import json
 import math
 import struct
 from typing import Iterable, NamedTuple, Sequence
@@ -249,18 +249,18 @@ def _check_arrays(masks: np.ndarray, rows: np.ndarray, ranks) -> None:
         raise ValueError("effect entries must be finite")
 
 
-def _marginal_system(n: int, masks: np.ndarray, povms=()) -> tuple:
-    """(M, T) of the constraints M V = T on effect rows V at these outcome
-    masks, one column of M per mask: row 0 of M is completeness (all ones,
-    T row 0 = 2 I), row k the x_k = +1 indicator (T row k = E_k(+1) of
-    povms[k-1]; zero past the given POVMs)."""
+def _marginal_system(n: int, masks: np.ndarray) -> np.ndarray:
+    """M of the constraints M V = T on effect rows V at these outcome masks,
+    one column per mask: row 0 is completeness (all ones), row k the x_k = +1
+    indicator. _marginal_targets gives T."""
     M = np.ones((n + 1, len(masks)))
     M[1:] = (masks >> np.arange(n)[:, None]) & 1
-    return M, _marginal_targets(n, povms)
+    return M
 
 
 def _marginal_targets(n: int, povms) -> np.ndarray:
-    """T of _marginal_system alone."""
+    """T of the constraints M V = T of _marginal_system: row 0 is 2 I, row
+    k is E_k(+1) of povms[k-1], zero past the given POVMs."""
     T = np.zeros((n + 1, 4))
     T[0, 0] = 2.0
     for k, p in enumerate(povms, 1):
@@ -443,13 +443,9 @@ class JointPovm:
         """{mask: Effect} in storage order, built on each access."""
         return {m: Effect(r[0], r[1:]) for m, r in zip(self.masks.tolist(), self.rows)}
 
-    @functools.cached_property
-    def _spectrum(self) -> tuple:
-        """_spectra of this joint, computed once: rows is read-only."""
-        return _spectra(self.rows, self.rows[None])
-
     def validate(self, tol: float = EPS_MARG) -> ValidationReport:
-        violations = _violations(self.masks, *self._spectrum, (0, len(self.masks)), tol)[0]
+        spectra = _spectra(self.rows, self.rows[None])
+        violations = _violations(self.masks, *spectra, (0, len(self.masks)), tol)[0]
         return ValidationReport(not violations, violations)
 
     def effect(self, mask: int) -> Effect:
@@ -478,7 +474,7 @@ class JointPovm:
             raise ValueError("keep must be strictly increasing")
         if keep[0] < 1 or keep[-1] > self.n:
             raise IndexError("index out of range")
-        M, _ = _marginal_system(self.n, self.masks)
+        M = _marginal_system(self.n, self.masks)
         sub = (np.exp2(np.arange(len(keep))) @ M[keep]).astype(np.int64)
         masks = np.array(sorted(set(sub.tolist())), dtype=np.int64)
         # each kept outcome's rows, added in storage order
@@ -488,9 +484,10 @@ class JointPovm:
 
     @_computed_once
     def canonical_text(self) -> str:
-        """json.dumps(self.to_json_dict(), sort_keys=True) byte for byte,
-        written directly and once per joint: outcome keys sorted as strings,
-        floats by repr. The digest hashes it, and indented_text lays it out."""
+        """The joint's JSON text as json.dumps(..., sort_keys=True) writes
+        it, written directly and once per joint: outcome keys sorted as
+        strings, floats by repr. The digest hashes it, to_json_dict reads it
+        back, and indented_text lays it out."""
         effects = sorted(zip(map(str, self.masks.tolist()), self.rows.tolist()))
         body = ", ".join(
             f'"{key}": {{"alpha": {a!r}, "bloch": [{x!r}, {y!r}, {z!r}]}}' for key, (a, x, y, z) in effects
@@ -519,13 +516,9 @@ class JointPovm:
         return text[:-1] + newline + "}"
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "effects": {
-                str(mask): {"alpha": row[0], "bloch": row[1:]}
-                for mask, row in sorted(zip(self.masks.tolist(), self.rows.tolist()))
-            },
-        }
+        """{"effects": {mask: {"alpha": ..., "bloch": [...]}}, "n": n}, read
+        back from canonical_text: keys in string order."""
+        return json.loads(self.canonical_text)
 
     @classmethod
     def from_json_dict(cls, d: dict, tol: float = EPS_MARG) -> "JointPovm":

@@ -33,6 +33,7 @@ from .criteria import (
     best_chain_ordering,
     n_necessary_sufficient,
     pair_general,
+    pair_same_purity_bound,
     pair_unbiased,
     planar_nwise_bound,
     planar_pair_bound,
@@ -58,19 +59,13 @@ from .surgery import (
     surgery_mtuple,
 )
 
-SQ23 = math.sqrt(2.0 / 3.0)
-
-# the certificate loader's and verifier's tolerances
-_CERT_JOINT_TOL = 1e-8  # oracle joints are PSD only to within its witness_tol, 1e-8
+# the verifier's tolerances; the certificate loader takes oracle joints,
+# which are PSD only to within oracle_mod.WITNESS_TOL
 _WITNESS_TOL = 1e-11  # PSD and marginals; shipped joints read back are off by <= 4.4e-16
 _MARGIN_TOL = 1e-9  # triple-ft's margin comes from an iterative Fermat-Torricelli solve
 
-# purity interval for 5 planar symmetric POVMs where the exact structure is
-# an open problem (between the 5-Specker window and the triple-cycle window)
-UNDECIDED_INTERVAL_N5 = (
-    1.0 / (3.0 * math.sin(math.pi / 10.0) + math.sin(math.pi / 5.0)),
-    planar_subset_bound(5, [1, 2, 4]),
-)
+# the modes of verify_certificate, and of the CLI's check and verify
+MODES = ("closed-form", "oracle", "both")
 
 ID6_NOGO_NOTE = (
     "the star structure {12},{13},{14} admits no realization with four "
@@ -373,7 +368,7 @@ class RealizationCertificate(NamedTuple):
 
         evidence = d["evidence"]["compatible"]
         subsets = [subset(e) for e in evidence]
-        joints = _joints_from_json([e["joint"] for e in evidence], _CERT_JOINT_TOL)
+        joints = _joints_from_json([e["joint"] for e in evidence], oracle_mod.WITNESS_TOL)
         compat = []
         for e, s, joint in zip(evidence, subsets, joints):
             if joint.n != len(s):
@@ -475,12 +470,19 @@ def _certificate(
     )
 
 
-def _planar_certificate(label, N, subset, window, expected, eta=None, notes=()):
+def _window_eta(eta, window, default) -> float:
+    """eta, or default when eta is None; ValueError unless it lies in the
+    window (lo, hi]."""
     lo, hi = window
     if eta is None:
-        eta = 0.5 * (lo + hi)
+        eta = default
     if not lo < eta <= hi:
         raise ValueError(f"eta {eta} outside the window ({lo}, {hi}]")
+    return eta
+
+
+def _planar_certificate(label, N, subset, window, expected, eta=None, notes=()):
+    eta = _window_eta(eta, window, 0.5 * sum(window))
     fam = PlanarSymmetricFamily(N, eta)
     subset = list(subset)
     povms = fam.povms(subset)
@@ -526,6 +528,11 @@ def n_specker_window(N: int) -> tuple:
     lo = planar_nwise_bound(N)
     hi = 1.0 / ((N - 2) * math.sin(math.pi / (2 * N)) + math.sin(math.pi / N))
     return (lo, hi)
+
+
+# purity interval for 5 planar symmetric POVMs where the exact structure is
+# an open problem (between the 5-Specker window and the triple-cycle window)
+UNDECIDED_INTERVAL_N5 = (n_specker_window(5)[1], planar_subset_bound(5, [1, 2, 4]))
 
 
 def realize_n_cycle(N: int, eta: Optional[float] = None) -> RealizationCertificate:
@@ -642,14 +649,13 @@ NON_COPLANAR_ALPHA = math.radians(30.0)
 
 
 def mixed_purity_window() -> tuple:
-    """Common-purity window for the three coplanar POVMs of the mixed recipe."""
+    """Common-purity window for the three coplanar POVMs of the mixed recipe:
+    E2, E3 (2 theta apart) incompatible, E1, Ek (theta apart) compatible."""
     theta = MIXED_PURITY_THETA
-    lo = 1.0 / (math.sin(theta) + math.cos(theta))  # keep E2,E3 incompatible
-    hi = 1.0 / (math.sin(theta / 2) + math.cos(theta / 2))  # keep E1,Ek compatible
-    return (lo, hi)
+    return (pair_same_purity_bound(2.0 * theta), pair_same_purity_bound(theta))
 
 
-def mixed_purity_povms(eta: float = SQ23) -> list:
+def mixed_purity_povms(eta: float) -> list:
     theta = MIXED_PURITY_THETA
     return [
         unbiased_povm(eta, [1.0, 0.0, 0.0]),
@@ -660,18 +666,15 @@ def mixed_purity_povms(eta: float = SQ23) -> list:
 
 
 def non_coplanar_window() -> tuple:
+    """Common-purity window of the non-coplanar recipe: E4 and E2/E3 (phi
+    apart) incompatible, E1 and the others (alpha apart) compatible."""
     alpha = NON_COPLANAR_ALPHA
     phi = math.acos(math.cos(alpha) ** 2)  # angle between E4 and E2/E3
-    lo = 1.0 / (math.sin(phi / 2) + math.cos(phi / 2))
-    hi = 1.0 / (math.sin(alpha / 2) + math.cos(alpha / 2))
-    return (lo, hi)
+    return (pair_same_purity_bound(phi), pair_same_purity_bound(alpha))
 
 
-def non_coplanar_povms(eta: Optional[float] = None) -> list:
+def non_coplanar_povms(eta: float) -> list:
     alpha = NON_COPLANAR_ALPHA
-    if eta is None:
-        lo, hi = non_coplanar_window()
-        eta = 0.5 * (lo + hi)
     return [
         unbiased_povm(eta, [1.0, 0.0, 0.0]),
         unbiased_povm(eta, [math.cos(alpha), math.sin(alpha), 0.0]),
@@ -679,6 +682,18 @@ def non_coplanar_povms(eta: Optional[float] = None) -> list:
         unbiased_povm(eta, [math.cos(alpha), 0.0, math.sin(alpha)]),
     ]
 
+
+# four-vertex-6 variant -> (window, default eta, POVMs at eta, recipe)
+FOUR_VERTEX_6_VARIANTS = {
+    "mixed-purity": (
+        mixed_purity_window(), math.sqrt(2.0 / 3.0), mixed_purity_povms,
+        {"kind": "mixed-purity", "theta_degrees": math.degrees(MIXED_PURITY_THETA)},
+    ),
+    "non-coplanar": (
+        non_coplanar_window(), 0.5 * sum(non_coplanar_window()), non_coplanar_povms,
+        {"kind": "non-coplanar", "alpha_degrees": math.degrees(NON_COPLANAR_ALPHA)},
+    ),
+}
 
 _STAR_STRUCTURE = lambda: JmStructure.from_sets(
     4, [frozenset({1, 2}), frozenset({1, 3}), frozenset({1, 4})]
@@ -691,10 +706,10 @@ def realize_four_vertex(
     """Certificate for one of the 20 four-vertex structures.
 
     For ids != 6 a planar-symmetric subset at the window midpoint is used.
-    Id 6 uses the mixed-purity recipe by default (three coplanar POVMs at
-    purity sqrt(2/3), two of them at +-22.5 degrees about the first, plus a
-    projective measurement on the shared axis) or the non-coplanar recipe
-    (variant="non-coplanar", alpha = 30 degrees, window midpoint purity).
+    Id 6 uses a recipe of FOUR_VERTEX_6_VARIANTS: mixed-purity by default
+    (three coplanar POVMs at purity sqrt(2/3), two of them at +-22.5 degrees
+    about the first, plus a projective measurement on the shared axis) or
+    non-coplanar (alpha = 30 degrees, window midpoint purity).
     """
     if atlas_id not in ATLAS_IDS:
         raise ValueError("atlas id must be 1..20")
@@ -706,36 +721,13 @@ def realize_four_vertex(
         return _planar_certificate(
             f"four-vertex-{atlas_id}", N, subset, (lo(), hi()), None, eta, notes
         )
-    if variant == "mixed-purity":
-        window = mixed_purity_window()
-        used_eta = eta if eta is not None else SQ23
-        make_povms = mixed_purity_povms
-        recipe = {
-            "kind": "mixed-purity",
-            "theta_degrees": math.degrees(MIXED_PURITY_THETA),
-        }
-    elif variant == "non-coplanar":
-        window = non_coplanar_window()
-        used_eta = eta if eta is not None else 0.5 * (window[0] + window[1])
-        make_povms = non_coplanar_povms
-        recipe = {
-            "kind": "non-coplanar",
-            "alpha_degrees": math.degrees(NON_COPLANAR_ALPHA),
-        }
-    else:
-        raise ValueError("variant must be 'mixed-purity' or 'non-coplanar'")
-    lo, hi = window
-    if not lo < used_eta <= hi:
-        raise ValueError(f"eta {used_eta} outside the window ({lo}, {hi}]")
-    povms = make_povms(used_eta)
+    if variant not in FOUR_VERTEX_6_VARIANTS:
+        raise ValueError(f"variant must be {' or '.join(map(repr, FOUR_VERTEX_6_VARIANTS))}")
+    window, default, make_povms, recipe = FOUR_VERTEX_6_VARIANTS[variant]
+    eta = _window_eta(eta, window, default)
+    povms = make_povms(eta)
     return _certificate(
-        "four-vertex-6",
-        povms,
-        used_eta,
-        window,
-        _STAR_STRUCTURE(),
-        recipe,
-        (ID6_NOGO_NOTE,),
+        "four-vertex-6", povms, eta, window, _STAR_STRUCTURE(), dict(recipe), (ID6_NOGO_NOTE,),
         _general_pair_witness(povms),
     )
 
@@ -746,19 +738,16 @@ def atlas_certificates() -> dict:
     certs = {}
     for i in ATLAS_IDS:
         if i == 6:
-            for variant in ("mixed-purity", "non-coplanar"):
+            for variant in FOUR_VERTEX_6_VARIANTS:
                 certs[f"four-vertex-6-{variant}"] = realize_four_vertex(6, variant)
         else:
             certs[f"four-vertex-{i}"] = realize_four_vertex(i)
     return certs
 
 
-def atlas_manifest(certs: Optional[dict] = None) -> dict:
+def atlas_manifest(certs: dict) -> dict:
     """Windows and structures of all 20 four-vertex entries (no heavy joints),
-    read from the certificates of atlas_certificates(), which is called when
-    certs is not given."""
-    if certs is None:
-        certs = atlas_certificates()
+    read from the certificates of atlas_certificates()."""
     entries = []
     for i in ATLAS_IDS:
         if i == 6:
@@ -816,7 +805,7 @@ def verify_certificate(cert: RealizationCertificate, mode: str = "closed-form") 
     re-derives the recorded incompatible verdict (incompatibility carries up
     to every superset).
     """
-    if mode not in ("closed-form", "oracle", "both"):
+    if mode not in MODES:
         raise ValueError("mode must be closed-form, oracle, or both")
     issues = []
     inconclusive = []

@@ -43,13 +43,13 @@ class JmStructure:
     incompatible: tuple = field(default=(), compare=False, repr=False)
 
     @classmethod
-    def from_sets(cls, n: int, compatible_sets, undecided=()) -> "JmStructure":
+    def from_sets(cls, n: int, compatible_sets) -> "JmStructure":
         sets = {frozenset(s) for s in compatible_sets}
         sets |= {frozenset([v]) for v in range(1, n + 1)}
         for s in sets:
             if not s or not all(1 <= v <= n for v in s):
                 raise ValueError("subset out of vertex range")
-        return cls(n, _maximal_only(sets), frozenset(frozenset(u) for u in undecided))
+        return cls(n, _maximal_only(sets))
 
     @property
     def is_partial(self) -> bool:

@@ -32,7 +32,7 @@ from jmqubit.povm import EPS_MARG
 
 DATA = Path(__file__).parent / "data"
 # the stored certificates that verify; data/oracle_runs.json holds oracle
-# answers, and data/near-parallel-triple-ft.json a certificate verify rejects
+# answers, and data/near-*-triple-ft.json certificates verify rejects
 CERTIFICATES = sorted(DATA.glob("5-*.json"))
 
 
@@ -555,20 +555,26 @@ KNOWN_STRUCTURES = (
         (["bounds", "--family", "planar-symmetric", "--n", "3.."], "bad --n range '3..'"),
         (["realize", "--structure", "n-cycle"], "n-cycle needs --n"),
         (["check", "EMPTY"], "POVM set is empty"),
+        (["bounds", "--family", "n-cycle"], "bounds needs --n (e.g. 3..8)"),
+        (["bounds", "--family", "planar-symmetric"], "bounds needs --n (e.g. 3..8)"),
+        (["bounds", "--family", "pair-angle"], "pair-angle needs --angle (e.g. 90deg)"),
+        (["check", "DIR"], "cannot read DIR: [Errno 21] Is a directory: 'DIR'"),
     ],
     ids=[
         "realize-eta", "realize-eta-exponent", "realize-eta-joined", "realize-eta-minus-inf", "realize-6-inf", "realize-6-nan", "realize-6-non-coplanar-inf", "realize-6-non-coplanar-nan",
         "realize-id-text", "realize-id-range", "joint-chain", "bounds-window", "bounds-open-range",
-        "realize-no-n", "check-empty",
+        "realize-no-n", "check-empty", "bounds-cycle-no-n", "bounds-planar-no-n", "bounds-no-angle",
+        "check-directory",
     ],
 )
 def test_value_errors_exit_65_with_their_message(tmp_path, capsys, argv, message):
     files = {
         "PAIR": write_povms(tmp_path, [{"bias": 0.0, "bloch": [0.9, 0, 0]}, {"bias": 0.0, "bloch": [0, 0.9, 0]}]),
         "EMPTY": write_povms(tmp_path, [], "empty.json"),
+        "DIR": str(tmp_path),
     }
     code, out, err = run(capsys, *(files.get(a, a) for a in argv))
-    assert (code, out, err) == (65, "", f"error: {message}\n")
+    assert (code, out, err) == (65, "", f"error: {message.replace('DIR', str(tmp_path))}\n")
 
 
 @pytest.mark.parametrize(
@@ -612,6 +618,21 @@ def test_stdin_is_read_as_utf8():
     )
     assert done.returncode == 64 and done.stdout == b""
     assert done.stderr.startswith(b"error: malformed JSON in -: 'utf-8' codec can't decode"), done.stderr
+
+
+def test_check_reads_stdin(tmp_path, capsys, monkeypatch):
+    povms = [{"bias": 0.0, "bloch": [0.9, 0, 0]}, {"bias": 0.0, "bloch": [0, 0.9, 0]}]
+    from_file = run(capsys, "check", write_povms(tmp_path, povms))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(json.dumps({"povms": povms}).encode())))
+    assert run(capsys, "check", "-") == from_file
+    assert from_file[0] == 0
+
+
+def test_joint_oracle_on_an_incompatible_pair_exits_2(tmp_path, capsys):
+    path = write_povms(tmp_path, [{"bias": 0.0, "bloch": [0.9, 0, 0]}, {"bias": 0.0, "bloch": [0, 0.9, 0]}])
+    code, out, err = run(capsys, "joint", path, "--constructor", "oracle")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: oracle status likely-infeasible (residual ")
 
 
 def test_joint_refuses_more_measurements_than_a_joint_holds(tmp_path, capsys):
@@ -678,11 +699,13 @@ def test_verify_rejects_triple_anchor_as_incompatibility_proof_exits_2(tmp_path,
     assert report["issues"] == [f"criterion triple-anchor does not prove {entry['subset']} incompatible"]
 
 
-def test_verify_rejects_triple_ft_entry_on_nearly_parallel_povms_exits_2(capsys):
-    # three nearly parallel unbiased POVMs, compatible, with a well-formed
-    # triple-ft entry claiming [1, 2, 3] incompatible: four data points in two
-    # tight clusters, where the Fermat-Torricelli solve must not crash
-    code, out, err = run(capsys, "verify", str(DATA / "near-parallel-triple-ft.json"))
+# three nearly parallel unbiased POVMs, compatible, with a well-formed
+# triple-ft entry claiming [1, 2, 3] incompatible: four data points in two
+# tight clusters, where the Fermat-Torricelli solve must not crash; near-axis,
+# within 1e-11 of one axis, puts a Newton iterate exactly on a data point
+@pytest.mark.parametrize("name", ["near-parallel-triple-ft.json", "near-axis-triple-ft.json"])
+def test_verify_rejects_triple_ft_entry_on_nearly_parallel_povms_exits_2(capsys, name):
+    code, out, err = run(capsys, "verify", str(DATA / name))
     assert code == 2 and "Traceback" not in err
     report = json.loads(out)
     assert report["issues"] == ["criterion triple-ft does not prove [1, 2, 3] incompatible"]
@@ -726,6 +749,10 @@ def _duplicate_mask(d):
     effects["0" + key] = effects[key]  # the same outcome mask under a second key
 
 
+def _one_window_bound(d):
+    d["eta_window"] = d["eta_window"][:1]
+
+
 def _effects_list(d):
     joint = d["evidence"]["compatible"][0]["joint"]
     joint["effects"] = list(joint["effects"].values())  # an array, not an object of masks
@@ -748,10 +775,11 @@ _SCHEMA = "error: bad certificate schema"
         (_duplicate_mask, _SCHEMA),
         (_effects_list, _SCHEMA),
         (_drop_eta, f'{_SCHEMA}: missing field "eta"\n'),
+        (_one_window_bound, f"{_SCHEMA}: eta_window must hold two bounds\n"),
     ],
     ids=[
         "index-high", "index-zero", "duplicate", "non-integer", "invalid-povm", "joint-size",
-        "structure-n", "nan-witness", "duplicate-mask", "effects-list", "no-eta",
+        "structure-n", "nan-witness", "duplicate-mask", "effects-list", "no-eta", "one-window-bound",
     ],
 )
 def test_verify_rejects_malformed_certificate_exits_65(tmp_path, capsys, tamper, prefix):
@@ -820,6 +848,7 @@ def _set_effect_entry(index, value):
         (_set_mask_key("03"), "outcome mask key '03'"),
         (_set_mask_key("+3"), "outcome mask key '+3'"),
         (_set_mask_key("٣"), "outcome mask key '٣'"),
+        (_set_mask_key("x"), "outcome mask key 'x'"),
         (_empty_effects, "joint effects"),
         (_set_povm_field("bias", "0.0"), "POVM bias"),
         (_set_povm_field("bias", False), "POVM bias"),
@@ -831,7 +860,7 @@ def _set_effect_entry(index, value):
     ],
     ids=[
         "joint-n-float", "joint-n-string", "joint-n-bool", "structure-n-float",
-        "key-space", "key-leading-zero", "key-plus", "key-arabic-indic", "empty-effects",
+        "key-space", "key-leading-zero", "key-plus", "key-arabic-indic", "key-letter", "empty-effects",
         "bias-string", "bias-false", "bloch-string", "alpha-string", "alpha-true",
         "effect-bloch-string", "effect-bloch-false",
     ],

@@ -1041,8 +1041,12 @@ def test_ft_solver_reaches_the_minimum_at_triple_thresholds():
 
 # f decreases toward a point that fails the anchor test, and Newton steps
 # capped at half the distance to the nearest point kept halving toward it:
-# the solver stopped within 5e-15 of point 2 of the five (|R_2| = 2.008,
-# f = 38.37113) and at point 6 of the six, whose solve halves a Newton step
+# without the restart the solver stopped within 5e-15 of point 2 of the five
+# (|R_2| = 2.008, f = 38.37113) and at point 6 of the six. With it neither
+# solve halves a Newton step. In a line trace of the test suite the
+# step-halving loop runs only for the near-axis triple (a zero step from an
+# iterate on a data point), and the returns on a step below y's resolution
+# and on a residual accepted after max_iter steps never run
 FT_POINTS_THAT_DRAW_NEWTON_IN = {
     "five-points": (
         [[0.6190576918785472, -1.2628016802610973, 0.3210175349537871],
@@ -1082,6 +1086,16 @@ def test_ft_reaches_the_minimum_on_five_to_eight_points():
         m = int(rng.integers(5, 9))
         points = (rng.normal(size=(m, 3)) * np.exp(rng.normal(scale=1.5, size=(m, 1)))).tolist()
         assert _is_ft_minimizer(points, fermat_torricelli(points).tolist(), 1e-9), points
+
+
+def test_triple_ft_survives_an_iterate_on_a_data_point():
+    # three POVMs within 1e-11 of one axis: a Newton iterate lands exactly on
+    # a data point, where the solve once divided by its zero distance
+    dirs = [[-0.9188938218048265, 0.3627271539971472, 0.15512303504653935],
+            [0.9188938218033348, -0.36272715399943367, -0.15512303505002883],
+            [0.9188938218058316, -0.36272715399560684, -0.15512303504418784]]
+    v = realizer.REGISTRY["triple-ft"]([unbiased_povm(0.7, d) for d in dirs])
+    assert v.decision == COMPATIBLE and v.margin >= 1.1999999999, v
 
 
 def test_triple_ft_answers_nearly_parallel_povms():

@@ -27,7 +27,7 @@ from jmqubit import (
 )
 from jmqubit import realizer
 from jmqubit.criteria import _chain_form
-from jmqubit.povm import _marginal_system
+from jmqubit.povm import _marginal_system, _marginal_targets
 from jmqubit.realizer import REGISTRY, joint_digest
 from jmqubit.surgery import AppliedRelabeling
 
@@ -82,7 +82,7 @@ def reference_validate(joint, tol):
 
 
 def reference_marginal_error(joint, povms):
-    M, T = _marginal_system(joint.n, joint.masks, povms)
+    M, T = _marginal_system(joint.n, joint.masks), _marginal_targets(joint.n, povms)
     return float(np.max(np.abs(M[1:] @ joint.rows - T[1:])))
 
 

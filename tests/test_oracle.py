@@ -32,7 +32,7 @@ from jmqubit import (
 from jmqubit import oracle
 from jmqubit.cli import _decider_for_mode
 from jmqubit.oracle import ORACLE_N_CAP, _jacobian, _project_psd, checked_decision, decide
-from jmqubit.povm import JointPovm, _marginal_system
+from jmqubit.povm import JointPovm, _marginal_system, _marginal_targets
 from jmqubit.structures import structure_of
 from conftest import random_unit
 
@@ -506,7 +506,7 @@ def check_rejects_bad_duals(Y, bad, leaving_rows):
     assert not verify_dual(-Y, bad)
     # lower Y[0,0] until the tightest row of M^T Y leaves the cone;
     # <T, Y> only falls, so the cone test alone must reject it
-    M, T = _marginal_system(2, np.arange(4), bad)
+    M, T = _marginal_system(2, np.arange(4)), _marginal_targets(2, bad)
     W = M.T @ Y
     slack = W[:, 0] - np.linalg.norm(W[:, 1:], axis=1)
     out = Y.copy()

@@ -36,9 +36,11 @@ from jmqubit.criteria import IFF, pair_unbiased, planar_symmetric_nwise
 from jmqubit.realizer import (
     MISC_SCENARIOS,
     UNDECIDED_INTERVAL_N5,
+    atlas_certificates,
     joint_digest,
     mixed_purity_povms,
     non_coplanar_povms,
+    non_coplanar_window,
 )
 from conftest import random_orthogonal, triple_chain_failure
 
@@ -112,7 +114,7 @@ def test_atlas_ids_and_variants():
 
 
 def test_mixed_purity_recipe_geometry():
-    povms = mixed_purity_povms()
+    povms = mixed_purity_povms(math.sqrt(2 / 3))
     assert povms[3].eta == pytest.approx(1.0)
     for p in povms[:3]:
         assert p.eta == pytest.approx(math.sqrt(2 / 3), abs=1e-12)
@@ -121,7 +123,7 @@ def test_mixed_purity_recipe_geometry():
 
 
 def test_non_coplanar_recipe_geometry():
-    povms = non_coplanar_povms()
+    povms = non_coplanar_povms(0.5 * sum(non_coplanar_window()))
     A = np.array([p.bloch for p in povms])
     s = np.linalg.svd(A, compute_uv=False)
     assert s[2] > 1e-3  # genuinely non-coplanar
@@ -187,7 +189,7 @@ def test_verify_oracle_mode_reports_contradictions():
 
 
 def test_atlas_manifest_shape():
-    manifest = atlas_manifest()
+    manifest = atlas_manifest(atlas_certificates())
     assert len(manifest["entries"]) == 20
     ids = [e["id"] for e in manifest["entries"]]
     assert ids == list(range(1, 21))
