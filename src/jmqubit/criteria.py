@@ -114,13 +114,14 @@ class FtConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _solve_sym3(a, b, c, d, e, f, rx, ry, rz) -> tuple:
-    """Solution of [[a, b, c], [b, d, e], [c, e, f]] x = r by the adjugate."""
+def _solve_sym3(a, b, c, d, e, f, rx, ry, rz) -> tuple | None:
+    """Solution of [[a, b, c], [b, d, e], [c, e, f]] x = r by the adjugate;
+    None when the matrix is singular."""
     A00, A01, A02 = d * f - e * e, c * e - b * f, b * e - c * d
     A11, A12, A22 = a * f - c * c, b * c - a * e, a * d - b * b
     det = a * A00 + b * A01 + c * A02
     if det == 0.0:
-        raise np.linalg.LinAlgError("Singular matrix")
+        return None
     return (
         (A00 * rx + A01 * ry + A02 * rz) / det,
         (A01 * rx + A11 * ry + A12 * rz) / det,
@@ -193,11 +194,17 @@ def _line_step(P: list, q, norm: float, R, w: int):
 
 def _line_descent(P: list, q, f: float, scale: float):
     """(y, f(y)) for y = q + s, s q's line step halved toward q until f(y)
-    is below f; None when q has no line step or it falls below the
+    is below f. When the points all lie on q's line of steepest descent, f
+    falls linearly along it up to the nearest point, and s starts there.
+    None when f has no descent from q (|R| <= w) or s falls below the
     resolution of q first."""
-    step = _line_step(P, q, *_resultant(P, q))
-    if step is None:
+    norm, R, w = _resultant(P, q)
+    if not norm > w:
         return None
+    step = _line_step(P, q, norm, R, w)
+    if step is None:
+        t = min(d for p in P if (d := math.dist(p, q)) >= 1e-14) / norm
+        step = R[0] * t, R[1] * t, R[2] * t
     (qx, qy, qz), (sx, sy, sz) = q, step
     while math.sqrt(sx * sx + sy * sy + sz * sz) > 1e-15 * scale:
         y = [qx + sx, qy + sy, qz + sz]
@@ -209,7 +216,8 @@ def _line_descent(P: list, q, f: float, scale: float):
 
 
 def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
-    """Minimizer of the total Euclidean distance f(y) = sum |y - p_i|.
+    """Minimizer of the total Euclidean distance f(y) = sum |y - p_i|, to
+    within the rounding of f (see the returns below).
 
     Runs on Python floats throughout: the points are few, and numpy's
     per-call dispatch would cost more than the arithmetic.
@@ -237,9 +245,20 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
     of a point, where f has no gradient, leaves that point's term out and
     counts as at distance 0 from it.
 
-    Returns once |grad f| <= 1e-9, or when no step decreases f any more. After
-    max_iter steps a point with |grad f| <= 1e-6 is still accepted; otherwise
-    FtConvergenceError is raised.
+    Where Newton cannot go on (a singular Hessian, or a step halved below the
+    resolution of y), one line step from y along -grad f is tried
+    (_line_descent) before giving up; on two tight clusters of points this is
+    the step from the segment between them, where the points lie on one line,
+    f falls linearly and the Hessian has no curvature along it.
+
+    Returns once |grad f| <= 1e-9, when the Newton step is below the
+    resolution of y, or when neither a Newton step nor the line step decreases
+    f. That last point need not pass the subgradient test: on three points
+    within 1e-11 of each other and one 2.8 away (tests/data/
+    near-axis-triple-ft.json) it is the data point v0, with |R_0| = 1.0000151
+    > w_0 + 1e-12 and f about 1e-11 above its minimum. A singular Hessian with
+    no line step, or |grad f| > 1e-6 after max_iter steps, raises
+    FtConvergenceError.
     """
     P = _float_rows(points)
     if not P:
@@ -307,9 +326,14 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
             if restart is not None:
                 y, f = restart
                 continue
-        sx, sy, sz = _solve_sym3(
-            s - hxx, -hxy, -hxz, s - hyy, -hyz, s - hzz, -gx, -gy, -gz
-        )
+        step = _solve_sym3(s - hxx, -hxy, -hxz, s - hyy, -hyz, s - hzz, -gx, -gy, -gz)
+        if step is None:  # no Newton step: one line step, or give up
+            descent = _line_descent(P, y, f, scale)
+            if descent is None:
+                raise FtConvergenceError(math.sqrt(gx * gx + gy * gy + gz * gz))
+            y, f = descent
+            continue
+        sx, sy, sz = step
         length = math.sqrt(sx * sx + sy * sy + sz * sz)
         if length <= 1e-15 * scale:
             return np.array(y)  # the step is below the resolution of y
@@ -332,8 +356,12 @@ def fermat_torricelli(points, max_iter: int = 10000) -> np.ndarray:
                 break
             sx, sy, sz = 0.5 * sx, 0.5 * sy, 0.5 * sz
             length *= 0.5
-            if length <= 1e-15 * scale:
-                return np.array(y)  # f no longer decreases in floating point
+            if length <= 1e-15 * scale:  # f no longer decreases along the Newton step
+                descent = _line_descent(P, y, f, scale)
+                if descent is None:
+                    return np.array(y)
+                y_new, f_new = descent
+                break
         y, f = y_new, f_new
     residual = _resultant(P, y)[0]  # |grad f|: the resultant's terms are the gradient's, negated
     if residual <= 1e-6:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -598,6 +599,31 @@ def test_unwritable_out_exits_65(tmp_path, capsys, argv, out):
     assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("before", [None, b"x" * 1_000_000, b"x"], ids=["new", "over-longer", "over-shorter"])
+def test_out_holds_exactly_the_stdout_bytes(tmp_path, capsys, before):
+    # --out rewrites a file in place and cuts it to the new length; a new
+    # file gets mode 0o666 & ~umask
+    argv = ["realize", "--structure", "n-cycle", "--n", "5"]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "c5.json"
+    if before is not None:
+        path.write_bytes(before)
+    assert run(capsys, *argv, "--out", str(path))[:2] == (0, "")
+    assert path.read_bytes() == stdout.encode()
+    if before is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_out_to_dev_null_exits_0(tmp_path, capsys):
+    # a device cannot be truncated, and is not
+    povms = write_povms(tmp_path, [{"bias": 0.0, "bloch": [0.6, 0, 0]}, {"bias": 0.0, "bloch": [0, 0.6, 0]}])
+    code, out, err = run(capsys, "check", povms, "--out", os.devnull)
+    assert (code, out) == (0, "") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["check", "verify"])
 @pytest.mark.parametrize(
     "data", [b"[" * 200_000 + b"]" * 200_000, b"\xff\xfe{"], ids=["nested", "not-utf8"]
@@ -902,14 +928,20 @@ def test_atlas_builds_each_certificate_once(tmp_path, capsys, monkeypatch):
 
 def test_atlas_writes_certificates(tmp_path, capsys):
     out_dir = tmp_path / "atlas"
-    code, out, _ = run(capsys, "atlas", "--out", str(out_dir))
-    assert code == 0
+    first = run(capsys, "atlas", "--out", str(out_dir))
+    assert first[0] == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert len(manifest["entries"]) == 20
     files = sorted(p.name for p in out_dir.iterdir())
     assert "four-vertex-6-mixed-purity.json" in files
     assert "four-vertex-6-non-coplanar.json" in files
     assert len(files) == 22  # manifest + 19 planar + 2 special
+    # a second run, over files made longer, writes the same bytes
+    written = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    for name, data in written.items():
+        (out_dir / name).write_bytes(data + b"x" * 1000)
+    assert run(capsys, "atlas", "--out", str(out_dir)) == first
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == written
 
 
 def test_stdout_json_reparses_bit_exact(capsys):

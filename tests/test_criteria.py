@@ -1044,9 +1044,10 @@ def test_ft_solver_reaches_the_minimum_at_triple_thresholds():
 # without the restart the solver stopped within 5e-15 of point 2 of the five
 # (|R_2| = 2.008, f = 38.37113) and at point 6 of the six. With it neither
 # solve halves a Newton step. In a line trace of the test suite the
-# step-halving loop runs only for the near-axis triple (a zero step from an
-# iterate on a data point), and the returns on a step below y's resolution
-# and on a residual accepted after max_iter steps never run
+# step-halving loop runs for the near-axis triple (a zero step from an
+# iterate on a data point), the two-cluster sets below and a set in
+# test_unbiased_only_registry_functions_skip_biased_subsets; the return on
+# a residual accepted after max_iter steps never runs
 FT_POINTS_THAT_DRAW_NEWTON_IN = {
     "five-points": (
         [[0.6190576918785472, -1.2628016802610973, 0.3210175349537871],
@@ -1076,6 +1077,39 @@ def test_ft_restarts_off_a_point_that_draws_newton_in(name):
     grad = [sum((y[c] - p[c]) / math.dist(y, p) for p in points) for c in range(3)]
     assert math.hypot(*grad) <= 1e-9
     assert criteria._total_distance(points, y) == pytest.approx(minimum, abs=1e-7)
+
+
+# two tight clusters, of three points and of two, each within about 1e-8: on
+# the segment between them the points lie on one line, so f falls linearly
+# and the Hessian has no curvature along it. There the solver once stopped
+# with |grad f| = 1.0 at f = 31.635583066422754 ("stall", a Newton step
+# halved below resolution) or let numpy's LinAlgError out ("singular", det =
+# 0). The minima are Nelder-Mead's
+FT_POINTS_IN_TWO_CLUSTERS = {
+    "stall": (
+        [[7.299162769364644, -5.552647390227071, -1.8154074546815835],
+         [7.299162766035277, -5.552647375000599, -1.8154074773728732],
+         [3.9162792044849293, 7.928412983759264, 1.871876153561501],
+         [7.299162818037195, -5.552647389994638, -1.8154074416350188],
+         [3.9162792365173393, 7.928412927380853, 1.871876146151492]],
+        28.759621025033194,
+    ),
+    "singular": (
+        [[7.141183252964132, -2.333829739112908, 0.6730375364595156],
+         [7.141183254118923, -2.333829740886694, 0.6730375354965159],
+         [1.6352062491136834, -2.329900141887139, -5.942486899811626],
+         [7.141183251934831, -2.333829738296167, 0.6730375363183619],
+         [1.6352062504837752, -2.3299001414722578, -5.942486898866999]],
+        17.214059577429477,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FT_POINTS_IN_TWO_CLUSTERS))
+def test_ft_takes_a_line_step_where_newton_stalls_on_two_clusters(name):
+    points, minimum = FT_POINTS_IN_TWO_CLUSTERS[name]
+    y = fermat_torricelli(points).tolist()
+    assert criteria._total_distance(points, y) == pytest.approx(minimum, abs=1e-9)
 
 
 def test_ft_reaches_the_minimum_on_five_to_eight_points():
